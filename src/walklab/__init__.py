@@ -37,7 +37,6 @@ from .errors import (
     ValidationError,
 )
 from .walk import (
-    ChainState,
     DiscreteDistribution,
     McConfig,
     SojournDraw,
@@ -45,7 +44,6 @@ from .walk import (
     hitting_time_distribution,
     mc_tv_tolerance,
     position_distribution,
-    position_distribution_from_hitting_cdf,
     position_scan,
     sample_sojourn,
     simulate_paths,

@@ -238,28 +238,23 @@ def _decomposition_rows(params, diag, n, xs, p_hit):
             f"diagnostics cover sites 0..{diag.mu.size - 2}; the decomposition "
             f"needs site {int(xs.max())}"
         )
-    e1 = np.full(xs.size, math.nan)
-    e2 = np.full(xs.size, math.nan)
-    e3 = np.full(xs.size, math.nan)
-    h_term = np.full(xs.size, math.nan)
-    mu_inv = 1.0 / params.mu
-    g_var = n * params.sigma2 / params.mu
-    for i, x in enumerate(xs):
-        if x < 1:
-            continue
-        mu_x = diag.mu[x]
-        sig2_x = diag.sigma2[x]
-        if sig2_x <= 0.0:
-            raise HypothesisError(f"sigma_x^2 = {sig2_x} at x = {x}; cannot standardize")
-        f = normal_density(mu_x, sig2_x, float(n))
-        g = normal_density(mu_x, g_var, float(n))
-        h = normal_density(float(M[n]), n * params.sigma_tilde2, float(x))
-        h_term[i] = mu_inv * h
-        e1[i] = p_hit[i] - f
-        e2[i] = f - g
-        e3[i] = g - mu_inv * h
-    return DecompositionTable(n=n, x=xs, p_hit=np.asarray(p_hit, dtype=np.float64),
-                              e1=e1, e2=e2, e3=e3, predictor_term=h_term)
+    p_hit = np.asarray(p_hit, dtype=np.float64)
+    e1, e2, e3, h_term = (np.full(xs.size, math.nan) for _ in range(4))
+    rows = np.flatnonzero(xs >= 1)
+    x = xs[rows]
+    mu_x, sig2_x = diag.mu[x], diag.sigma2[x]
+    if np.any(sig2_x <= 0.0):
+        bad = int(np.argmax(sig2_x <= 0.0))
+        raise HypothesisError(f"sigma_x^2 = {sig2_x[bad]} at x = {x[bad]}; cannot standardize")
+    f = normal_density(mu_x, sig2_x, float(n))
+    g = normal_density(mu_x, n * params.sigma2 / params.mu, float(n))
+    h = normal_density(float(M[n]), n * params.sigma_tilde2, x.astype(np.float64))
+    h_term[rows] = (1.0 / params.mu) * h
+    e1[rows] = p_hit[rows] - f
+    e2[rows] = f - g
+    e3[rows] = g - h_term[rows]
+    return DecompositionTable(n=n, x=xs, p_hit=p_hit, e1=e1, e2=e2, e3=e3,
+                              predictor_term=h_term)
 
 
 def llt_error_decomposition(
@@ -277,7 +272,7 @@ def llt_error_decomposition(
     p_hit = np.zeros(xs.size)
     x_max = int(xs.max())
     wanted = {int(x): i for i, x in enumerate(xs)}
-    for x, dist in hitting_time_scan(env, x_max, trunc_tol):
+    for x, dist in hitting_time_scan(env, x_max, trunc_tol, horizon=n):
         if x in wanted:
             p_hit[wanted[x]] = dist.prob_at(n)
     return _decomposition_rows(params, diag, n, xs, p_hit)
@@ -423,21 +418,21 @@ def clt_report(
     if not n_grid or n_grid[0] < 1:
         raise ValidationError("n_grid must contain positive times")
     st = math.sqrt(params.sigma_tilde2)
+    hit_x = [max(1, round(n / params.mu)) for n in n_grid]
+    # one ladder serves every grid point: each smaller law is a prefix of it
+    hit_laws = {x: dist for x, dist in
+                hitting_time_scan(env, hit_x[-1], trunc_tol, deficit_budget) if x in hit_x}
     pos_dist = []
-    hit_x = []
     hit_dist = []
-    for n in n_grid:
+    for n, x in zip(n_grid, hit_x):
         dist = position_distribution(env, n, trunc_tol, deficit_budget)
         pos_dist.append(kolmogorov_distance_to_normal(dist, n / params.mu, math.sqrt(n) * st))
-        x = max(1, round(n / params.mu))
         mu_x, sig2_x = cumulative_hitting_moments(env, x)
         if sig2_x <= 0.0:
             raise HypothesisError(
                 f"hitting variance is zero at x = {x}; standardization undefined"
             )
-        t_dist = hitting_time_distribution(env, x, trunc_tol, deficit_budget)
-        hit_x.append(x)
-        hit_dist.append(kolmogorov_distance_to_normal(t_dist, mu_x, math.sqrt(sig2_x)))
+        hit_dist.append(kolmogorov_distance_to_normal(hit_laws[x], mu_x, math.sqrt(sig2_x)))
     return CltReport(
         n=np.array(n_grid), dist_position=np.array(pos_dist),
         hitting_x=np.array(hit_x), dist_hitting=np.array(hit_dist),

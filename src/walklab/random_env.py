@@ -98,8 +98,10 @@ class MarkovChainSpec:
 class RandomEnvModel:
     """Descriptor of a stationary parameter process over sites.
 
-    The marginal is either uniform on [low, high] or uniform over ``choices``.
-    ``window`` is the m-dependence width (m-dependent kind only); ``chain``
+    The iid marginal is either uniform on [low, high] or uniform over
+    ``choices``.  The m-dependent kind maps the mean of m+1 uniforms, which is
+    Bates(m+1) distributed with variance 1/(12(m+1)), not uniform.
+    ``window`` is the m-dependence width m (m-dependent kind only); ``chain``
     carries the Markov spec.  ``lsv_c`` fixes the branch cut point for the
     lsv family; ``beta_diag`` declares the diagnostic tail exponent for
     families that decay faster than any power law.

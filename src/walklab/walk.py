@@ -34,7 +34,6 @@ DEFAULT_DEFICIT_BUDGET = 1e-6
 
 __all__ = [
     "DiscreteDistribution",
-    "ChainState",
     "McConfig",
     "WalkSample",
     "SojournDraw",
@@ -43,7 +42,6 @@ __all__ = [
     "sample_sojourn",
     "hitting_time_distribution",
     "position_distribution",
-    "position_distribution_from_hitting_cdf",
     "position_scan",
     "hitting_time_scan",
     "simulate_paths",
@@ -58,16 +56,20 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
-    """Pmf on a contiguous block of integers plus a truncated-mass bound.
+    """Pmf on a contiguous block of integers plus two kinds of missing mass.
 
-    The stored block is canonical: leading and trailing exact zeros are
-    stripped (shifting ``offset``), every stored atom is non-negative, and
-    mass + deficit stays within 1e-9 of one.
+    ``beyond`` is exact mass known to lie above the horizon the block was
+    clipped to; ``deficit`` bounds mass lost to truncation, whose position is
+    unknown.  The stored block is canonical: leading and trailing exact zeros
+    are stripped (shifting ``offset``), every stored atom is non-negative, and
+    mass + beyond + deficit stays within 1e-9 of one.  A law whose whole mass
+    lies beyond its horizon stores one zero atom.
     """
 
     offset: int
     probs: np.ndarray
     deficit: float = 0.0
+    beyond: float = 0.0
 
     def __post_init__(self):
         arr = np.asarray(self.probs, dtype=np.float64).copy()
@@ -75,9 +77,14 @@ class DiscreteDistribution:
             raise ValidationError("probs must be a non-empty 1-D array")
         if np.any(arr < 0.0):
             raise ValidationError("probabilities must be non-negative")
+        beyond = float(self.beyond)
+        if beyond < 0.0:
+            raise ValidationError(f"beyond must be non-negative, got {beyond}")
         nz = np.flatnonzero(arr)
         if nz.size == 0:
-            raise ValidationError("distribution has no positive atom")
+            if beyond == 0.0:
+                raise ValidationError("distribution has no positive atom")
+            nz = np.zeros(1, dtype=np.intp)
         first, last = int(nz[0]), int(nz[-1])
         offset = int(self.offset) + first
         arr = arr[first : last + 1]
@@ -85,13 +92,15 @@ class DiscreteDistribution:
         if deficit < -1e-12:
             raise ValidationError(f"deficit must be non-negative, got {deficit}")
         deficit = max(deficit, 0.0)
-        total = float(arr.sum()) + deficit
+        total = float(arr.sum()) + beyond + deficit
         if abs(total - 1.0) > 1e-9:
-            raise ValidationError(f"mass + deficit = {total!r}, expected 1 within 1e-9")
+            raise ValidationError(
+                f"mass + beyond + deficit = {total!r}, expected 1 within 1e-9")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "deficit", deficit)
+        object.__setattr__(self, "beyond", beyond)
 
     @classmethod
     def point_mass(cls, k: int) -> "DiscreteDistribution":
@@ -132,35 +141,42 @@ class DiscreteDistribution:
         mean = self.mean()
         return self.moment(2) - mean**2
 
-    def convolve(self, other: "DiscreteDistribution", trunc_tol: float = 0.0) -> "DiscreteDistribution":
+    def convolve(self, other: "DiscreteDistribution", trunc_tol: float = 0.0,
+                 horizon: int | None = None) -> "DiscreteDistribution":
         """Exact pmf convolution, then contiguous upper-tail trim into deficit.
 
-        Only the largest support points are trimmed (mass at most
-        ``trunc_tol``), so the support stays contiguous and the stored law is
-        stochastically dominated by the true one.
+        With a ``horizon`` only atoms up to it are formed; the product mass
+        above it is added to ``beyond`` exactly.  Only the largest stored
+        points are trimmed, and only while they and ``beyond`` together hold
+        at most ``trunc_tol``, so the support stays contiguous and the stored
+        law is stochastically dominated by the true one.
         """
-        probs = np.convolve(self.probs, other.probs)
+        offset = self.offset + other.offset
+        a, b = self.probs, other.probs
+        beyond = self.beyond * (other.mass() + other.beyond) + self.mass() * other.beyond
+        if horizon is None:
+            probs = np.convolve(a, b)
+        else:
+            keep = horizon - offset + 1
+            if keep > 0:
+                probs = np.convolve(a[:keep], b[:keep])[:keep]
+            else:
+                probs = np.zeros(1)
+            # a_i * b_j lands above the horizon iff j >= keep - i; atoms of a
+            # before keep - b.size never do
+            start = min(max(keep - b.size, 0), a.size)
+            rest = np.append(np.cumsum(b[::-1])[::-1], 0.0)
+            lags = np.maximum(keep - np.arange(start, a.size), 0)
+            beyond += float(a[start:] @ rest[lags])
         deficit = self.deficit + other.deficit - self.deficit * other.deficit
-        if trunc_tol > 0.0 and probs.size > 1:
+        if trunc_tol > beyond and probs.size > 1:
             rev = np.cumsum(probs[::-1])
-            cut = int(np.searchsorted(rev, trunc_tol, side="right"))
+            cut = int(np.searchsorted(rev, trunc_tol - beyond, side="right"))
             cut = min(cut, probs.size - 1)
             if cut > 0:
                 deficit += float(rev[cut - 1])
                 probs = probs[:-cut]
-        return DiscreteDistribution(self.offset + other.offset, probs, deficit)
-
-
-@dataclass(frozen=True)
-class ChainState:
-    """A (site, level) state of the chain."""
-
-    x: int
-    y: int
-
-    def __post_init__(self):
-        if self.x < 0 or self.y < 0:
-            raise ValidationError(f"chain state must be non-negative, got {self}")
+        return DiscreteDistribution(offset, probs, deficit, beyond)
 
 
 def sojourn_pmf(site: TailSequence) -> DiscreteDistribution:
@@ -203,14 +219,25 @@ def hitting_time_scan(
     x_stop: int,
     trunc_tol: float = DEFAULT_TRUNC_TOL,
     deficit_budget: float = DEFAULT_DEFICIT_BUDGET,
+    horizon: int | None = None,
 ) -> Iterator[tuple[int, DiscreteDistribution]]:
-    """Yield (x, law of T_x) for x = 0..x_stop, convolving one site at a time."""
+    """Yield (x, law of T_x) for x = 0..x_stop, convolving one site at a time.
+
+    With a ``horizon`` n each law keeps only its atoms up to n and carries
+    P(T_x > n) in ``beyond``.  This is exact for every atom up to n: a
+    sojourn lasts at least one step, so no atom above n ever comes back
+    below it.  ``deficit_budget`` applies to the truncation deficit alone.
+    """
     if x_stop < 0:
         raise ValidationError(f"x_stop must be >= 0, got {x_stop}")
     dist = DiscreteDistribution.point_mass(0)
     yield 0, dist
+    site = None
     for x in range(1, x_stop + 1):
-        dist = dist.convolve(sojourn_pmf(env.site(x - 1)), trunc_tol)
+        if env.site(x - 1) is not site:  # sites often share one tail object
+            site = env.site(x - 1)
+            sojourn = sojourn_pmf(site)
+        dist = dist.convolve(sojourn, trunc_tol, horizon)
         if dist.deficit > deficit_budget:
             raise DeficitBudgetError(
                 f"accumulated deficit {dist.deficit:.3e} exceeds budget "
@@ -256,11 +283,12 @@ def position_scan(
 ) -> PositionScan:
     """Exact position law at time n via the hitting-time convolution ladder.
 
-    The scan over sites stops once P(T_x <= n) drops below ``stop_tol`` (the
-    remaining sites can hold at most that much mass, which is folded into the
-    deficit).  Weights omega^x_j beyond a site's stored tail are bracketed by
-    the site deficit; the reported row uses the bracket top so the total mass
-    check stays within 1e-9.
+    The ladder is clipped to the horizon n.  The scan over sites stops once
+    P(T_x <= n) drops below ``stop_tol`` (the remaining sites can hold at
+    most that much mass, which is folded into the deficit).  A row uses the
+    site deficit as its weight at lag N+1, one past the stored tail, and 0 at
+    larger lags.  The deficit is at least omega^x_{N+1} and 0 is at most the
+    dropped weights, so a row is neither an upper nor a lower bound.
     """
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
@@ -268,9 +296,11 @@ def position_scan(
         stop_tol = trunc_tol
     rows: list[float] = []
     hit: list[float] = []
-    for x, dist in hitting_time_scan(env, n, trunc_tol, deficit_budget):
-        site = env.site(x)
-        ext = site.extended()
+    site = None
+    for x, dist in hitting_time_scan(env, n, trunc_tol, deficit_budget, horizon=n):
+        if env.site(x) is not site:
+            site = env.site(x)
+            ext = site.extended()
         k_lo = max(dist.offset, n - site.last_index - 1)
         k_hi = min(n, dist.end)
         if k_lo > k_hi:
@@ -302,33 +332,6 @@ def position_distribution(
     """Law of X_n; support is contained in [0, n]."""
     scan = position_scan(env, n, trunc_tol, deficit_budget, stop_tol)
     return DiscreteDistribution(offset=0, probs=scan.prob, deficit=scan.deficit)
-
-
-def position_distribution_from_hitting_cdf(
-    env: Environment,
-    n: int,
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
-    deficit_budget: float = DEFAULT_DEFICIT_BUDGET,
-    stop_tol: float | None = None,
-) -> DiscreteDistribution:
-    """Alternative route via {X_n = x} = {T_x <= n < T_{x+1}}.
-
-    Returns P(X_n = x) = P(T_x <= n) - P(T_{x+1} <= n), used as an internal
-    cross-check of the convolution identity.
-    """
-    if n < 0:
-        raise ValidationError(f"n must be >= 0, got {n}")
-    if stop_tol is None:
-        stop_tol = trunc_tol
-    cdfs: list[float] = []
-    for x, dist in hitting_time_scan(env, n + 1, trunc_tol, deficit_budget):
-        cdfs.append(dist.cdf_at(n))
-        if cdfs[-1] < stop_tol:
-            break
-    cdfs.append(0.0)
-    rows = np.maximum(0.0, -np.diff(np.array(cdfs)))
-    deficit = max(0.0, 1.0 - float(rows.sum()))
-    return DiscreteDistribution(offset=0, probs=rows, deficit=deficit)
 
 
 # ---------------------------------------------------------------------------

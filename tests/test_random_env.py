@@ -148,3 +148,12 @@ def test_moment_report_mdependent_mixing():
     assert rep.mixing_ok
     low_q = wl.moment_report(sample, q=4.0)
     assert not low_q.q_above_8 and not low_q.mixing_ok
+
+
+def test_mdependent_unit_noise_is_bates():
+    # the mean of m+1 uniforms has variance 1/(12(m+1)): uniform only at m = 0
+    for m in (0, 3):
+        model = wl.RandomEnvModel(kind="m-dependent", family="powerlaw", seed=8,
+                                  low=2.0, high=4.0, window=m)
+        unit = (np.array([model.site_parameter(x) for x in range(4000)]) - 2.0) / 2.0
+        assert unit.var() == pytest.approx(1.0 / (12.0 * (m + 1)), rel=0.1)

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import walklab as wl
 from walklab.errors import DeficitBudgetError, ValidationError
+from walklab.walk import hitting_time_scan
 
 
 # ---------------------------------------------------------------------------
@@ -17,15 +20,6 @@ def test_distribution_canonical_trimming():
     assert d.offset == 4
     assert d.end == 5
     assert d.mass() == 1.0
-
-
-def test_chain_state_validation():
-    state = wl.ChainState(x=3, y=0)
-    assert (state.x, state.y) == (3, 0)
-    with pytest.raises(ValidationError):
-        wl.ChainState(x=-1, y=0)
-    with pytest.raises(ValidationError):
-        wl.ChainState(x=0, y=-2)
 
 
 def test_distribution_validation():
@@ -46,6 +40,25 @@ def test_convolve_trims_contiguous_tail_into_deficit():
     assert 0.0 < b.deficit <= 0.01
     full = np.convolve(a.probs, a.probs)
     np.testing.assert_allclose(b.probs, full[: b.probs.size], rtol=0, atol=0)
+
+
+def test_convolve_clips_to_horizon_as_exact_mass():
+    a = wl.DiscreteDistribution(1, np.array([0.5, 0.3, 0.15, 0.05]))
+    full = np.convolve(a.probs, a.probs)
+    b = a.convolve(a, horizon=4)
+    assert (b.offset, b.end, b.deficit) == (2, 4, 0.0)
+    np.testing.assert_array_equal(b.probs, full[:3])
+    assert b.beyond == pytest.approx(full[3:].sum(), abs=1e-16)
+    # a trim counts the mass beyond as part of the tail, as the full law does:
+    # no trim below beyond = 0.2025, and at horizon 7 the top atom 0.015 plus
+    # beyond = 0.0025 exceeds 0.016, so it stays
+    assert a.convolve(a, trunc_tol=0.02, horizon=4).probs.size == 3
+    np.testing.assert_array_equal(a.convolve(a, trunc_tol=0.016, horizon=7).probs,
+                                  a.convolve(a, trunc_tol=0.016).probs)
+    # every atom lies beyond the horizon: one zero atom carries the offset
+    c = a.convolve(a, horizon=1)
+    assert (c.offset, c.mass(), c.beyond) == (2, 0.0, 1.0)
+    assert c.convolve(a, horizon=1).beyond == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +193,26 @@ def test_position_support_and_mass(geometric_env, powerlaw_env):
         assert abs(d.mass() + d.deficit - 1.0) < 1e-9
 
 
+def position_law_from_hitting_cdf(env, n, trunc_tol, deficit_budget=1e-6, stop_tol=None):
+    """Unclipped oracle via {X_n = x} = {T_x <= n < T_{x+1}}:
+    P(X_n = x) = P(T_x <= n) - P(T_{x+1} <= n)."""
+    stop_tol = trunc_tol if stop_tol is None else stop_tol
+    cdfs = []
+    for _, dist in hitting_time_scan(env, n + 1, trunc_tol, deficit_budget):
+        cdfs.append(dist.cdf_at(n))
+        if cdfs[-1] < stop_tol:
+            break
+    cdfs.append(0.0)
+    rows = np.maximum(0.0, -np.diff(np.array(cdfs)))
+    return wl.DiscreteDistribution(0, rows, max(0.0, 1.0 - float(rows.sum())))
+
+
 def test_position_two_routes_agree(geometric_env, powerlaw_env, lsv_env):
+    # powerlaw_env is beta = 3: at n = 12 the clipped ladder keeps 13 of
+    # about 10^4 sojourn atoms per site
     for env in (geometric_env, powerlaw_env, lsv_env):
         a = wl.position_distribution(env, 12, trunc_tol=1e-13)
-        b = wl.position_distribution_from_hitting_cdf(env, 12, trunc_tol=1e-13)
+        b = position_law_from_hitting_cdf(env, 12, trunc_tol=1e-13)
         lo = min(a.offset, b.offset)
         hi = max(a.end, b.end)
         for k in range(lo, hi + 1):
@@ -322,3 +351,67 @@ def test_property_sampler_consistent_with_pmf_intervals():
             n, truncated = wl.sample_sojourn(site, float(u))
             assert not truncated
             assert cdf[n - 1] <= u < cdf[n] + 1e-15
+
+
+@st.composite
+def small_environments(draw):
+    """Up to 25 geometric or power-law sites with short stored tails."""
+    tails = []
+    for _ in range(draw(st.integers(1, 25))):
+        if draw(st.booleans()):
+            r = draw(st.floats(0.1, 0.8))
+            tails.append(wl.geometric_tail_sequence(r, tail_tol=1e-8))
+        else:
+            beta = draw(st.floats(1.5, 4.0))
+            tails.append(wl.powerlaw_tail_sequence(beta, tail_tol=1e-4))
+    return wl.Environment(tails)
+
+
+def unclipped_position_rows(env, n, trunc_tol):
+    """P(X_n = x) = sum_k P(T_x = k) omega^x_{n-k} from the unclipped ladder."""
+    rows = []
+    for x, dist in hitting_time_scan(env, n, trunc_tol, deficit_budget=1.0):
+        ext = env.site(x).extended()
+        rows.append(sum(dist.prob_at(k) * ext[n - k]
+                        for k in range(max(0, n - ext.size + 1), n + 1)))
+        if x == n or dist.cdf_at(n) < trunc_tol:
+            break
+    return np.array(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(env=small_environments(), n=st.integers(0, 40),
+       trunc_tol=st.sampled_from([0.0, 1e-13, 1e-9]))
+def test_property_clipped_ladder_is_exact_below_horizon(env, n, trunc_tol):
+    x_stop = len(env) - 1
+    full = hitting_time_scan(env, x_stop, trunc_tol, deficit_budget=1.0)
+    clip = hitting_time_scan(env, x_stop, trunc_tol, deficit_budget=1.0, horizon=n)
+    for (x, u), (_, c) in zip(full, clip):
+        assert np.all(c.probs >= 0.0) and (c.end <= n or c.mass() == 0.0)
+        assert abs(c.mass() + c.beyond + c.deficit - 1.0) <= 1e-12
+        # the clipped ladder trims no more than the unclipped one, and what
+        # only the unclipped one trims is in its extra deficit
+        slack = u.deficit - c.deficit
+        assert slack >= -1e-15
+        ks = range(n + 1)
+        np.testing.assert_allclose([c.prob_at(k) for k in ks], [u.prob_at(k) for k in ks],
+                                   rtol=1e-12, atol=slack + 1e-300)
+        assert abs(c.mass() - u.cdf_at(n)) <= slack + 1e-12 * u.cdf_at(n)
+        tail = u.mass() - u.cdf_at(n)
+        assert abs(c.beyond - tail) <= slack + 1e-12 * tail + 1e-15
+        if trunc_tol == 0.0:
+            assert slack == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(env=small_environments(), data=st.data())
+def test_property_clipped_position_scan_matches_unclipped(env, data):
+    n = data.draw(st.integers(0, len(env) - 1), label="n")
+    scan = wl.position_scan(env, n, trunc_tol=0.0, deficit_budget=1.0)
+    np.testing.assert_allclose(scan.prob, unclipped_position_rows(env, n, 0.0),
+                               rtol=1e-12, atol=1e-300)
+    # the oracle books all of site x's tail deficit in row x; the scan books
+    # it at lag N+1 only
+    oracle = position_law_from_hitting_cdf(env, n, trunc_tol=0.0, deficit_budget=1.0)
+    gap = np.abs(scan.prob[: oracle.probs.size] - oracle.probs)
+    assert np.all(gap <= [env.site(x).deficit + 1e-13 for x in range(gap.size)])
