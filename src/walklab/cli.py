@@ -22,6 +22,8 @@ from .environment import (
     DEFAULT_TAIL_TOL,
     Environment,
     LsvParams,
+    _refuse_overwrite,
+    _write_text,
     diagnostics,
     env_from_lsv,
     env_from_powerlaw,
@@ -64,36 +66,22 @@ def _out_path(path: str) -> str:
     return path
 
 
-def _write_text(path: str, text: str, force: bool) -> None:
-    path = _out_path(path)
-    if os.path.exists(path) and not force:
-        raise FileExistsError(f"refusing to overwrite {path}; pass --force")
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
 def _write_csv(path: str, header: list[str], rows, force: bool) -> None:
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
-    _write_text(path, "\n".join(lines) + "\n", force)
+    _write_text(_out_path(path), "\n".join(lines) + "\n", force)
 
 
 def _write_json(path: str, payload, force: bool) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n", force)
+    _write_text(_out_path(path), json.dumps(payload, sort_keys=True, indent=1) + "\n", force)
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_list(text: str, kind=float) -> list:
     try:
-        return [float(v) for v in text.split(",") if v != ""]
+        return [kind(v) for v in text.split(",") if v != ""]
     except ValueError as exc:
-        raise ValidationError(f"expected comma-separated numbers, got {text!r}") from exc
-
-
-def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v != ""]
-    except ValueError as exc:
-        raise ValidationError(f"expected comma-separated integers, got {text!r}") from exc
+        raise ValidationError(
+            f"expected comma-separated {kind.__name__} values, got {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +98,7 @@ def _build_random_model(args) -> random_env.RandomEnvModel:
                   lsv_c=args.c if args.c is not None else 0.5,
                   beta_diag=args.beta_diag)
     if kind == "markov":
-        choices = _parse_floats(args.choices or "")
+        choices = _parse_list(args.choices or "")
         if len(choices) < 2:
             raise ValidationError("markov models need --choices with >= 2 states")
         k = len(choices)
@@ -123,14 +111,18 @@ def _build_random_model(args) -> random_env.RandomEnvModel:
             chain=random_env.MarkovChainSpec(tuple(choices), trans), **common
         )
     if args.choices:
-        return random_env.RandomEnvModel(choices=tuple(_parse_floats(args.choices)), **common)
+        return random_env.RandomEnvModel(choices=tuple(_parse_list(args.choices)), **common)
     if args.range:
-        lo, hi = _parse_floats(args.range)
+        lo, hi = _parse_list(args.range)
         return random_env.RandomEnvModel(low=lo, high=hi, **common)
     raise ValidationError("random models need --choices or --range")
 
 
 def _cmd_env(args) -> int:
+    outputs = (args.out, args.diagnostics_out or _suffixed(args.out, "-diagnostics.csv"),
+               args.m_table_out or _suffixed(args.out, "-mtable.csv"))
+    # all or nothing: refuse before the first write if any target exists
+    _refuse_overwrite([_out_path(p) for p in outputs], args.force)
     if args.random:
         if args.seed is None:
             raise ValidationError("sampling commands require --seed")
@@ -160,10 +152,10 @@ def _cmd_env(args) -> int:
     else:
         raise ValidationError("env needs --family or --random")
 
-    write_env_file(env, _out_path(args.out), force=args.force)
     diag = diagnostics(env, _beta_diag(env))
+    write_env_file(env, _out_path(args.out), force=args.force)
     _write_csv(
-        args.diagnostics_out or _suffixed(args.out, "-diagnostics.csv"),
+        outputs[1],
         ["x", "A", "A_prime", "K", "m", "s2", "mu", "sigma2"],
         (
             (int(x), diag.A[x], diag.A_prime[x], diag.K[x], diag.m[x],
@@ -173,7 +165,7 @@ def _cmd_env(args) -> int:
         args.force,
     )
     _write_csv(
-        args.m_table_out or _suffixed(args.out, "-mtable.csv"),
+        outputs[2],
         ["n", "M"],
         ((n, int(diag.M[n])) for n in range(diag.M.size)),
         args.force,
@@ -197,15 +189,11 @@ def _beta_diag(env: Environment):
     return beta
 
 
-def _load(args) -> Environment:
-    return load_env_file(args.env)
-
-
 def _limit_params(env: Environment, args) -> LimitParams:
     if args.mu is not None and args.sigma2 is not None:
-        return LimitParams(mu=args.mu, sigma2=args.sigma2, eta=args.eta)
+        return LimitParams(mu=args.mu, sigma2=args.sigma2)
     diag = diagnostics(env, _beta_diag(env))
-    return fit_limit_params(diag, eta=args.eta).params
+    return fit_limit_params(diag).params
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +201,7 @@ def _limit_params(env: Environment, args) -> LimitParams:
 # ---------------------------------------------------------------------------
 
 def _cmd_exact(args) -> int:
-    env = _load(args)
+    env = load_env_file(args.env)
     dist = position_distribution(env, args.n, args.trunc_tol)
     _write_csv(
         args.out,
@@ -226,7 +214,7 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    env = _load(args)
+    env = load_env_file(args.env)
     cfg = McConfig(paths=args.paths, horizon=args.n, seed=args.seed, record=args.record)
     sample = simulate_paths(env, cfg, method=args.method)
     if args.record == "endpoint-only":
@@ -252,8 +240,10 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_dynsys(args) -> int:
-    env = _load(args)
-    times = _parse_ints(args.times) if args.times else [args.n]
+    outputs = (args.out_hist, args.out_levels, args.out_summary)
+    _refuse_overwrite([_out_path(p) for p in outputs], args.force)
+    env = load_env_file(args.env)
+    times = _parse_list(args.times, int) if args.times else [args.n]
     cfg = TrajectoryConfig(paths=args.paths, horizon=args.n, seed=args.seed)
     sample = simulate_trajectories(env, cfg, times=times, levels=True)
     hist_rows = []
@@ -285,11 +275,11 @@ def _cmd_dynsys(args) -> int:
 
 
 def _cmd_llt(args) -> int:
-    env = _load(args)
+    env = load_env_file(args.env)
     params = _limit_params(env, args)
     diag = diagnostics(env, _beta_diag(env))
     reports = []
-    for n in _parse_ints(args.n_grid):
+    for n in _parse_list(args.n_grid, int):
         rep = llt_report(env, params, diag, n, trunc_tol=args.trunc_tol)
         reports.append(llt_report_json(rep))
         print(f"llt: n={n} sup_err_scaled={rep.sup_err_scaled:.6g}")
@@ -298,9 +288,9 @@ def _cmd_llt(args) -> int:
 
 
 def _cmd_clt(args) -> int:
-    env = _load(args)
+    env = load_env_file(args.env)
     params = _limit_params(env, args)
-    rep = clt_report(env, params, _parse_ints(args.n_grid), trunc_tol=args.trunc_tol)
+    rep = clt_report(env, params, _parse_list(args.n_grid, int), trunc_tol=args.trunc_tol)
     _write_csv(
         args.out,
         ["n", "kolmogorov_X", "x", "kolmogorov_T"],
@@ -315,7 +305,7 @@ def _cmd_clt(args) -> int:
 
 
 def _cmd_slln(args) -> int:
-    env = _load(args)
+    env = load_env_file(args.env)
     params = _limit_params(env, args)
     times = np.unique(np.linspace(1, args.horizon, num=min(args.horizon, 32), dtype=np.int64))
     cfg = McConfig(paths=args.paths, horizon=args.horizon, seed=args.seed)
@@ -350,7 +340,6 @@ def _add_common(p, seed_required: bool) -> None:
 def _add_params_flags(p) -> None:
     p.add_argument("--mu", type=float, help="override the fitted mean sojourn")
     p.add_argument("--sigma2", type=float, help="override the fitted sojourn variance")
-    p.add_argument("--eta", type=float, default=0.0, help="residual rate exponent")
     p.add_argument("--trunc-tol", type=float, default=1e-12,
                    dest="trunc_tol", help="per-convolution trim tolerance")
 

@@ -165,7 +165,6 @@ def simulate_trajectories(
     times=None,
     levels: bool = False,
     keep_positions_at=None,
-    component: str = "dynsys-mc",
 ) -> TrajectorySample:
     """Iterate the extended map from uniform starts and histogram the cells.
 
@@ -194,7 +193,7 @@ def simulate_trajectories(
 
     for index, start in enumerate(range(0, cfg.paths, CHUNK)):
         size = min(CHUNK, cfg.paths - start)
-        rng = stream(cfg.seed, component, index)
+        rng = stream(cfg.seed, "dynsys-mc", index)
         if dtype is np.float64:
             u = rng.random(size)
         else:

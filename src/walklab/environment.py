@@ -19,8 +19,8 @@ Three generators are provided:
 ``diagnostics`` evaluates the quantities the limit-theorem hypotheses are
 phrased in: the polynomial envelope suprema A_x and A'_x, the aperiodicity
 statistic K_x, sojourn moments m_x and Var(tau_x), cumulative hitting moments
-mu_x and sigma_x^2, the generalized inverse M_n of (mu_x), and the residuals
-theta_1, theta_2 of the per-site means/variances against fitted limits.
+mu_x and sigma_x^2 and the generalized inverse M_n of (mu_x).  The limit fit
+and its residuals theta_1, theta_2 live in ``limits.fit_limit_params``.
 """
 
 from __future__ import annotations
@@ -493,7 +493,6 @@ class EnvDiagnostics:
     Arrays are indexed by site over ``x``; ``mu`` and ``sigma2`` have one extra
     leading entry so that mu[x] is the mean hitting time of site x (sum over
     sites w < x).  ``M`` holds the generalized inverse M_n for n = 0..floor(mu[-1]).
-    theta1/theta2 are NaN at x = 0.
     """
 
     x: np.ndarray
@@ -512,57 +511,24 @@ class EnvDiagnostics:
     mu_upper: np.ndarray
     sigma2: np.ndarray
     M: np.ndarray
-    theta1: np.ndarray
-    theta2: np.ndarray
-    mu_hat: float
-    sigma2_hat: float
-    param_source: str
     A_truncation_flagged: np.ndarray
     A_prime_truncation_flagged: np.ndarray
     cap_reached: np.ndarray
     variance_converged: bool
 
 
-def _beta_values(beta, xs: np.ndarray) -> np.ndarray:
-    if callable(beta):
-        vals = np.array([float(beta(int(x))) for x in xs])
-    elif isinstance(beta, (list, tuple, np.ndarray)):
-        arr = np.asarray(beta, dtype=np.float64)
-        if arr.size < xs.size:
-            raise ValidationError(
-                f"beta sequence has length {arr.size}, need {xs.size} sites"
-            )
-        vals = arr[: xs.size].astype(np.float64)
-    else:
-        vals = np.full(xs.size, float(beta))
-    if np.any(vals <= 1.0):
-        raise ValidationError("beta(x) must exceed 1 at every site")
-    return vals
-
-
-def diagnostics(
-    env: Environment,
-    beta,
-    x_range: range | None = None,
-    mu_hat: float | None = None,
-    sigma2_hat: float | None = None,
-) -> EnvDiagnostics:
-    """Compute hypothesis diagnostics over a prefix of sites.
+def diagnostics(env: Environment, beta) -> EnvDiagnostics:
+    """Compute hypothesis diagnostics over every materialized site.
 
     ``beta`` is caller-supplied (scalar, per-site sequence, or callable); the
-    library never infers it from data.  ``x_range`` must start at 0 because
-    mu and sigma2 are cumulative.  When the declared beta makes the variance
-    tail bound infinite (beta <= 2 somewhere), no variance fit is emitted:
-    sigma2_hat is NaN and ``variance_converged`` is False.
+    library never infers it from data.  When the declared beta makes the
+    variance tail bound infinite (beta <= 2 somewhere), ``variance_converged``
+    is False and ``limits.fit_limit_params`` refuses to fit a variance.
     """
-    if x_range is None:
-        x_range = range(len(env))
-    if len(x_range) == 0:
-        raise ValidationError("x_range is empty")
-    if x_range.start != 0 or x_range.step != 1:
-        raise ValidationError("x_range must be a unit-step range starting at 0")
-    xs = np.arange(x_range.stop)
-    betas = _beta_values(beta, xs)
+    xs = np.arange(len(env))
+    betas = np.array([float(_site_spec(beta, int(x))) for x in xs])
+    if np.any(betas <= 1.0):
+        raise ValidationError("beta(x) must exceed 1 at every site")
 
     count = xs.size
     A = np.empty(count)
@@ -619,25 +585,12 @@ def diagnostics(
     M = np.searchsorted(mu_upper, np.arange(n_max + 1), side="left")
 
     variance_converged = bool(np.all(np.isfinite(s2_tail)))
-    source = "supplied" if mu_hat is not None else "fitted"
-    if mu_hat is None:
-        mu_hat = mu[-1] / count
-    if sigma2_hat is None:
-        sigma2_hat = sigma2[-1] / count if variance_converged else math.nan
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        theta1 = np.where(xs > 0, mu[:-1] / np.maximum(xs, 1) - mu_hat, math.nan)
-        theta2 = np.where(xs > 0, sigma2[:-1] / np.maximum(xs, 1) - sigma2_hat, math.nan)
-
     return EnvDiagnostics(
         x=xs, beta=betas, beta_star=float(betas.min()),
         A=A, A_prime=A_prime, K=K,
         m=m, m_tail_bound=m_tail, m2=m2, m2_alt=m2 + 2.0 * m,
         s2=s2, s2_tail_bound=s2_tail,
         mu=mu, mu_upper=mu_upper, sigma2=sigma2, M=M,
-        theta1=theta1, theta2=theta2,
-        mu_hat=float(mu_hat), sigma2_hat=float(sigma2_hat),
-        param_source=source,
         A_truncation_flagged=A_flag, A_prime_truncation_flagged=Ap_flag,
         cap_reached=capped, variance_converged=variance_converged,
     )
@@ -690,27 +643,33 @@ def window_fluctuation(env: Environment, x: int, u: float, mu: float) -> float:
 # file format
 # ---------------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def env_json_text(env: Environment) -> str:
     """Serialize to the environment file schema with full-precision decimals."""
     site_chunks = []
     for site in env.sites():
-        omegas = ", ".join(_fmt(v) for v in site.values)
+        omegas = ", ".join(format(v, ".17g") for v in site.values.tolist())
         site_chunks.append(
-            '{"omega": [' + omegas + '], "deficit": ' + _fmt(site.deficit) + "}"
+            '{"omega": [' + omegas + '], "deficit": ' + format(site.deficit, ".17g") + "}"
         )
     model = json.dumps(env.model, sort_keys=True)
     return '{"model": ' + model + ', "sites": [\n' + ",\n".join(site_chunks) + "\n]}\n"
 
 
-def write_env_file(env: Environment, path: str, force: bool = False) -> None:
-    if os.path.exists(path) and not force:
-        raise FileExistsError(f"refusing to overwrite {path}; pass force/--force")
+def _refuse_overwrite(paths, force: bool) -> None:
+    """Raise before anything is written if any target exists and ``force`` is off."""
+    for path in paths:
+        if os.path.exists(path) and not force:
+            raise FileExistsError(f"refusing to overwrite {path}; pass force/--force")
+
+
+def _write_text(path: str, text: str, force: bool) -> None:
+    _refuse_overwrite([path], force)
     with open(path, "w") as fh:
-        fh.write(env_json_text(env))
+        fh.write(text)
+
+
+def write_env_file(env: Environment, path: str, force: bool = False) -> None:
+    _write_text(path, env_json_text(env), force)
 
 
 def load_env_file(path: str) -> Environment:
@@ -723,7 +682,9 @@ def load_env_file(path: str) -> Environment:
     if not isinstance(payload, dict) or "sites" not in payload:
         raise ValidationError(f"{path} is not an environment file")
     model = payload.get("model", {})
-    tag = model.get("family", "file") if isinstance(model, dict) else "file"
+    if not isinstance(model, dict):
+        raise ValidationError(f"{path} has a model entry that is not an object")
+    tag = model.get("family", "file")
     try:
         sites = [
             TailSequence(np.asarray(entry["omega"], dtype=np.float64),
@@ -731,6 +692,6 @@ def load_env_file(path: str) -> Environment:
                          generator_tag=tag)
             for entry in payload["sites"]
         ]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path} has a malformed site entry: {exc}") from exc
     return Environment(sites, model=model, factory=None)

@@ -77,7 +77,6 @@ class LimitParams:
 
     mu: float
     sigma2: float
-    eta: float = 0.0
     source: str = "supplied"
 
     def __post_init__(self):
@@ -85,8 +84,6 @@ class LimitParams:
             raise HypothesisError(f"mu must exceed 1, got {self.mu}")
         if not self.sigma2 > 0.0:
             raise HypothesisError(f"sigma2 must be positive, got {self.sigma2}")
-        if not 0.0 <= self.eta < 0.5:
-            raise ValidationError(f"eta must lie in [0, 1/2), got {self.eta}")
 
     @property
     def sigma_tilde2(self) -> float:
@@ -105,18 +102,24 @@ class LimitFit:
     scaled_theta2: np.ndarray
 
 
-def fit_limit_params(diag: EnvDiagnostics, eta: float = 0.0, min_sites: int = 100) -> LimitFit:
+_MIN_FIT_SITES = 100
+
+
+def fit_limit_params(diag: EnvDiagnostics, eta: float = 0.0) -> LimitFit:
     """Fit (mu, sigma^2) from the largest materialized prefix.
 
     mu_hat = mu_X / X and sigma2_hat = sigma2_X / X at the prefix end.  The
-    residuals theta_i(x) and their scaled versions x^eta * sqrt(log x) *
-    theta_i(x) are returned for hypothesis inspection.  Environments whose
+    residuals theta_i(x) (NaN at x = 0) and their scaled versions x^eta *
+    sqrt(log x) * theta_i(x), eta in [0, 1/2), are returned for hypothesis
+    inspection; this is the only place they are formed.  Environments whose
     declared beta makes the variance tail divergent are rejected with
     ``NonConvergentVarianceError`` instead of producing a variance fit.
     """
+    if not 0.0 <= eta < 0.5:
+        raise ValidationError(f"eta must lie in [0, 1/2), got {eta}")
     count = diag.x.size
-    if count < min_sites:
-        raise ValidationError(f"need at least {min_sites} sites to fit, got {count}")
+    if count < _MIN_FIT_SITES:
+        raise ValidationError(f"need at least {_MIN_FIT_SITES} sites to fit, got {count}")
     if not diag.variance_converged:
         raise NonConvergentVarianceError(
             "per-site variance tail bound is divergent for the declared beta "
@@ -131,7 +134,7 @@ def fit_limit_params(diag: EnvDiagnostics, eta: float = 0.0, min_sites: int = 10
         )
     if sigma2_hat <= 0.0:
         raise HypothesisError(f"fitted sigma2 = {sigma2_hat} is not positive")
-    params = LimitParams(mu=mu_hat, sigma2=sigma2_hat, eta=eta, source="fitted")
+    params = LimitParams(mu=mu_hat, sigma2=sigma2_hat, source="fitted")
     theta1 = diag.mu[:-1] / np.maximum(diag.x, 1) - mu_hat
     theta2 = diag.sigma2[:-1] / np.maximum(diag.x, 1) - sigma2_hat
     theta1[0] = theta2[0] = math.nan

@@ -194,11 +194,6 @@ class RandomEnvModel:
             return {"type": "zero-beyond-lag", "lag": self.window}
         return {"type": "geometric", "rho": self.chain.geometric_rate()}
 
-    def satisfies_polynomial_mixing(self, v: float) -> bool:
-        """Whether the declared rate is O(k^-v); true for every v here, since
-        finite-range and geometric mixing beat any polynomial."""
-        return True
-
     def descriptor(self) -> dict:
         out = {
             "kind": self.kind,
@@ -230,14 +225,6 @@ class QuenchedSample:
     parameter_trace: np.ndarray
     model: RandomEnvModel
     seed: int
-
-    def beta_values(self) -> np.ndarray:
-        """Diagnostic tail exponents implied by the sampled parameters."""
-        if self.model.family == "powerlaw":
-            return self.parameter_trace.copy()
-        if self.model.family == "lsv":
-            return 1.0 / self.parameter_trace
-        return np.full(self.parameter_trace.size, self.model.beta_diag)
 
 
 def _site_builder(model: RandomEnvModel, n_cap: int, tail_tol: float):
@@ -299,7 +286,9 @@ class MomentReport:
 
     ``b_moment`` uses A'_x when beta_star <= 3 and A_x otherwise (the heavier
     requirement applies in the slowly decaying regime).  ``mixing_ok`` states
-    whether the declared rate is O(k^-v) for the v demanded by q.
+    whether the declared rate is O(k^-v) for the v = 2q/(q-8) demanded by q;
+    every kind here mixes at a finite-range or geometric rate, so it holds
+    exactly when q > 8.
     """
 
     q: float
@@ -319,12 +308,13 @@ def moment_report(sample: QuenchedSample, q: float) -> MomentReport:
     """Empirical q-th moments of the envelope statistics over sampled sites."""
     if q <= 0:
         raise ValidationError(f"q must be positive, got {q}")
-    diag = diagnostics(sample.environment, sample.beta_values())
+    diag = diagnostics(sample.environment, sample.environment.model["beta_diag"])
     b_kind = "A" if diag.beta_star > 3.0 else "A_prime"
     b_values = diag.A if b_kind == "A" else diag.A_prime
     q_above_8 = q > 8.0
     required_v = 2.0 * q / (q - 8.0) if q_above_8 else None
-    mixing_ok = q_above_8 and sample.model.satisfies_polynomial_mixing(required_v)
+    # finite-range and geometric mixing beat any polynomial rate O(k^-v)
+    mixing_ok = q_above_8
     return MomentReport(
         q=q,
         a_moment=float(np.mean(diag.A**q)),

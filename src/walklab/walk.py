@@ -398,7 +398,6 @@ def simulate_paths(
     cfg: McConfig,
     method: str | None = None,
     times=None,
-    component: str = "walk-mc",
 ) -> WalkSample:
     """Simulate chain paths; ``method`` is "chain" or "sojourn".
 
@@ -431,7 +430,7 @@ def simulate_paths(
     chunks = []
     for index, start in enumerate(range(0, cfg.paths, CHUNK)):
         size = min(CHUNK, cfg.paths - start)
-        rng = stream(cfg.seed, component, index)
+        rng = stream(cfg.seed, "walk-mc", index)
         if method == "chain":
             chunks.append(_chain_chunk(env, cfg, rng, size, times))
         else:
@@ -533,9 +532,9 @@ def _sojourn_chunk(env, cfg, rng, size, times):
 # Monte Carlo comparison helpers
 # ---------------------------------------------------------------------------
 
-def tv_distance(dist: DiscreteDistribution, counts: np.ndarray, paths: int,
-                counts_offset: int = 0) -> float:
-    """Total-variation distance between an exact law and empirical counts.
+def tv_distance(dist: DiscreteDistribution, counts: np.ndarray, paths: int) -> float:
+    """Total-variation distance between an exact law and empirical counts
+    indexed from 0.
 
     The exact law's deficit is counted as fully mismatched mass, so the result
     is an upper bound.
@@ -543,12 +542,12 @@ def tv_distance(dist: DiscreteDistribution, counts: np.ndarray, paths: int,
     if paths <= 0:
         raise ValidationError("paths must be positive")
     counts = np.asarray(counts, dtype=np.float64)
-    lo = min(dist.offset, counts_offset)
-    hi = max(dist.end, counts_offset + counts.size - 1)
+    lo = min(dist.offset, 0)
+    hi = max(dist.end, counts.size - 1)
     exact = np.zeros(hi - lo + 1)
     exact[dist.offset - lo : dist.end - lo + 1] = dist.probs
     emp = np.zeros_like(exact)
-    emp[counts_offset - lo : counts_offset - lo + counts.size] = counts / paths
+    emp[-lo : counts.size - lo] = counts / paths
     return 0.5 * float(np.abs(exact - emp).sum()) + 0.5 * dist.deficit
 
 

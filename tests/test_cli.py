@@ -166,6 +166,12 @@ def test_exit_code_malformed_env_file(tmp_path):
     assert run("exact", "--env", bad, "--n", "3", "--out", tmp_path / "o.csv") == 2
     bad.write_text('{"model": {}, "sites": [{"nope": 1}]}')
     assert run("exact", "--env", bad, "--n", "3", "--out", tmp_path / "o2.csv") == 2
+    for payload in ('{"model": [1, 2], "sites": [{"omega": [1.0, 0.5]}]}',
+                    '{"model": {}, "sites": [{"omega": ["a"]}]}',
+                    '{"model": {}, "sites": [{"omega": [1.0, 0.5], "deficit": "x"}]}'):
+        bad.write_text(payload)
+        assert run("exact", "--env", bad, "--n", "3", "--out", tmp_path / "o3.csv") == 2
+    assert not (tmp_path / "o3.csv").exists()
 
 
 def test_exit_code_bad_grid(tmp_path, geo_env_file):
@@ -179,6 +185,25 @@ def test_exit_code_overwrite(tmp_path, geo_env_file):
     assert run("exact", "--env", geo_env_file, "--n", "1", "--out", out) == 4
     assert run("exact", "--env", geo_env_file, "--n", "1", "--out", out,
                "--force") == 0
+
+
+def test_env_refuses_before_any_write(tmp_path):
+    (tmp_path / "g-diagnostics.csv").write_text("kept\n")
+    assert run("env", "--family", "geometric", "--r", "0.5", "--xmax", "10",
+               "--out", tmp_path / "g.json") == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g-diagnostics.csv"]
+    assert (tmp_path / "g-diagnostics.csv").read_text() == "kept\n"
+
+
+def test_dynsys_refuses_before_any_write(tmp_path, geo_env_file, monkeypatch):
+    outdir = tmp_path / "reports"
+    outdir.mkdir()
+    (outdir / "summary.json").write_text("{}")
+    monkeypatch.setenv("WALKLAB_OUT_DIR", str(outdir))
+    assert run("dynsys", "--env", geo_env_file, "--paths", "100", "--n", "5",
+               "--seed", "1", "--out-hist", "hist.csv", "--out-levels", "levels.csv",
+               "--out-summary", "summary.json") == 4
+    assert sorted(p.name for p in outdir.iterdir()) == ["summary.json"]
 
 
 def test_exit_code_deficit_budget(tmp_path, geo_env_file):

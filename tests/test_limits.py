@@ -31,15 +31,16 @@ def test_normal_density_values():
         wl.normal_density(0.0, 0.0, 1.0)
 
 
-def test_limit_params_validation():
+def test_limit_params_validation(geo_setup):
     params = wl.LimitParams(mu=2.0, sigma2=2.0)
     assert params.sigma_tilde2 == 0.25
     with pytest.raises(HypothesisError):
         wl.LimitParams(mu=1.0, sigma2=1.0)
     with pytest.raises(HypothesisError):
         wl.LimitParams(mu=2.0, sigma2=0.0)
+    # the residual rate exponent is only used, and checked, by the fit
     with pytest.raises(ValidationError):
-        wl.LimitParams(mu=2.0, sigma2=1.0, eta=0.5)
+        wl.fit_limit_params(geo_setup[1], eta=0.5)
 
 
 def test_fit_constant_geometric(geo_setup):

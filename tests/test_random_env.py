@@ -75,7 +75,7 @@ def test_iid_two_point_mean_matches_series_oracle():
     n_sites = 10_000
     sample = wl.sample_environment(iid_powerlaw_model(seed=12), n_sites - 1,
                                    n_cap=500, tail_tol=1e-14)
-    diag = wl.diagnostics(sample.environment, sample.beta_values())
+    diag = wl.diagnostics(sample.environment, sample.environment.model["beta_diag"])
     # direct series summation oracle for the two exponents, same truncation
     n = np.arange(501, dtype=np.float64) + 1.0
     m_lo, m_hi = float(np.sum(n**-2.5)), float(np.sum(n**-3.5))

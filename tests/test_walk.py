@@ -244,7 +244,8 @@ def test_simulators_reproducible(geometric_env):
     b = wl.simulate_paths(geometric_env, cfg, method="chain")
     np.testing.assert_array_equal(a.x_final, b.x_final)
     np.testing.assert_array_equal(a.y_final, b.y_final)
-    c = wl.simulate_paths(geometric_env, cfg, method="chain", component="other")
+    other = wl.McConfig(paths=5000, horizon=12, seed=12)
+    c = wl.simulate_paths(geometric_env, other, method="chain")
     assert not np.array_equal(a.x_final, c.x_final)
 
 
@@ -306,6 +307,18 @@ def test_checkpoint_records(geometric_env):
     assert sample.x_at_times.shape == (3000, 3)
     assert np.all(np.diff(sample.x_at_times, axis=1) >= 0)
     np.testing.assert_array_equal(sample.x_at_times[:, -1], sample.x_final)
+
+
+def test_truncated_draws_counted():
+    # every hitting-times path draws one sojourn at each of the first H sites
+    paths, sites = 2000, 10
+    cfg = wl.McConfig(paths=paths, horizon=sites, seed=71, record="hitting-times")
+    lossy = wl.Environment([wl.TailSequence([1.0, 0.5], deficit=0.25)] * sites)
+    draws = paths * sites
+    share = wl.simulate_paths(lossy, cfg).truncated_draws / draws
+    assert abs(share - 0.25) <= 4.0 * math.sqrt(0.25 * 0.75 / draws)
+    exact = wl.Environment([wl.TailSequence([1.0, 0.5], deficit=0.0)] * sites)
+    assert wl.simulate_paths(exact, cfg).truncated_draws == 0
 
 
 def test_tv_distance_helper():
