@@ -113,8 +113,10 @@ def _build_random_model(args) -> random_env.RandomEnvModel:
     if args.choices:
         return random_env.RandomEnvModel(choices=tuple(_parse_list(args.choices)), **common)
     if args.range:
-        lo, hi = _parse_list(args.range)
-        return random_env.RandomEnvModel(low=lo, high=hi, **common)
+        bounds = _parse_list(args.range)
+        if len(bounds) != 2:
+            raise ValidationError(f"--range needs exactly two values low,high, got {args.range!r}")
+        return random_env.RandomEnvModel(low=bounds[0], high=bounds[1], **common)
     raise ValidationError("random models need --choices or --range")
 
 
@@ -190,7 +192,9 @@ def _beta_diag(env: Environment):
 
 
 def _limit_params(env: Environment, args) -> LimitParams:
-    if args.mu is not None and args.sigma2 is not None:
+    if (args.mu is None) != (args.sigma2 is None):
+        raise ValidationError("--mu and --sigma2 go together: pass both or neither")
+    if args.mu is not None:
         return LimitParams(mu=args.mu, sigma2=args.sigma2)
     diag = diagnostics(env, _beta_diag(env))
     return fit_limit_params(diag).params
@@ -340,8 +344,6 @@ def _add_common(p, seed_required: bool) -> None:
 def _add_params_flags(p) -> None:
     p.add_argument("--mu", type=float, help="override the fitted mean sojourn")
     p.add_argument("--sigma2", type=float, help="override the fitted sojourn variance")
-    p.add_argument("--trunc-tol", type=float, default=1e-12,
-                   dest="trunc_tol", help="per-convolution trim tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,6 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("llt", help="pointwise comparison against the local predictor")
     p.add_argument("--env", required=True)
     p.add_argument("--n-grid", required=True, dest="n_grid")
+    p.add_argument("--trunc-tol", type=float, default=1e-12,
+                   dest="trunc_tol", help="per-convolution trim tolerance")
     p.add_argument("--out", required=True)
     _add_params_flags(p)
     _add_common(p, seed_required=False)
@@ -413,6 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("clt", help="Kolmogorov distances of standardized laws")
     p.add_argument("--env", required=True)
     p.add_argument("--n-grid", required=True, dest="n_grid")
+    p.add_argument("--trunc-tol", type=float, default=1e-12,
+                   dest="trunc_tol", help="per-convolution trim tolerance")
     p.add_argument("--out", required=True)
     _add_params_flags(p)
     _add_common(p, seed_required=False)

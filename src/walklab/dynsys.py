@@ -154,10 +154,6 @@ class TrajectorySample:
     contributing: dict[int, int] = field(default_factory=dict)
     flagged: int = 0
 
-    @property
-    def flagged_fraction(self) -> float:
-        return self.flagged / self.paths
-
 
 def simulate_trajectories(
     env: Environment,

@@ -8,13 +8,17 @@ to a finite truncation point with an explicit ``deficit`` bounding the first
 omitted value; every downstream moment and probability carries that deficit as
 an interval bound rather than pretending the tail is complete.
 
-Three generators are provided:
+Three builders of constant environments are provided, each taking one
+parameter shared by every site:
 
 * ``env_geometric``     -- omega_n = r**n (all moments in closed form),
 * ``env_from_powerlaw`` -- omega_n = (n+1)**(-beta) (polynomial tails),
 * ``env_from_lsv``      -- omega_n equals the n-th preimage of 1 under the
   slow branch y -> y + kappa * y**(alpha+1) of a two-branch interval map with
   a neutral fixed point at the origin, computed by bisection.
+
+Environments whose parameter varies by site come from
+``random_env.sample_environment``.
 
 ``diagnostics`` evaluates the quantities the limit-theorem hypotheses are
 phrased in: the polynomial envelope suprema A_x and A'_x, the aperiodicity
@@ -37,6 +41,8 @@ from .errors import RootFindError, ValidationError
 
 DEFAULT_N_CAP = 100_000
 DEFAULT_TAIL_TOL = 1e-12
+# relative bisection tolerance of each backward-orbit preimage
+_ORBIT_REL_TOL = 1e-13
 
 __all__ = [
     "DEFAULT_N_CAP",
@@ -78,7 +84,6 @@ class TailSequence:
 
     values: np.ndarray
     deficit: float = 0.0
-    generator_tag: str = "custom"
     cap_reached: bool = False
 
     def __post_init__(self):
@@ -138,7 +143,6 @@ def geometric_tail_sequence(
     return TailSequence(
         values,
         deficit=r ** (n_last + 1),
-        generator_tag=f"geometric(r={r!r})",
         cap_reached=n_needed > n_cap,
     )
 
@@ -158,7 +162,6 @@ def powerlaw_tail_sequence(
     return TailSequence(
         values,
         deficit=float(n_last + 2.0) ** (-beta),
-        generator_tag=f"powerlaw(beta={beta!r})",
         cap_reached=n_needed > n_cap,
     )
 
@@ -266,19 +269,17 @@ def _invert_branch(
     return y
 
 
-def lsv_cn_sequence(params: LsvParams, count: int, rel_tol: float = 1e-13) -> np.ndarray:
+def lsv_cn_sequence(params: LsvParams, count: int) -> np.ndarray:
     """Backward orbit c_1..c_count of 1 under the slow branch: branch(c_{n+1}) = c_n.
 
     c_1 equals params.c exactly since branch(c) = 1 by the parameter constraint.
     """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
-    if not 1e-16 <= rel_tol < 1.0:
-        raise ValidationError(f"rel_tol must lie in [1e-16, 1), got {rel_tol}")
     out = np.empty(count, dtype=np.float64)
     out[0] = params.c
     for i in range(1, count):
-        out[i] = _invert_branch(params, out[i - 1], out[i - 1], rel_tol)
+        out[i] = _invert_branch(params, out[i - 1], out[i - 1], _ORBIT_REL_TOL)
     return out
 
 
@@ -286,18 +287,16 @@ def lsv_tail_sequence(
     params: LsvParams,
     n_cap: int = DEFAULT_N_CAP,
     tail_tol: float = DEFAULT_TAIL_TOL,
-    rel_tol: float = 1e-13,
 ) -> TailSequence:
     """Tail omega_n = c_n (with c_0 = 1); deficit is the next preimage c_{N+1}."""
     _check_truncation(n_cap, tail_tol)
     values = [1.0, params.c]
     while values[-1] > tail_tol and len(values) - 1 < n_cap:
-        values.append(_invert_branch(params, values[-1], values[-1], rel_tol))
-    deficit = _invert_branch(params, values[-1], values[-1], rel_tol)
+        values.append(_invert_branch(params, values[-1], values[-1], _ORBIT_REL_TOL))
+    deficit = _invert_branch(params, values[-1], values[-1], _ORBIT_REL_TOL)
     return TailSequence(
         np.array(values),
         deficit=deficit,
-        generator_tag=f"lsv(alpha={params.alpha!r},c={params.c!r})",
         cap_reached=values[-1] > tail_tol,
     )
 
@@ -360,105 +359,53 @@ class Environment:
         return list(self._sites)
 
 
-def _site_spec(spec, x: int):
-    """Resolve a per-site parameter given as scalar, sequence, or callable."""
-    if callable(spec):
-        return spec(x)
-    if isinstance(spec, (list, tuple, np.ndarray)):
-        if x >= len(spec):
-            raise ValidationError(
-                f"per-site parameter sequence has length {len(spec)}, need site {x}"
-            )
-        return spec[x]
-    return spec
-
-
-def _build_env(builder, spec, x_max, model):
-    def built(x: int) -> TailSequence:
-        try:
-            return builder(_site_spec(spec, x))
-        except RootFindError as exc:
-            raise RootFindError(f"site {x}: {exc}") from exc
-
-    constant = not callable(spec) and not isinstance(spec, (list, tuple, np.ndarray))
-    if constant:
-        shared = built(0)
-        sites = [shared] * (x_max + 1)
-        factory = lambda x: shared  # noqa: E731
-    else:
-        sites = [built(x) for x in range(x_max + 1)]
-        factory = built if callable(spec) else None
-    model = dict(model)
-    model["capped_sites"] = [x for x in range(x_max + 1) if sites[x].cap_reached]
-    if constant and sites[0].cap_reached:
-        model["capped_sites"] = "all"
-    return Environment(sites, model=model, factory=factory)
+def _constant_env(tail, param, x_max: int, n_cap: int, tail_tol: float,
+                  model: dict) -> Environment:
+    """Sites 0..x_max, and every site the factory adds later, share one tail."""
+    if x_max < 0:
+        raise ValidationError(f"x_max must be >= 0, got {x_max}")
+    try:
+        shared = tail(param, n_cap, tail_tol)
+    except RootFindError as exc:
+        raise RootFindError(f"site 0: {exc}") from exc
+    model.update(x_max=x_max, n_cap=n_cap, tail_tol=tail_tol,
+                 capped_sites="all" if shared.cap_reached else [])
+    return Environment([shared] * (x_max + 1), model=model, factory=lambda x: shared)
 
 
 def env_geometric(
-    r,
+    r: float,
     x_max: int,
     n_cap: int = DEFAULT_N_CAP,
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> Environment:
-    """Environment with geometric tails; ``r`` may vary per site."""
-    _validate_x_max(x_max)
-    model = {"family": "geometric", "r": _spec_descriptor(r),
-             "x_max": x_max, "n_cap": n_cap, "tail_tol": tail_tol,
-             "beta_diag": 3.0}
-    return _build_env(lambda v: geometric_tail_sequence(v, n_cap, tail_tol), r, x_max, model)
+    """Constant environment: every site has the geometric tail r**n."""
+    return _constant_env(geometric_tail_sequence, r, x_max, n_cap, tail_tol,
+                         {"family": "geometric", "r": float(r), "beta_diag": 3.0})
 
 
 def env_from_powerlaw(
-    beta,
+    beta: float,
     x_max: int,
     n_cap: int = DEFAULT_N_CAP,
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> Environment:
-    """Environment with power-law tails; ``beta`` may vary per site."""
-    _validate_x_max(x_max)
-    model = {"family": "powerlaw", "beta": _spec_descriptor(beta),
-             "x_max": x_max, "n_cap": n_cap, "tail_tol": tail_tol,
-             "beta_diag": _spec_descriptor(beta)}
-    return _build_env(lambda v: powerlaw_tail_sequence(v, n_cap, tail_tol), beta, x_max, model)
+    """Constant environment: every site has the power-law tail (n+1)**(-beta)."""
+    return _constant_env(powerlaw_tail_sequence, beta, x_max, n_cap, tail_tol,
+                         {"family": "powerlaw", "beta": float(beta), "beta_diag": float(beta)})
 
 
 def env_from_lsv(
-    site_params,
+    params: LsvParams,
     x_max: int,
     n_cap: int = DEFAULT_N_CAP,
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> Environment:
-    """Environment whose site tails are backward orbits of the slow branch.
-
-    ``site_params`` is an LsvParams, a sequence of them, or a callable
-    site -> LsvParams.  Root-finder failures carry the site index.
-    """
-    _validate_x_max(x_max)
-    if isinstance(site_params, LsvParams):
-        beta_diag = 1.0 / site_params.alpha
-        descriptor = {"alpha": site_params.alpha, "c": site_params.c,
-                      "kappa": site_params.kappa}
-    else:
-        beta_diag = None
-        descriptor = "per-site"
-    model = {"family": "lsv", "params": descriptor, "x_max": x_max,
-             "n_cap": n_cap, "tail_tol": tail_tol, "beta_diag": beta_diag}
-    return _build_env(lambda p: lsv_tail_sequence(p, n_cap, tail_tol),
-                      site_params, x_max, model)
-
-
-def _validate_x_max(x_max: int) -> None:
-    if x_max < 0:
-        raise ValidationError(f"x_max must be >= 0, got {x_max}")
-
-
-def _spec_descriptor(spec):
-    if callable(spec):
-        return "callable"
-    if isinstance(spec, (list, tuple, np.ndarray)):
-        return [float(v) for v in spec]
-    return float(spec)
+    """Constant environment: every site has the backward orbit of the slow
+    branch of ``params`` as its tail; a root-finder failure names site 0."""
+    descriptor = {"alpha": params.alpha, "c": params.c, "kappa": params.kappa}
+    return _constant_env(lsv_tail_sequence, params, x_max, n_cap, tail_tol,
+                         {"family": "lsv", "params": descriptor, "beta_diag": 1.0 / params.alpha})
 
 
 # ---------------------------------------------------------------------------
@@ -520,13 +467,22 @@ class EnvDiagnostics:
 def diagnostics(env: Environment, beta) -> EnvDiagnostics:
     """Compute hypothesis diagnostics over every materialized site.
 
-    ``beta`` is caller-supplied (scalar, per-site sequence, or callable); the
-    library never infers it from data.  When the declared beta makes the
-    variance tail bound infinite (beta <= 2 somewhere), ``variance_converged``
-    is False and ``limits.fit_limit_params`` refuses to fit a variance.
+    ``beta`` is caller-supplied, a scalar or one value per site; the library
+    never infers it from data.  When the declared beta makes the variance
+    tail bound infinite (beta <= 2 somewhere), ``variance_converged`` is
+    False and ``limits.fit_limit_params`` refuses to fit a variance.
     """
     xs = np.arange(len(env))
-    betas = np.array([float(_site_spec(beta, int(x))) for x in xs])
+    try:
+        betas = np.array(beta, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"beta must be a number or a list of numbers: {exc}") from exc
+    if betas.ndim == 0:
+        betas = np.full(xs.size, betas)
+    elif betas.shape != xs.shape:
+        raise ValidationError(
+            f"beta needs a scalar or one value per site ({xs.size}), got shape {betas.shape}"
+        )
     if np.any(betas <= 1.0):
         raise ValidationError("beta(x) must exceed 1 at every site")
 
@@ -684,12 +640,10 @@ def load_env_file(path: str) -> Environment:
     model = payload.get("model", {})
     if not isinstance(model, dict):
         raise ValidationError(f"{path} has a model entry that is not an object")
-    tag = model.get("family", "file")
     try:
         sites = [
             TailSequence(np.asarray(entry["omega"], dtype=np.float64),
-                         deficit=float(entry.get("deficit", 0.0)),
-                         generator_tag=tag)
+                         deficit=float(entry.get("deficit", 0.0)))
             for entry in payload["sites"]
         ]
     except (KeyError, TypeError, ValueError) as exc:

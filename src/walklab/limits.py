@@ -461,13 +461,12 @@ def slln_report(
     params: LimitParams,
     sample: WalkSample,
     tol: float = 0.02,
-    tail_fraction: float = 0.5,
 ) -> SllnReport:
     """Summarize simulated paths against the almost-sure speed 1/mu.
 
     ``frac_within`` is the fraction of paths with |X_t/t - 1/mu| < tol at each
     recorded time; ``max_tail_deviation`` is the largest deviation of the mean
-    ratio over the last ``tail_fraction`` of the horizon.
+    ratio over the last half of the horizon.
     """
     if sample.x_at_times is None or sample.times is None:
         raise ValidationError("sample must be recorded at checkpoint times")
@@ -477,8 +476,7 @@ def slln_report(
     ratios = sample.x_at_times / sample.times[None, :]
     mean_ratio = ratios.mean(axis=0)
     frac = (np.abs(ratios - speed) < tol).mean(axis=0)
-    tail_start = sample.times[-1] * (1.0 - tail_fraction)
-    tail = sample.times >= tail_start
+    tail = sample.times >= sample.times[-1] * 0.5
     return SllnReport(
         times=sample.times, mean_ratio=mean_ratio, frac_within=frac,
         tol=tol, speed=speed,

@@ -279,12 +279,11 @@ def position_scan(
     n: int,
     trunc_tol: float = DEFAULT_TRUNC_TOL,
     deficit_budget: float = DEFAULT_DEFICIT_BUDGET,
-    stop_tol: float | None = None,
 ) -> PositionScan:
     """Exact position law at time n via the hitting-time convolution ladder.
 
     The ladder is clipped to the horizon n.  The scan over sites stops once
-    P(T_x <= n) drops below ``stop_tol`` (the remaining sites can hold at
+    P(T_x <= n) drops below ``trunc_tol`` (the remaining sites can hold at
     most that much mass, which is folded into the deficit).  A row uses the
     site deficit as its weight at lag N+1, one past the stored tail, and 0 at
     larger lags.  The deficit is at least omega^x_{N+1} and 0 is at most the
@@ -292,8 +291,6 @@ def position_scan(
     """
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
-    if stop_tol is None:
-        stop_tol = trunc_tol
     rows: list[float] = []
     hit: list[float] = []
     site = None
@@ -309,7 +306,7 @@ def position_scan(
             ks = np.arange(k_lo, k_hi + 1)
             rows.append(float(dist.probs[ks - dist.offset] @ ext[n - ks]))
         hit.append(dist.prob_at(n))
-        if x == n or dist.cdf_at(n) < stop_tol:
+        if x == n or dist.cdf_at(n) < trunc_tol:
             break
     prob = np.array(rows)
     deficit = max(0.0, 1.0 - float(prob.sum()))
@@ -327,10 +324,9 @@ def position_distribution(
     n: int,
     trunc_tol: float = DEFAULT_TRUNC_TOL,
     deficit_budget: float = DEFAULT_DEFICIT_BUDGET,
-    stop_tol: float | None = None,
 ) -> DiscreteDistribution:
     """Law of X_n; support is contained in [0, n]."""
-    scan = position_scan(env, n, trunc_tol, deficit_budget, stop_tol)
+    scan = position_scan(env, n, trunc_tol, deficit_budget)
     return DiscreteDistribution(offset=0, probs=scan.prob, deficit=scan.deficit)
 
 
@@ -404,13 +400,15 @@ def simulate_paths(
     The chain method steps the (site, level) kernel directly; the sojourn
     method draws i.i.d. sojourn times by inverse CDF and accumulates their
     partial sums.  Both produce the same laws and default sensibly: full-path
-    records require the chain method, everything else uses the faster sojourn
-    route.
+    records require the chain method, hitting-times records the sojourn
+    method, and everything else uses the faster sojourn route.
     """
     if method is None:
         method = "chain" if cfg.record == "full-path" else "sojourn"
     if method not in ("chain", "sojourn"):
         raise ValidationError(f"unknown method {method!r}")
+    if cfg.record == "hitting-times" and method != "sojourn":
+        raise ValidationError("hitting-times records require the sojourn method")
     if cfg.record == "full-path":
         if method != "chain":
             raise ValidationError("full-path records require the chain method")
@@ -459,7 +457,6 @@ def _chain_chunk(env, cfg, rng, size, times):
     x_at = None
     if times is not None:
         x_at = np.zeros((size, times.size), dtype=np.int64)
-        x_at[:, times == 0] = 0
     for t in range(1, cfg.horizon + 1):
         descending = y > 0
         y[descending] -= 1

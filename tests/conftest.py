@@ -25,7 +25,7 @@ def lsv_env():
 @pytest.fixture(scope="session")
 def exact_site():
     """The finite tail (1, 1/2, 1/4) with zero deficit: tau in {1, 2, 3}."""
-    return wl.TailSequence(np.array([1.0, 0.5, 0.25]), deficit=0.0, generator_tag="exact")
+    return wl.TailSequence(np.array([1.0, 0.5, 0.25]), deficit=0.0)
 
 
 def bisect_root(fn, lo, hi, tol=1e-12):

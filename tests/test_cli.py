@@ -153,6 +153,35 @@ def test_exit_code_validation(tmp_path):
                "--out", tmp_path / "bad.json") == 2
     assert run("env", "--family", "geometric", "--xmax", "5",
                "--out", tmp_path / "bad.json") == 2
+    for bounds in ("2.5,3,3.5", "2.5"):
+        assert run("env", "--random", "iid-powerlaw", "--range", bounds, "--seed", "1",
+                   "--xmax", "5", "--out", tmp_path / "r.json") == 2
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_mc_hitting_times_refuses_chain(tmp_path, geo_env_file, capsys):
+    out = tmp_path / "mc.csv"
+    assert run("mc", "--env", geo_env_file, "--paths", "5", "--n", "4", "--seed", "1",
+               "--record", "hitting-times", "--method", "chain", "--out", out) == 2
+    assert "error: hitting-times records require the sojourn method" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [("llt", "--mu"), ("llt", "--sigma2"),
+                                           ("clt", "--mu"), ("clt", "--sigma2")])
+def test_lone_mu_or_sigma2_refused(tmp_path, geo_env_file, capsys, command, flag):
+    out = tmp_path / "o.out"
+    assert run(command, "--env", geo_env_file, "--n-grid", "10", flag, "3",
+               "--out", out) == 2
+    assert "error: --mu and --sigma2 go together" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_slln_has_no_trunc_tol(tmp_path, geo_env_file):
+    with pytest.raises(SystemExit) as err:
+        run("slln", "--env", geo_env_file, "--paths", "10", "--horizon", "20",
+            "--seed", "1", "--trunc-tol", "1e-12", "--out", tmp_path / "s.csv")
+    assert err.value.code == 2
 
 
 def test_exit_code_missing_file(tmp_path):

@@ -247,6 +247,10 @@ def test_truncation_flag_on_coarse_tail():
 def test_diagnostics_validation(geometric_env):
     with pytest.raises(ValidationError):
         wl.diagnostics(geometric_env, 1.0)
+    # beta_diag read from an env file: one value per site, and numbers only
+    for beta in ([3.0] * (len(geometric_env) + 1), "steep"):
+        with pytest.raises(ValidationError):
+            wl.diagnostics(geometric_env, beta)
 
 
 def test_variance_tail_divergence_flagged():

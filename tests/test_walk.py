@@ -238,6 +238,14 @@ def test_mcconfig_validation():
         wl.McConfig(paths=1, horizon=5, seed=1, record="everything")
 
 
+@pytest.mark.parametrize("record, method", [("hitting-times", "chain"),
+                                            ("full-path", "sojourn")])
+def test_record_needs_its_method(geometric_env, record, method):
+    cfg = wl.McConfig(paths=5, horizon=4, seed=1, record=record)
+    with pytest.raises(ValidationError, match="records require the"):
+        wl.simulate_paths(geometric_env, cfg, method=method)
+
+
 def test_simulators_reproducible(geometric_env):
     cfg = wl.McConfig(paths=5000, horizon=12, seed=11)
     a = wl.simulate_paths(geometric_env, cfg, method="chain")
