@@ -15,7 +15,8 @@ parameter shared by every site:
 * ``env_from_powerlaw`` -- omega_n = (n+1)**(-beta) (polynomial tails),
 * ``env_from_lsv``      -- omega_n equals the n-th preimage of 1 under the
   slow branch y -> y + kappa * y**(alpha+1) of a two-branch interval map with
-  a neutral fixed point at the origin, computed by bisection.
+  a neutral fixed point at the origin, each preimage solved by Newton's
+  method from above.
 
 Environments whose parameter varies by site come from
 ``random_env.sample_environment``.
@@ -25,6 +26,11 @@ phrased in: the polynomial envelope suprema A_x and A'_x, the aperiodicity
 statistic K_x, sojourn moments m_x and Var(tau_x), cumulative hitting moments
 mu_x and sigma_x^2 and the generalized inverse M_n of (mu_x).  The limit fit
 and its residuals theta_1, theta_2 live in ``limits.fit_limit_params``.
+
+Work scales with distinct tails, not with sites: a constant environment holds
+one tail object at every site, ``diagnostics`` computes one row per shared
+tail and beta, and the environment file prints a shared tail once and refers
+back to it by site index.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from .errors import RootFindError, ValidationError
 
 DEFAULT_N_CAP = 100_000
 DEFAULT_TAIL_TOL = 1e-12
-# relative bisection tolerance of each backward-orbit preimage
+# relative Newton step tolerance of each backward-orbit preimage
 _ORBIT_REL_TOL = 1e-13
 
 __all__ = [
@@ -235,38 +241,31 @@ def _invert_branch(
     rel_tol: float,
     max_iter: int = 200,
 ) -> float:
-    """Solve branch(y) = target for y in (0, hi] by bisection plus Newton polish.
+    """Solve branch(y) = target for y in (0, hi] by Newton's method from hi.
 
-    The branch is strictly increasing and continuous with branch(hi) >= target
-    whenever target <= hi's image, so bisection cannot fail; the iteration cap
-    only guards pathological tolerances.
+    The branch is strictly increasing and convex, so from branch(hi) >= target
+    the Newton iterates decrease monotonically onto the root and need no
+    bracketing safeguard.  The iteration stops at the first step of at most
+    rel_tol * y, taking that step when it is positive; the iteration cap only
+    guards pathological tolerances.
     """
-    lo = 0.0
-    if params.branch(hi) < target:
+    kappa, alpha = params.kappa, params.alpha
+    slope = kappa * (alpha + 1.0)
+    y = hi
+    # branch(y) - target, with y - target exact near the root
+    excess = (y - target) + kappa * y ** (alpha + 1.0)
+    if excess < 0.0:
         raise RootFindError(f"no root in (0, {hi}]: branch({hi}) < {target}")
-    iterations = 0
-    while hi - lo > rel_tol * hi:
-        iterations += 1
-        if iterations > max_iter:
-            raise RootFindError(
-                f"bisection did not reach relative tolerance {rel_tol} "
-                f"within {max_iter} iterations"
-            )
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if params.branch(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    y = 0.5 * (lo + hi)
-    for _ in range(2):
-        deriv = 1.0 + params.kappa * (params.alpha + 1.0) * y ** params.alpha
-        step = (params.branch(y) - target) / deriv
-        candidate = y - step
-        if lo <= candidate <= hi:
-            y = candidate
-    return y
+    for _ in range(max_iter):
+        step = excess / (1.0 + slope * y ** alpha)
+        if step <= rel_tol * y:
+            return y - step if step > 0.0 else y
+        y -= step
+        excess = (y - target) + kappa * y ** (alpha + 1.0)
+    raise RootFindError(
+        f"Newton's method did not reach relative tolerance {rel_tol} "
+        f"within {max_iter} iterations"
+    )
 
 
 def lsv_cn_sequence(params: LsvParams, count: int) -> np.ndarray:
@@ -464,13 +463,44 @@ class EnvDiagnostics:
     variance_converged: bool
 
 
+def _diagnostic_row(site: TailSequence, b) -> tuple:
+    """One site's (A, A flag, A', A' flag, K, m, m tail, m2, s2 tail, capped)."""
+    v = site.values
+    n_last = site.last_index
+    diffs = -np.diff(site.extended())  # P(tau = n), n = 1..N+1
+
+    if n_last >= 1:
+        n_idx = np.arange(1, n_last + 1, dtype=np.float64)
+        sup_a = float(np.max(n_idx ** b * v[1:]))
+    else:
+        sup_a = 0.0
+    A = max(sup_a, 1.0)
+    A_flag = (n_last + 1.0) ** b * site.deficit > A
+
+    n_idx = np.arange(1, n_last + 2, dtype=np.float64)
+    A_prime = max(float(np.max(n_idx ** (b + 1.0) * diffs)), 1.0)
+    Ap_flag = (n_last + 2.0) ** (b + 1.0) * site.deficit > A_prime
+
+    if n_last >= 1 and diffs[1] > 0.0:
+        high = float(np.max(diffs[2:] / diffs[1])) if n_last >= 2 else 0.0
+        K = high + diffs[1] / (1.0 - v[1])
+    else:
+        K = math.nan
+
+    return (A, A_flag, A_prime, Ap_flag, K,
+            site.stored_mean(), tail_mean_bound(site, b),
+            site.stored_second_moment(), tail_second_moment_bound(site, b),
+            site.cap_reached)
+
+
 def diagnostics(env: Environment, beta) -> EnvDiagnostics:
     """Compute hypothesis diagnostics over every materialized site.
 
     ``beta`` is caller-supplied, a scalar or one value per site; the library
     never infers it from data.  When the declared beta makes the variance
     tail bound infinite (beta <= 2 somewhere), ``variance_converged`` is
-    False and ``limits.fit_limit_params`` refuses to fit a variance.
+    False and ``limits.fit_limit_params`` refuses to fit a variance.  Sites
+    that share one tail object and one beta share one computed row.
     """
     xs = np.arange(len(env))
     try:
@@ -483,52 +513,19 @@ def diagnostics(env: Environment, beta) -> EnvDiagnostics:
         raise ValidationError(
             f"beta needs a scalar or one value per site ({xs.size}), got shape {betas.shape}"
         )
-    if np.any(betas <= 1.0):
-        raise ValidationError("beta(x) must exceed 1 at every site")
+    if not np.all((betas > 1.0) & np.isfinite(betas)):
+        raise ValidationError("beta(x) must be finite and exceed 1 at every site")
 
-    count = xs.size
-    A = np.empty(count)
-    A_prime = np.empty(count)
-    K = np.empty(count)
-    m = np.empty(count)
-    m_tail = np.empty(count)
-    m2 = np.empty(count)
-    s2_tail = np.empty(count)
-    A_flag = np.zeros(count, dtype=bool)
-    Ap_flag = np.zeros(count, dtype=bool)
-    capped = np.zeros(count, dtype=bool)
-
+    rows: dict = {}  # (id of the tail, beta) -> that site's row
+    per_site = []
     for x in xs:
         site = env.site(int(x))
-        b = betas[x]
-        v = site.values
-        n_last = site.last_index
-        ext = site.extended()
-        diffs = -np.diff(ext)  # P(tau = n), n = 1..N+1
-
-        if n_last >= 1:
-            n_idx = np.arange(1, n_last + 1, dtype=np.float64)
-            sup_a = float(np.max(n_idx ** b * v[1:]))
-        else:
-            sup_a = 0.0
-        A[x] = max(sup_a, 1.0)
-        A_flag[x] = (n_last + 1.0) ** b * site.deficit > A[x]
-
-        n_idx = np.arange(1, n_last + 2, dtype=np.float64)
-        A_prime[x] = max(float(np.max(n_idx ** (b + 1.0) * diffs)), 1.0)
-        Ap_flag[x] = (n_last + 2.0) ** (b + 1.0) * site.deficit > A_prime[x]
-
-        if n_last >= 1 and diffs[1] > 0.0:
-            high = float(np.max(diffs[2:] / diffs[1])) if n_last >= 2 else 0.0
-            K[x] = high + diffs[1] / (1.0 - v[1])
-        else:
-            K[x] = math.nan
-
-        m[x] = site.stored_mean()
-        m_tail[x] = tail_mean_bound(site, b)
-        m2[x] = site.stored_second_moment()
-        s2_tail[x] = tail_second_moment_bound(site, b)
-        capped[x] = site.cap_reached
+        key = (id(site), betas[x])
+        if key not in rows:
+            rows[key] = _diagnostic_row(site, betas[x])
+        per_site.append(rows[key])
+    A, A_flag, A_prime, Ap_flag, K, m, m_tail, m2, s2_tail, capped = (
+        np.array(column) for column in zip(*per_site))
 
     s2 = m2 - m**2
     mu = np.concatenate(([0.0], np.cumsum(m)))
@@ -600,15 +597,25 @@ def window_fluctuation(env: Environment, x: int, u: float, mu: float) -> float:
 # ---------------------------------------------------------------------------
 
 def env_json_text(env: Environment) -> str:
-    """Serialize to the environment file schema with full-precision decimals."""
-    site_chunks = []
-    for site in env.sites():
+    """Serialize to the environment file schema with full-precision decimals.
+
+    A site holding the same tail object as an earlier site is written as that
+    earlier site's index, so a shared tail is printed once.
+    """
+    # one join over every piece, so the text is copied once
+    pieces = ['{"model": ' + json.dumps(env.model, sort_keys=True) + ', "sites": [\n']
+    first_index: dict[int, int] = {}
+    for x, site in enumerate(env.sites()):
+        if x:
+            pieces.append(",\n")
+        if id(site) in first_index:
+            pieces.append(str(first_index[id(site)]))
+            continue
+        first_index[id(site)] = x
         omegas = ", ".join(format(v, ".17g") for v in site.values.tolist())
-        site_chunks.append(
-            '{"omega": [' + omegas + '], "deficit": ' + format(site.deficit, ".17g") + "}"
-        )
-    model = json.dumps(env.model, sort_keys=True)
-    return '{"model": ' + model + ', "sites": [\n' + ",\n".join(site_chunks) + "\n]}\n"
+        pieces.append('{"omega": [' + omegas + '], "deficit": ' + format(site.deficit, ".17g") + "}")
+    pieces.append("\n]}\n")
+    return "".join(pieces)
 
 
 def _refuse_overwrite(paths, force: bool) -> None:
@@ -629,23 +636,32 @@ def write_env_file(env: Environment, path: str, force: bool = False) -> None:
 
 
 def load_env_file(path: str) -> Environment:
-    """Read an environment file; the result has no generator for extension."""
+    """Read an environment file; the result has no generator for extension.
+
+    An integer site entry refers back to an earlier site, whose tail object
+    the site then shares.
+    """
     with open(path) as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "sites" not in payload:
+    if not isinstance(payload, dict) or not isinstance(payload.get("sites"), list):
         raise ValidationError(f"{path} is not an environment file")
     model = payload.get("model", {})
     if not isinstance(model, dict):
         raise ValidationError(f"{path} has a model entry that is not an object")
-    try:
-        sites = [
-            TailSequence(np.asarray(entry["omega"], dtype=np.float64),
-                         deficit=float(entry.get("deficit", 0.0)))
-            for entry in payload["sites"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{path} has a malformed site entry: {exc}") from exc
+    sites: list[TailSequence] = []
+    for x, entry in enumerate(payload["sites"]):
+        if isinstance(entry, int) and not isinstance(entry, bool):
+            if not 0 <= entry < x:
+                raise ValidationError(
+                    f"{path}: site {x} refers to site {entry}, not an earlier site")
+            sites.append(sites[entry])
+            continue
+        try:
+            sites.append(TailSequence(np.asarray(entry["omega"], dtype=np.float64),
+                                      deficit=float(entry.get("deficit", 0.0))))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"{path} has a malformed site entry: {exc}") from exc
     return Environment(sites, model=model, factory=None)

@@ -147,8 +147,8 @@ class RandomEnvModel:
             raise ValidationError("window is only meaningful for the m-dependent kind")
         if self.family == "lsv" and not 0.0 < self.lsv_c < 1.0:
             raise ValidationError(f"lsv_c must lie in (0, 1), got {self.lsv_c}")
-        if self.beta_diag <= 1.0:
-            raise ValidationError("beta_diag must exceed 1")
+        if not 1.0 < self.beta_diag < math.inf:
+            raise ValidationError(f"beta_diag must be finite and exceed 1, got {self.beta_diag}")
 
     # -- noise and parameter generation ------------------------------------
 
@@ -228,13 +228,22 @@ class QuenchedSample:
 
 
 def _site_builder(model: RandomEnvModel, n_cap: int, tail_tol: float):
-    if model.family == "powerlaw":
-        return lambda theta: powerlaw_tail_sequence(theta, n_cap, tail_tol)
-    if model.family == "geometric":
-        return lambda theta: geometric_tail_sequence(theta, n_cap, tail_tol)
-    return lambda theta: lsv_tail_sequence(
-        LsvParams.from_alpha_c(theta, model.lsv_c), n_cap, tail_tol
-    )
+    """Tail of one parameter value, built once per distinct value, so sites
+    with equal parameters share one tail object."""
+    tails: dict = {}
+
+    def builder(theta):
+        if theta not in tails:
+            if model.family == "powerlaw":
+                tails[theta] = powerlaw_tail_sequence(theta, n_cap, tail_tol)
+            elif model.family == "geometric":
+                tails[theta] = geometric_tail_sequence(theta, n_cap, tail_tol)
+            else:
+                params = LsvParams.from_alpha_c(theta, model.lsv_c)
+                tails[theta] = lsv_tail_sequence(params, n_cap, tail_tol)
+        return tails[theta]
+
+    return builder
 
 
 def sample_environment(

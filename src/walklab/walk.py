@@ -227,9 +227,12 @@ def hitting_time_scan(
     P(T_x > n) in ``beyond``.  This is exact for every atom up to n: a
     sojourn lasts at least one step, so no atom above n ever comes back
     below it.  ``deficit_budget`` applies to the truncation deficit alone.
+    ``trunc_tol``, the mass one trim may drop, must lie in [0, 1).
     """
     if x_stop < 0:
         raise ValidationError(f"x_stop must be >= 0, got {x_stop}")
+    if not 0.0 <= trunc_tol < 1.0:
+        raise ValidationError(f"trunc_tol must lie in [0, 1), got {trunc_tol}")
     dist = DiscreteDistribution.point_mass(0)
     yield 0, dist
     site = None

@@ -159,6 +159,23 @@ def test_exit_code_validation(tmp_path):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("beta", ["nan", "inf"])
+def test_env_refuses_non_finite_beta_diag(tmp_path, capsys, beta):
+    assert run("env", "--family", "geometric", "--r", "0.5", "--xmax", "5",
+               "--beta-diag", beta, "--out", tmp_path / "g.json") == 2
+    assert "error: beta(x) must be finite and exceed 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("tol", ["2", "-1", "nan"])
+def test_exact_refuses_trunc_tol_out_of_range(tmp_path, geo_env_file, capsys, tol):
+    out = tmp_path / "x.csv"
+    assert run("exact", "--env", geo_env_file, "--n", "5", "--trunc-tol", tol,
+               "--out", out) == 2
+    assert "error: trunc_tol must lie in [0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mc_hitting_times_refuses_chain(tmp_path, geo_env_file, capsys):
     out = tmp_path / "mc.csv"
     assert run("mc", "--env", geo_env_file, "--paths", "5", "--n", "4", "--seed", "1",

@@ -94,6 +94,20 @@ def test_cn_second_value_against_bisection_oracle():
     assert cn[1] == pytest.approx(oracle, abs=1e-9)
 
 
+@pytest.mark.parametrize("alpha", [0.25, 0.33, 0.45])
+def test_cn_steps_against_mpmath_oracle(alpha):
+    # each value solves branch(y) = previous value to double precision
+    mpmath = pytest.importorskip("mpmath")
+    params = wl.LsvParams.from_alpha_c(alpha, 0.5)
+    cn = wl.lsv_cn_sequence(params, 200)
+    with mpmath.workdps(40):
+        kappa, power = mpmath.mpf(params.kappa), mpmath.mpf(params.alpha) + 1
+        for prev, value in zip(cn[:-1], cn[1:]):
+            root = mpmath.findroot(lambda y: y + kappa * y**power - mpmath.mpf(prev),
+                                   mpmath.mpf(value))
+            assert abs(mpmath.mpf(value) / root - 1) <= 1e-15
+
+
 def test_cn_strictly_decreasing():
     params = wl.LsvParams.from_alpha_c(0.33, 0.5)
     cn = wl.lsv_cn_sequence(params, 200)
@@ -247,8 +261,9 @@ def test_truncation_flag_on_coarse_tail():
 def test_diagnostics_validation(geometric_env):
     with pytest.raises(ValidationError):
         wl.diagnostics(geometric_env, 1.0)
-    # beta_diag read from an env file: one value per site, and numbers only
-    for beta in ([3.0] * (len(geometric_env) + 1), "steep"):
+    # beta_diag read from an env file: one value per site, finite numbers only
+    for beta in ([3.0] * (len(geometric_env) + 1), "steep", math.nan, math.inf,
+                 [3.0] * (len(geometric_env) - 1) + [math.nan]):
         with pytest.raises(ValidationError):
             wl.diagnostics(geometric_env, beta)
 
@@ -344,3 +359,49 @@ def test_write_refuses_overwrite(tmp_path, geometric_env):
     with pytest.raises(FileExistsError):
         wl.write_env_file(geometric_env, str(path))
     wl.write_env_file(geometric_env, str(path), force=True)
+
+
+def test_env_file_back_references_shared_tail(tmp_path, geometric_env):
+    text = wl.env_json_text(geometric_env)
+    assert text.count('"omega"') == 1
+    assert json.loads(text)["sites"][1:] == [0] * geometric_env.x_max
+    path = tmp_path / "env.json"
+    path.write_text(text)
+    loaded = wl.load_env_file(str(path))
+    assert len(loaded) == len(geometric_env)
+    assert len({id(site) for site in loaded.sites()}) == 1
+    original = geometric_env.site(0)
+    assert loaded.site(0).values.tobytes() == original.values.tobytes()
+    assert loaded.site(0).deficit == original.deficit
+
+
+def test_env_file_old_schema_still_loads(tmp_path):
+    # every site written out in full, as files without back-references are
+    site = '{"omega": [1.0, 0.5, 0.25], "deficit": 0.125}'
+    path = tmp_path / "old.json"
+    path.write_text('{"model": {"beta_diag": 3.0}, "sites": [' + ", ".join([site] * 3) + "]}")
+    loaded = wl.load_env_file(str(path))
+    assert len(loaded) == 3
+    for x in range(3):
+        assert loaded.site(x).values.tolist() == [1.0, 0.5, 0.25]
+        assert loaded.site(x).deficit == 0.125
+    # separate tail objects give the same diagnostics as one shared object
+    shared = wl.Environment([loaded.site(0)] * 3)
+    d_old, d_shared = wl.diagnostics(loaded, 3.0), wl.diagnostics(shared, 3.0)
+    for field in ("A", "A_prime", "K", "m", "m_tail_bound", "s2", "mu", "sigma2"):
+        np.testing.assert_array_equal(getattr(d_old, field), getattr(d_shared, field))
+
+
+@pytest.mark.parametrize("reference", ["true", "-1", "2", "7", "1.0"])
+def test_env_file_malformed_back_reference(tmp_path, reference, capsys):
+    from walklab.cli import main
+
+    site = '{"omega": [1.0, 0.5], "deficit": 0.25}'
+    path = tmp_path / "bad.json"
+    path.write_text('{"model": {}, "sites": [' + site + ", 0, " + reference + "]}")
+    with pytest.raises(ValidationError):
+        wl.load_env_file(str(path))
+    out = tmp_path / "o.csv"
+    assert main(["exact", "--env", str(path), "--n", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

@@ -110,6 +110,26 @@ def test_markov_chain_model():
     assert model.mixing_descriptor()["type"] == "geometric"
 
 
+@pytest.mark.parametrize("kind", ["iid", "markov"])
+def test_equal_parameters_share_one_tail(kind):
+    states = (2.5, 3.5)
+    if kind == "markov":
+        chain = wl.MarkovChainSpec(states=states,
+                                   transition=np.array([[0.8, 0.2], [0.3, 0.7]]))
+        model = wl.RandomEnvModel(kind=kind, family="powerlaw", seed=21, chain=chain)
+    else:
+        model = iid_powerlaw_model(choices=states)
+    sample = wl.sample_environment(model, 60, tail_tol=1e-8)
+    env = sample.environment
+    tails = {theta: wl.powerlaw_tail_sequence(theta, tail_tol=1e-8) for theta in states}
+    for theta, site in zip(sample.parameter_trace, env.sites()):
+        assert site.values.tobytes() == tails[theta].values.tobytes()
+        assert site.deficit == tails[theta].deficit
+    assert wl.env_json_text(env).count('"omega"') == 2  # each distinct tail once
+    env.site(90)  # factory extension reuses the same two tails
+    assert len({id(site) for site in env.sites()}) == 2
+
+
 def test_markov_spec_validation():
     with pytest.raises(ValidationError):
         wl.MarkovChainSpec(states=(2.5,), transition=np.array([[1.0]]))
