@@ -249,6 +249,9 @@ def _cmd_dynsys(args) -> int:
     env = load_env_file(args.env)
     times = _parse_list(args.times, int) if args.times else [args.n]
     cfg = TrajectoryConfig(paths=args.paths, horizon=args.n, seed=args.seed)
+    # exact laws first, so a bad --trunc-tol or budget ends it before simulating
+    exact = {t: position_distribution(env, t, args.trunc_tol)
+             for t in sorted(set(times)) if 0 <= t <= args.n}
     sample = simulate_trajectories(env, cfg, times=times, levels=True)
     hist_rows = []
     level_rows = []
@@ -260,12 +263,11 @@ def _cmd_dynsys(args) -> int:
         level_rows += [
             (t, int(x), int(y), int(c), args.paths) for x, y, c in zip(xs, ys, cs)
         ]
-        exact = position_distribution(env, t, args.trunc_tol)
         contributing = sample.contributing[t]
         summary.append({
             "n": t,
             "contributing_paths": contributing,
-            "tv_cells": tv_distance(exact, counts, contributing),
+            "tv_cells": tv_distance(exact[t], counts, contributing),
             "tolerance": mc_tv_tolerance(max(t, 1), contributing),
         })
     _write_csv(args.out_hist, ["n", "x", "count", "paths"], hist_rows, args.force)

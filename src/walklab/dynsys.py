@@ -63,28 +63,19 @@ def cell_interval(env: Environment, x: int, y: int) -> CellInterval:
     return CellInterval(x=x, y=y, lower=x + ext[y + 1], upper=x + ext[y])
 
 
-def _branch_batch(site: TailSequence, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Level indices y with omega_{y+1} <= f < omega_y, and a below-tail mask."""
-    ext = site.extended()
-    ascending = ext[::-1].astype(f.dtype, copy=False)
+def _branch_batch(ascending: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Level indices y with omega_{y+1} <= f < omega_y, and a below-tail mask;
+    ``ascending`` is the extended tail reversed."""
     pos = np.searchsorted(ascending, f, side="right")
-    y = ext.size - 1 - pos
-    return y, y > site.last_index
+    y = ascending.size - 1 - pos
+    return y, y > ascending.size - 2
 
 
-def _apply_local(site: TailSequence, f: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Affine branch images; y must be valid levels for this site."""
-    ext = site.extended().astype(f.dtype)
-    out = np.empty_like(f)
-    top = y == 0
-    if np.any(top):
-        out[top] = 1.0 + (f[top] - ext[1]) / (1.0 - ext[1])
-    rest = ~top
-    if np.any(rest):
-        yr = y[rest]
-        slope = (ext[yr - 1] - ext[yr]) / (ext[yr] - ext[yr + 1])
-        out[rest] = ext[yr] + slope * (f[rest] - ext[yr + 1])
-    return out
+def _apply_local(ext: np.ndarray, f: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Affine branch images; ext is the extended tail in f's dtype and y must
+    be valid levels for it.  Level 0 maps onto [1, 2), level y onto level y-1."""
+    slope = (ext[y - 1] - ext[y]) / (ext[y] - ext[y + 1])
+    return np.where(y == 0, 1.0 + (f - ext[1]) / (1.0 - ext[1]), ext[y] + slope * (f - ext[y + 1]))
 
 
 def local_map(site: TailSequence, u: float) -> float:
@@ -98,13 +89,14 @@ def local_map(site: TailSequence, u: float) -> float:
     if not 0.0 <= u < 1.0:
         raise ValidationError(f"u must lie in [0, 1), got {u}")
     f = np.array([u])
-    y, below = _branch_batch(site, f)
+    ext = site.extended()
+    y, below = _branch_batch(ext[::-1], f)
     if below[0]:
         raise TailTruncationError(
             f"point {u} lies below the stored tail (deficit region); "
             "rebuild the environment with a larger N_cap or smaller tail_tol"
         )
-    return float(_apply_local(site, f, y)[0])
+    return float(_apply_local(ext, f, y)[0])
 
 
 def global_step(env: Environment, u: float) -> float:
@@ -181,11 +173,14 @@ def simulate_trajectories(
     env.ensure(cfg.horizon)
 
     dtype = np.float64 if cfg.precision == "double" else np.longdouble
+    # each tail's extended values in dtype and their ascending copy, once per call
+    levels_of = {}
+    for k in np.unique(env.tail_index[: cfg.horizon + 1]).tolist():
+        ext = env.tails[k].extended().astype(dtype)
+        levels_of[k] = ext, ext[::-1].copy()
     sample = TrajectorySample(paths=cfg.paths, seed=cfg.seed, times=times)
-    cells: dict[int, list[np.ndarray]] = {int(t): [] for t in times}
-    lvl_pairs: dict[int, list[np.ndarray]] = {int(t): [] for t in times}
+    lvl_pairs: dict[int, list[np.ndarray]] = {t: [] for t in times.tolist()}
     pos: dict[int, list[np.ndarray]] = {t: [] for t in keep_at}
-    contributing = {int(t): 0 for t in times}
 
     for index, start in enumerate(range(0, cfg.paths, CHUNK)):
         size = min(CHUNK, cfg.paths - start)
@@ -202,32 +197,30 @@ def simulate_trajectories(
         alive = np.ones(size, dtype=bool)
         for t in range(cfg.horizon + 1):
             if t > 0:
-                u, alive = _step_batch(env, u, alive)
-            if t in cells:
+                u, alive = _step_batch(env, levels_of, u, alive)
+            if t in lvl_pairs:
                 live = u[alive].astype(np.float64)
-                contributing[t] += live.size
-                cells[t].append(np.bincount(np.floor(live).astype(np.int64),
-                                            minlength=cfg.horizon + 2))
+                sample.contributing[t] = sample.contributing.get(t, 0) + live.size
+                sample.cell_counts[t] = sample.cell_counts.get(t, 0) + np.bincount(
+                    np.floor(live).astype(np.int64), minlength=cfg.horizon + 2)
                 if levels:
-                    lvl_pairs[t].append(_level_states(env, live))
+                    lvl_pairs[t].append(_level_states(env, levels_of, live))
                 if t in pos:
                     pos[t].append(live)
         sample.flagged += int(np.count_nonzero(~alive))
 
-    for t in cells:
-        sample.cell_counts[t] = np.sum(cells[t], axis=0)
-        sample.contributing[t] = contributing[t]
+    for t, pairs in lvl_pairs.items():
         if levels:
-            pairs = np.concatenate(lvl_pairs[t], axis=0)
-            uniq, counts = np.unique(pairs, axis=0, return_counts=True)
+            uniq, counts = np.unique(np.concatenate(pairs), axis=0, return_counts=True)
             sample.level_counts[t] = (uniq[:, 0], uniq[:, 1], counts)
     for t in pos:
         sample.positions[t] = np.concatenate(pos[t])
     return sample
 
 
-def _step_batch(env: Environment, u: np.ndarray, alive: np.ndarray):
-    """Advance live paths one step; newly below-tail paths become dead.
+def _step_batch(env: Environment, levels_of: dict, u: np.ndarray, alive: np.ndarray):
+    """Advance live paths one step, one group per distinct tail; newly
+    below-tail paths become dead.
 
     Arithmetic stays in u's dtype so the extended-precision mode is effective.
     """
@@ -238,29 +231,27 @@ def _step_batch(env: Environment, u: np.ndarray, alive: np.ndarray):
     f = u[live_idx] - x
     out = np.empty(live_idx.size, dtype=u.dtype)
     dead_local = np.zeros(live_idx.size, dtype=bool)
-    for site_idx in np.unique(x):
-        in_site = np.flatnonzero(x == site_idx)
-        site = env.site(int(site_idx))
-        y, below = _branch_batch(site, f[in_site])
-        if np.any(below):
-            dead_local[in_site[below]] = True
-            in_site = in_site[~below]
-            y = y[~below]
-        out[in_site] = site_idx + _apply_local(site, f[in_site], y).astype(u.dtype)
+    for k, sel in env.tail_groups(x):
+        ext, ascending = levels_of[k]
+        in_tail = np.arange(x.size)[sel]
+        y, below = _branch_batch(ascending, f[in_tail])
+        dead_local[in_tail[below]] = True
+        in_tail, y = in_tail[~below], y[~below]
+        out[in_tail] = x[in_tail] + _apply_local(ext, f[in_tail], y).astype(u.dtype)
     keep = ~dead_local
     u[live_idx[keep]] = out[keep]
     alive[live_idx[dead_local]] = False
     return u, alive
 
 
-def _level_states(env: Environment, u: np.ndarray) -> np.ndarray:
+def _level_states(env: Environment, levels_of: dict, u: np.ndarray) -> np.ndarray:
     """(x, y) states of positions, stacked as rows."""
     x = np.floor(u).astype(np.int64)
     f = u - x
     ys = np.empty_like(x)
-    for site_idx in np.unique(x):
-        in_site = x == site_idx
-        y, below = _branch_batch(env.site(int(site_idx)), f[in_site])
+    for k, sel in env.tail_groups(x):
+        ext, ascending = levels_of[k]
+        y, _ = _branch_batch(ascending, f[sel])
         # below-tail points were already flagged during stepping; clamp defensively
-        ys[in_site] = np.minimum(y, env.site(int(site_idx)).last_index)
+        ys[sel] = np.minimum(y, ext.size - 2)
     return np.stack([x, ys], axis=1)

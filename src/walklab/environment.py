@@ -30,7 +30,8 @@ and its residuals theta_1, theta_2 live in ``limits.fit_limit_params``.
 Work scales with distinct tails, not with sites: a constant environment holds
 one tail object at every site, ``diagnostics`` computes one row per shared
 tail and beta, and the environment file prints a shared tail once and refers
-back to it by site index.
+back to it by site index.  ``Environment`` keeps the sharing as a tail table
+(its distinct tails and a site -> tail index) that every consumer reads.
 """
 
 from __future__ import annotations
@@ -305,7 +306,9 @@ def lsv_tail_sequence(
 # ---------------------------------------------------------------------------
 
 class Environment:
-    """Site-indexed family of tail sequences.
+    """Site-indexed family of tail sequences, kept as a tail table: ``tails``
+    holds the distinct tail objects in order of first appearance and
+    ``tail_index[x]`` is site x's position in it.
 
     Sites 0..x_max are materialized eagerly; a ``factory`` callable, when
     present, extends the family on demand (append-only, ascending order).
@@ -318,22 +321,48 @@ class Environment:
         model: dict | None = None,
         factory: Callable[[int], TailSequence] | None = None,
     ):
-        sites = list(sites)
-        if not sites:
+        self.tails: list[TailSequence] = []  # append-only
+        self._position: dict[int, int] = {}  # id of a tail -> its index in tails
+        self._index = np.zeros(16, dtype=np.intp)  # grown by doubling
+        self._size = 0
+        self._extend(sites)
+        if not self._size:
             raise ValidationError("environment needs at least one site")
-        for s in sites:
-            if not isinstance(s, TailSequence):
-                raise ValidationError(f"not a TailSequence: {s!r}")
-        self._sites = sites
         self.model = dict(model or {})
         self._factory = factory
 
+    def _extend(self, sites) -> None:
+        keys = []
+        for site in sites:
+            if not isinstance(site, TailSequence):
+                raise ValidationError(f"not a TailSequence: {site!r}")
+            keys.append(self._position.setdefault(id(site), len(self.tails)))
+            if keys[-1] == len(self.tails):
+                self.tails.append(site)
+        end = self._size + len(keys)
+        if end > self._index.size:
+            self._index = np.resize(self._index, max(end, 2 * self._index.size))
+        self._index[self._size : end] = keys
+        self._size = end
+        # read-only: the index into ``tails`` of each materialized site
+        self.tail_index = self._index[:end]
+        self.tail_index.flags.writeable = False
+
     def __len__(self) -> int:
-        return len(self._sites)
+        return self._size
 
     @property
     def x_max(self) -> int:
-        return len(self._sites) - 1
+        return self._size - 1
+
+    def tail_groups(self, sites):
+        """Yield (k, sel) for each distinct tail k of the materialized ``sites``
+        (an index array or a slice): sites[sel] are those with tail k, and
+        sel is slice(None) when all of them share one tail."""
+        of = self.tail_index[sites]
+        keys = np.unique(of).tolist() if len(self.tails) > 1 else [0]
+        for k in keys:
+            yield k, (slice(None) if len(keys) == 1 else np.flatnonzero(of == k))
 
     def ensure(self, x_max: int) -> None:
         """Materialize sites through ``x_max`` using the factory."""
@@ -344,18 +373,17 @@ class Environment:
                 f"site {x_max} is beyond the materialized range 0..{self.x_max} "
                 "and this environment has no generator"
             )
-        for x in range(len(self._sites), x_max + 1):
-            self._sites.append(self._factory(x))
+        self._extend([self._factory(x) for x in range(self._size, x_max + 1)])
 
     def site(self, x: int) -> TailSequence:
         if x < 0:
             raise ValidationError(f"site index must be non-negative, got {x}")
         if x > self.x_max:
             self.ensure(x)
-        return self._sites[x]
+        return self.tails[self._index[x]]
 
     def sites(self) -> list[TailSequence]:
-        return list(self._sites)
+        return [self.tails[k] for k in self.tail_index.tolist()]
 
 
 def _constant_env(tail, param, x_max: int, n_cap: int, tail_tol: float,
@@ -516,16 +544,12 @@ def diagnostics(env: Environment, beta) -> EnvDiagnostics:
     if not np.all((betas > 1.0) & np.isfinite(betas)):
         raise ValidationError("beta(x) must be finite and exceed 1 at every site")
 
-    rows: dict = {}  # (id of the tail, beta) -> that site's row
-    per_site = []
-    for x in xs:
-        site = env.site(int(x))
-        key = (id(site), betas[x])
-        if key not in rows:
-            rows[key] = _diagnostic_row(site, betas[x])
-        per_site.append(rows[key])
+    # one row per distinct (tail, beta) pair, spread over its sites
+    pairs, inverse = np.unique(np.column_stack((env.tail_index, betas)), axis=0,
+                               return_inverse=True)
+    rows = [_diagnostic_row(env.tails[int(k)], b) for k, b in pairs]
     A, A_flag, A_prime, Ap_flag, K, m, m_tail, m2, s2_tail, capped = (
-        np.array(column) for column in zip(*per_site))
+        np.array(column)[inverse.ravel()] for column in zip(*rows))
 
     s2 = m2 - m**2
     mu = np.concatenate(([0.0], np.cumsum(m)))
@@ -604,14 +628,15 @@ def env_json_text(env: Environment) -> str:
     """
     # one join over every piece, so the text is copied once
     pieces = ['{"model": ' + json.dumps(env.model, sort_keys=True) + ', "sites": [\n']
-    first_index: dict[int, int] = {}
-    for x, site in enumerate(env.sites()):
+    # tails are numbered in order of first appearance, so first[k] is tail k's first site
+    _, first = np.unique(env.tail_index, return_index=True)
+    for x, k in enumerate(env.tail_index.tolist()):
         if x:
             pieces.append(",\n")
-        if id(site) in first_index:
-            pieces.append(str(first_index[id(site)]))
+        if first[k] < x:
+            pieces.append(str(first[k]))
             continue
-        first_index[id(site)] = x
+        site = env.tails[k]
         omegas = ", ".join(format(v, ".17g") for v in site.values.tolist())
         pieces.append('{"omega": [' + omegas + '], "deficit": ' + format(site.deficit, ".17g") + "}")
     pieces.append("\n]}\n")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -161,27 +162,22 @@ class RandomEnvModel:
             return self.choices[idx]
         return self.low + (self.high - self.low) * v
 
-    def site_parameter(self, x: int, _markov_cache: dict | None = None) -> float:
-        """Parameter at site x (deterministic in (seed, x) for iid/m-dependent)."""
-        if self.kind == "iid":
-            return self._from_unit(self._noise(x))
-        if self.kind == "m-dependent":
-            window = [self._noise(x + j) for j in range(self.window + 1)]
-            return self._from_unit(sum(window) / len(window))
-        cache = _markov_cache if _markov_cache is not None else {}
-        return self._markov_state(x, cache)
+    def site_parameter(self, x: int, _cache: dict | None = None) -> float:
+        """Parameter at site x (deterministic in (seed, x) for iid/m-dependent);
+        ``_cache`` carries noise values or Markov states from site to site."""
+        cache = _cache if _cache is not None else {}
+        if self.kind == "markov":
+            return self._markov_state(x, cache)
+        # each noise value is drawn once, and the iid window is the one site x
+        window = [cache[w] if w in cache else cache.setdefault(w, self._noise(w))
+                  for w in range(x, x + self.window + 1)]
+        return self._from_unit(sum(window) / len(window))
 
     def _markov_state(self, x: int, cache: dict) -> float:
-        if x in cache:
-            return cache[x]
         spec = self.chain
-        start = max((w for w in cache if w < x), default=-1)
-        for w in range(start + 1, x + 1):
-            if w == 0:
-                cum = np.cumsum(spec.stationary())
-            else:
-                cum = np.cumsum(spec.transition[spec.states.index(cache[w - 1])])
-            idx = int(np.searchsorted(cum, self._noise(w), side="right"))
+        for w in range(len(cache), x + 1):  # the cache holds the states of sites 0..len-1
+            law = spec.stationary() if w == 0 else spec.transition[spec.states.index(cache[w - 1])]
+            idx = int(np.searchsorted(np.cumsum(law), self._noise(w), side="right"))
             cache[w] = spec.states[min(idx, len(spec.states) - 1)]
         return cache[x]
 
@@ -260,11 +256,7 @@ def sample_environment(
     if x_max < 0:
         raise ValidationError(f"x_max must be >= 0, got {x_max}")
     builder = _site_builder(model, n_cap, tail_tol)
-    markov_cache: dict = {}
-
-    def parameter(x: int) -> float:
-        return model.site_parameter(x, markov_cache)
-
+    parameter = partial(model.site_parameter, _cache={})  # one cache for the sites and the factory
     trace = np.array([parameter(x) for x in range(x_max + 1)])
     sites = [builder(theta) for theta in trace]
     descriptor = {

@@ -14,13 +14,18 @@ deficit.  Position laws at time n come from
 
 with the x = 0 convention T_0 = 0.  Two independent simulators are provided:
 a step-by-step chain simulator and an inverse-CDF sojourn-sum simulator; their
-outputs agree in distribution and are cross-checked in the test suite.
+outputs agree in distribution and are cross-checked in the test suite.  Both
+work once per distinct tail, not per site.  The chain method hands out its
+uniforms as a site-by-site loop would, so its output for a seed is unchanged;
+the sojourn method draws blocks of sites x paths, so its output for a seed
+differs from the site-by-site draws it replaced (the law is the same).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -31,6 +36,8 @@ from .streams import CHUNK, stream
 
 DEFAULT_TRUNC_TOL = 1e-14
 DEFAULT_DEFICIT_BUDGET = 1e-6
+# largest block of uniforms the sojourn simulator draws at once
+_BLOCK = 1 << 16
 
 __all__ = [
     "DiscreteDistribution",
@@ -198,16 +205,25 @@ def sample_sojourn(site: TailSequence, uniform: float) -> SojournDraw:
     """
     if not 0.0 <= uniform < 1.0:
         raise ValidationError(f"uniform must lie in [0, 1), got {uniform}")
-    values, truncated = _sample_sojourn_batch(site, np.array([uniform]))
-    return SojournDraw(int(values[0]), truncated > 0)
+    values, truncated = _invert(1.0 - site.extended(), np.array([uniform]))
+    return SojournDraw(int(values[0]), bool(truncated[0]))
 
 
-def _sample_sojourn_batch(site: TailSequence, u: np.ndarray) -> tuple[np.ndarray, int]:
-    cdf = 1.0 - site.extended()
+def _invert(cdf: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sojourns for uniforms u against cdf = 1 - extended(), capped at N+1, and
+    the mask of draws that fell in the truncated region."""
     idx = np.searchsorted(cdf, u, side="right")
-    n_bound = site.last_index + 1
-    truncated = int(np.count_nonzero(idx > n_bound))
-    return np.minimum(idx, n_bound).astype(np.int64), truncated
+    return np.minimum(idx, cdf.size - 1), idx > cdf.size - 1
+
+
+def _draw(env: Environment, cdfs: dict, u: np.ndarray, sites) -> tuple[np.ndarray, np.ndarray]:
+    """Sojourns for uniforms u, row i drawn at site sites[i] by inverting the
+    CDF cdfs[k] of its tail k, and the mask of truncated draws."""
+    n = np.empty(u.shape, dtype=np.int64)
+    over = np.empty(u.shape, dtype=bool)
+    for k, rows in env.tail_groups(sites):
+        n[rows], over[rows] = _invert(cdfs[k], u[rows])
+    return n, over
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +251,11 @@ def hitting_time_scan(
         raise ValidationError(f"trunc_tol must lie in [0, 1), got {trunc_tol}")
     dist = DiscreteDistribution.point_mass(0)
     yield 0, dist
-    site = None
+    tail = -1
     for x in range(1, x_stop + 1):
-        if env.site(x - 1) is not site:  # sites often share one tail object
-            site = env.site(x - 1)
-            sojourn = sojourn_pmf(site)
+        site = env.site(x - 1)
+        if env.tail_index[x - 1] != tail:  # sites often share one tail
+            tail, sojourn = env.tail_index[x - 1], sojourn_pmf(site)
         dist = dist.convolve(sojourn, trunc_tol, horizon)
         if dist.deficit > deficit_budget:
             raise DeficitBudgetError(
@@ -296,11 +312,11 @@ def position_scan(
         raise ValidationError(f"n must be >= 0, got {n}")
     rows: list[float] = []
     hit: list[float] = []
-    site = None
+    tail = -1
     for x, dist in hitting_time_scan(env, n, trunc_tol, deficit_budget, horizon=n):
-        if env.site(x) is not site:
-            site = env.site(x)
-            ext = site.extended()
+        site = env.site(x)
+        if env.tail_index[x] != tail:
+            tail, ext = env.tail_index[x], site.extended()
         k_lo = max(dist.offset, n - site.last_index - 1)
         k_hi = min(n, dist.end)
         if k_lo > k_hi:
@@ -424,34 +440,33 @@ def simulate_paths(
 
     # fail early and deterministically if the environment cannot cover the run
     # (a path visits at most one site per step, so horizon sites always suffice)
-    env.ensure(max(0, cfg.horizon - 1) if cfg.record == "hitting-times" else cfg.horizon)
+    reach = max(0, cfg.horizon - 1) if cfg.record == "hitting-times" else cfg.horizon
+    env.ensure(reach)
+    # each tail's CDF, formed once per call
+    cdfs = {k: 1.0 - env.tails[k].extended()
+            for k in np.unique(env.tail_index[: reach + 1]).tolist()}
+    draw = partial(_draw, env, cdfs)
 
     sample = WalkSample(method=method, record=cfg.record, paths=cfg.paths,
                         seed=cfg.seed, times=times)
+    chunk = _chain_chunk if method == "chain" else _sojourn_chunk
     chunks = []
     for index, start in enumerate(range(0, cfg.paths, CHUNK)):
         size = min(CHUNK, cfg.paths - start)
-        rng = stream(cfg.seed, "walk-mc", index)
-        if method == "chain":
-            chunks.append(_chain_chunk(env, cfg, rng, size, times))
-        else:
-            chunks.append(_sojourn_chunk(env, cfg, rng, size, times))
+        chunks.append(chunk(cfg, stream(cfg.seed, "walk-mc", index), size, times, draw))
     for key in ("x_final", "y_final", "x_at_times", "full_x", "full_y", "hitting"):
-        parts = [c[key] for c in chunks if c[key] is not None]
+        parts = [c[key] for c in chunks if c.get(key) is not None]
         if parts:
             setattr(sample, key, np.concatenate(parts, axis=0))
     sample.truncated_draws = sum(c["truncated"] for c in chunks)
     return sample
 
 
-def _entry_levels(site: TailSequence, rng, count: int) -> tuple[np.ndarray, int]:
-    draws, truncated = _sample_sojourn_batch(site, rng.random(count))
-    return draws - 1, truncated
-
-
-def _chain_chunk(env, cfg, rng, size, times):
+def _chain_chunk(cfg, rng, size, times, draw):
     x = np.zeros(size, dtype=np.int64)
-    y, truncated = _entry_levels(env.site(0), rng, size)
+    y, over = draw(rng.random(size), slice(0, 1))
+    y -= 1
+    truncated = int(np.count_nonzero(over))
     full_x = full_y = None
     if cfg.record == "full-path":
         full_x = np.zeros((size, cfg.horizon + 1), dtype=np.int64)
@@ -466,11 +481,14 @@ def _chain_chunk(env, cfg, rng, size, times):
         jumping = np.flatnonzero(~descending)
         if jumping.size:
             new_x = x[jumping] + 1
-            for site_idx in np.unique(new_x):
-                group = jumping[new_x == site_idx]
-                levels, trunc = _entry_levels(env.site(int(site_idx)), rng, group.size)
-                y[group] = levels
-                truncated += trunc
+            # one stream of uniforms handed out site by site, in path order; a
+            # key type just wide enough for the sites lets numpy sort by radix
+            u = np.empty(jumping.size)
+            key = new_x.astype(np.min_scalar_type(cfg.horizon))
+            u[np.argsort(key, kind="stable")] = rng.random(jumping.size)
+            levels, over = draw(u, new_x)
+            y[jumping] = levels - 1
+            truncated += int(np.count_nonzero(over))
             x[jumping] = new_x
         if full_x is not None:
             full_x[:, t] = x
@@ -481,51 +499,55 @@ def _chain_chunk(env, cfg, rng, size, times):
                 x_at[:, hit] = x[:, None]
     return {
         "x_final": x, "y_final": y, "x_at_times": x_at,
-        "full_x": full_x, "full_y": full_y, "hitting": None,
+        "full_x": full_x, "full_y": full_y,
         "truncated": truncated,
     }
 
 
-def _sojourn_chunk(env, cfg, rng, size, times):
-    truncated = 0
-    if cfg.record == "hitting-times":
-        target = cfg.horizon
-        hitting = np.zeros((size, target + 1), dtype=np.int64)
-        total = np.zeros(size, dtype=np.int64)
-        for site_idx in range(target):
-            draws, trunc = _sample_sojourn_batch(env.site(site_idx), rng.random(size))
-            truncated += trunc
-            total += draws
-            hitting[:, site_idx + 1] = total
-        return {"x_final": None, "y_final": None, "x_at_times": None,
-                "full_x": None, "full_y": None, "hitting": hitting,
-                "truncated": truncated}
-
+def _sojourn_chunk(cfg, rng, size, times, draw):
+    """Sojourn sums T_x from blocks of at most _BLOCK uniforms, row j of a
+    block holding every live path's draw at one site.  A path stops once its
+    sum passes the horizon (hitting times run over sites 0..horizon-1); only
+    the draws it made before that are used, or count as truncated."""
+    hitting_mode = cfg.record == "hitting-times"
     horizon = cfg.horizon
+    n_sites, stop = (horizon, np.iinfo(np.int64).max) if hitting_mode else (horizon + 1, horizon)
     record_times = times if times is not None else np.array([horizon], dtype=np.int64)
+    hitting = np.zeros((size, horizon + 1), dtype=np.int64) if hitting_mode else None
     x_at = np.zeros((size, record_times.size), dtype=np.int64)
-    total = np.zeros(size, dtype=np.int64)
     final_total = np.zeros(size, dtype=np.int64)
+    total = np.zeros(size, dtype=np.int64)
     active = np.arange(size)
-    site_idx = 0
-    while active.size:
-        draws, trunc = _sample_sojourn_batch(env.site(site_idx), rng.random(active.size))
-        truncated += trunc
-        total[active] += draws
-        x_at[active] += (total[active, None] <= record_times[None, :]).astype(np.int64)
-        done = total[active] > horizon
-        final_total[active[done]] = total[active[done]]
+    truncated = 0
+    site = 0
+    while active.size and site < n_sites:
+        width = min(n_sites - site, max(1, _BLOCK // active.size))
+        draws, over = draw(rng.random((width, active.size)), slice(site, site + width))
+        before = total[active]
+        sums = np.cumsum(draws, axis=0)
+        sums += before
+        within = np.count_nonzero(sums <= stop, axis=0)  # draws ending within the horizon
+        truncated += int(np.count_nonzero(over & (np.arange(width)[:, None] <= within)))
+        if hitting_mode:
+            hitting[:, site + 1 : site + width + 1] = sums.T
+        else:  # X_t = site + #{block sums <= t} for the paths whose block passes t
+            for i in np.flatnonzero((record_times >= before.min())
+                                    & (record_times < sums[-1].max())):
+                count = np.count_nonzero(sums <= record_times[i], axis=0)
+                passes = (before <= record_times[i]) & (count < width)
+                x_at[active[passes], i] = site + count[passes]
+        done = within < width
+        final_total[active[done]] = sums[within[done], done]
+        total[active] = sums[-1]
         active = active[~done]
-        site_idx += 1
-    out = {
-        "x_final": x_at[:, -1] if record_times[-1] == horizon else None,
-        "y_final": (final_total - 1 - horizon).astype(np.int64)
-        if record_times[-1] == horizon else None,
-        "x_at_times": x_at if times is not None else None,
-        "full_x": None, "full_y": None, "hitting": None,
-        "truncated": truncated,
-    }
-    return out
+        site += width
+    if hitting_mode:
+        return {"hitting": hitting, "truncated": truncated}
+    ends_at_horizon = record_times[-1] == horizon
+    return {"x_final": x_at[:, -1] if ends_at_horizon else None,
+            "y_final": final_total - 1 - horizon if ends_at_horizon else None,
+            "x_at_times": x_at if times is not None else None,
+            "truncated": truncated}
 
 
 # ---------------------------------------------------------------------------

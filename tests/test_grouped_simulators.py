@@ -1,0 +1,232 @@
+"""The simulators step one group per distinct tail; these per-site loops are
+the earlier site-by-site implementations, kept as oracles.  The grouped chain
+walk and extended map must reproduce them bit for bit, and no simulator may
+read an environment past the sites a run needs."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import walklab as wl
+from walklab import dynsys, walk
+from walklab.streams import CHUNK
+
+
+# ---------------------------------------------------------------------------
+# per-site oracles
+# ---------------------------------------------------------------------------
+
+def sample_sojourn_batch(site, u):
+    cdf = 1.0 - site.extended()
+    idx = np.searchsorted(cdf, u, side="right")
+    n_bound = site.last_index + 1
+    truncated = int(np.count_nonzero(idx > n_bound))
+    return np.minimum(idx, n_bound).astype(np.int64), truncated
+
+
+def entry_levels(site, rng, count):
+    draws, truncated = sample_sojourn_batch(site, rng.random(count))
+    return draws - 1, truncated
+
+
+def chain_chunk_per_site(env, cfg, rng, size, times):
+    x = np.zeros(size, dtype=np.int64)
+    y, truncated = entry_levels(env.site(0), rng, size)
+    full_x = full_y = None
+    if cfg.record == "full-path":
+        full_x = np.zeros((size, cfg.horizon + 1), dtype=np.int64)
+        full_y = np.zeros((size, cfg.horizon + 1), dtype=np.int64)
+        full_y[:, 0] = y
+    x_at = None
+    if times is not None:
+        x_at = np.zeros((size, times.size), dtype=np.int64)
+    for t in range(1, cfg.horizon + 1):
+        descending = y > 0
+        y[descending] -= 1
+        jumping = np.flatnonzero(~descending)
+        if jumping.size:
+            new_x = x[jumping] + 1
+            for site_idx in np.unique(new_x):
+                group = jumping[new_x == site_idx]
+                levels, trunc = entry_levels(env.site(int(site_idx)), rng, group.size)
+                y[group] = levels
+                truncated += trunc
+            x[jumping] = new_x
+        if full_x is not None:
+            full_x[:, t] = x
+            full_y[:, t] = y
+        if x_at is not None:
+            hit = np.flatnonzero(times == t)
+            if hit.size:
+                x_at[:, hit] = x[:, None]
+    return {"x_final": x, "y_final": y, "x_at_times": x_at,
+            "full_x": full_x, "full_y": full_y, "truncated": truncated}
+
+
+def branch_batch_per_site(site, f):
+    ext = site.extended()
+    ascending = ext[::-1].astype(f.dtype, copy=False)
+    pos = np.searchsorted(ascending, f, side="right")
+    y = ext.size - 1 - pos
+    return y, y > site.last_index
+
+
+def apply_local_per_site(site, f, y):
+    ext = site.extended().astype(f.dtype)
+    out = np.empty_like(f)
+    top = y == 0
+    if np.any(top):
+        out[top] = 1.0 + (f[top] - ext[1]) / (1.0 - ext[1])
+    rest = ~top
+    if np.any(rest):
+        yr = y[rest]
+        slope = (ext[yr - 1] - ext[yr]) / (ext[yr] - ext[yr + 1])
+        out[rest] = ext[yr] + slope * (f[rest] - ext[yr + 1])
+    return out
+
+
+def step_batch_per_site(env, u, alive):
+    live_idx = np.flatnonzero(alive)
+    if live_idx.size == 0:
+        return u, alive
+    x = np.floor(u[live_idx]).astype(np.int64)
+    f = u[live_idx] - x
+    out = np.empty(live_idx.size, dtype=u.dtype)
+    dead_local = np.zeros(live_idx.size, dtype=bool)
+    for site_idx in np.unique(x):
+        in_site = np.flatnonzero(x == site_idx)
+        site = env.site(int(site_idx))
+        y, below = branch_batch_per_site(site, f[in_site])
+        if np.any(below):
+            dead_local[in_site[below]] = True
+            in_site = in_site[~below]
+            y = y[~below]
+        out[in_site] = site_idx + apply_local_per_site(site, f[in_site], y).astype(u.dtype)
+    keep = ~dead_local
+    u[live_idx[keep]] = out[keep]
+    alive[live_idx[dead_local]] = False
+    return u, alive
+
+
+def level_states_per_site(env, u):
+    x = np.floor(u).astype(np.int64)
+    f = u - x
+    ys = np.empty_like(x)
+    for site_idx in np.unique(x):
+        in_site = x == site_idx
+        y, below = branch_batch_per_site(env.site(int(site_idx)), f[in_site])
+        ys[in_site] = np.minimum(y, env.site(int(site_idx)).last_index)
+    return np.stack([x, ys], axis=1)
+
+
+# ---------------------------------------------------------------------------
+# helpers
+# ---------------------------------------------------------------------------
+
+def assert_identical(a, b):
+    """Equal values of equal types, arrays down to their dtype."""
+    assert type(a) is type(b)
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert_identical(a[key], b[key])
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for u, v in zip(a, b):
+            assert_identical(u, v)
+    elif dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_identical(getattr(a, f.name), getattr(b, f.name))
+    else:
+        assert a == b
+
+
+def two_point_env(sites):
+    """Tails alternating at random between two exponents, as `--choices` builds."""
+    model = wl.RandomEnvModel(kind="iid", family="powerlaw", seed=17, choices=(2.5, 3.5))
+    return wl.sample_environment(model, sites - 1, tail_tol=1e-6).environment
+
+
+def alternating_lossy_env(sites):
+    """Two coarse tails in turn: draws fall in the deficit and paths get flagged."""
+    a = wl.TailSequence([1.0, 0.6, 0.3], deficit=0.1)
+    b = wl.TailSequence([1.0, 0.5], deficit=0.2)
+    return wl.Environment([a, b] * (sites // 2) + [a] * (sites % 2))
+
+
+class WatchedEnvironment(wl.Environment):
+    """Records the largest site index read or ensured."""
+
+    reach = -1
+
+    def ensure(self, x_max):
+        self.reach = max(self.reach, x_max)
+        super().ensure(x_max)
+
+    def site(self, x):
+        self.reach = max(self.reach, x)
+        return super().site(x)
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make_env", [two_point_env, alternating_lossy_env])
+@pytest.mark.parametrize("record", ["endpoint-only", "full-path"])
+def test_grouped_chain_matches_per_site_oracle(monkeypatch, make_env, record):
+    horizon = 30
+    env = make_env(horizon + 1)
+    assert len(env.tails) == 2
+    # two chunks, so the stream of the second one is checked too
+    cfg = wl.McConfig(paths=CHUNK + 900, horizon=horizon, seed=29, record=record)
+    grouped = wl.simulate_paths(env, cfg, method="chain", times=[4, 17, 30])
+    monkeypatch.setattr(walk, "_chain_chunk", lambda cfg, rng, size, times, draw:
+                        chain_chunk_per_site(env, cfg, rng, size, times))
+    per_site = wl.simulate_paths(env, cfg, method="chain", times=[4, 17, 30])
+    assert_identical(grouped, per_site)
+
+
+@pytest.mark.parametrize("make_env", [two_point_env, alternating_lossy_env])
+@pytest.mark.parametrize("precision", ["double", "extended"])
+def test_grouped_trajectories_match_per_site_oracle(monkeypatch, make_env, precision):
+    horizon = 30
+    env = make_env(horizon + 1)
+    cfg = wl.TrajectoryConfig(paths=CHUNK + 900, horizon=horizon, seed=31,
+                              precision=precision)
+    kwargs = dict(times=[0, 9, 30], levels=True, keep_positions_at=[9])
+    grouped = wl.simulate_trajectories(env, cfg, **kwargs)
+    monkeypatch.setattr(dynsys, "_step_batch",
+                        lambda env, levels_of, u, alive: step_batch_per_site(env, u, alive))
+    monkeypatch.setattr(dynsys, "_level_states",
+                        lambda env, levels_of, u: level_states_per_site(env, u))
+    per_site = wl.simulate_trajectories(env, cfg, **kwargs)
+    assert_identical(grouped, per_site)
+    if make_env is alternating_lossy_env:
+        assert grouped.flagged > 0
+
+
+@pytest.mark.parametrize("method,record,sites", [
+    ("chain", "endpoint-only", 41),
+    ("sojourn", "endpoint-only", 41),
+    ("sojourn", "hitting-times", 40),
+    ("dynsys", None, 41),
+])
+def test_finite_environment_read_only_up_to_the_horizon(method, record, sites):
+    # a file environment has no generator: a run may use sites 0..horizon
+    # (0..horizon-1 for hitting times) and must not reach any further
+    horizon = 40
+    full = two_point_env(sites)
+    env = WatchedEnvironment(full.sites(), model=full.model)
+    if method == "dynsys":
+        wl.simulate_trajectories(env, wl.TrajectoryConfig(paths=3000, horizon=horizon, seed=3),
+                                 levels=True)
+    else:
+        cfg = wl.McConfig(paths=3000, horizon=horizon, seed=3, record=record)
+        wl.simulate_paths(env, cfg, method=method,
+                          times=[10, horizon] if record == "endpoint-only" else None)
+    assert env.reach == sites - 1

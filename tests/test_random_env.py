@@ -64,11 +64,27 @@ def test_mdependent_locality():
                               low=2.2, high=3.8, window=2)
     sample = wl.sample_environment(model, 40, tail_tol=1e-6)
     # the site-x parameter is a function of the noise at sites x..x+2 only
-    for x in (0, 7, 19):
+    for x in range(41):
         window = [model._noise(x + j) for j in range(3)]
         expected = model._from_unit(sum(window) / 3.0)
         assert sample.parameter_trace[x] == expected
     assert model.mixing_descriptor() == {"type": "zero-beyond-lag", "lag": 2}
+
+
+def test_mdependent_noise_drawn_once(monkeypatch):
+    model = wl.RandomEnvModel(kind="m-dependent", family="powerlaw", seed=5,
+                              low=2.2, high=3.8, window=3)
+    drawn = []
+    noise = wl.RandomEnvModel._noise
+    monkeypatch.setattr(wl.RandomEnvModel, "_noise",
+                        lambda self, x: drawn.append(x) or noise(self, x))
+    sample = wl.sample_environment(model, 60, tail_tol=1e-6)
+    assert sorted(drawn) == list(range(64))  # sites 0..60 plus the window beyond
+    # the per-site formula at every site, the factory extension included
+    for x in range(71):
+        theta = model._from_unit(sum(noise(model, x + j) for j in range(4)) / 4.0)
+        tail = wl.powerlaw_tail_sequence(theta, tail_tol=1e-6)
+        assert sample.environment.site(x).values.tobytes() == tail.values.tobytes()
 
 
 def test_iid_two_point_mean_matches_series_oracle():

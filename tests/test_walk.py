@@ -309,12 +309,18 @@ def test_full_path_record(geometric_env):
 
 
 def test_checkpoint_records(geometric_env):
-    cfg = wl.McConfig(paths=3000, horizon=40, seed=61)
-    times = [10, 20, 40]
+    # enough paths that each block spans few sites and paths drift apart
+    cfg = wl.McConfig(paths=20_000, horizon=40, seed=61)
+    times = [3, 10, 20, 40]
     sample = wl.simulate_paths(geometric_env, cfg, method="sojourn", times=times)
-    assert sample.x_at_times.shape == (3000, 3)
+    assert sample.x_at_times.shape == (20_000, 4)
     assert np.all(np.diff(sample.x_at_times, axis=1) >= 0)
     np.testing.assert_array_equal(sample.x_at_times[:, -1], sample.x_final)
+    # every checkpoint column follows the exact law of X_t
+    for i, t in enumerate(times):
+        exact = wl.position_distribution(geometric_env, t)
+        tv = wl.tv_distance(exact, np.bincount(sample.x_at_times[:, i]), cfg.paths)
+        assert tv <= wl.mc_tv_tolerance(exact.probs.size, cfg.paths)
 
 
 def test_truncated_draws_counted():
@@ -327,6 +333,22 @@ def test_truncated_draws_counted():
     assert abs(share - 0.25) <= 4.0 * math.sqrt(0.25 * 0.75 / draws)
     exact = wl.Environment([wl.TailSequence([1.0, 0.5], deficit=0.0)] * sites)
     assert wl.simulate_paths(exact, cfg).truncated_draws == 0
+
+
+@pytest.mark.parametrize("method,times", [("sojourn", None), ("sojourn", [5, 20]),
+                                          ("chain", None)])
+def test_truncated_draws_count_only_used_draws(method, times):
+    # a path uses one draw per site it enters, sites 0..X_n, whichever the
+    # method; block draws made past a path's stop must not count
+    paths, horizon = 3000, 20
+    cfg = wl.McConfig(paths=paths, horizon=horizon, seed=73)
+    lossy = wl.Environment([wl.TailSequence([1.0, 0.5], deficit=0.25)] * (horizon + 1))
+    sample = wl.simulate_paths(lossy, cfg, method=method, times=times)
+    used = int((sample.x_final + 1).sum())
+    share = sample.truncated_draws / used
+    assert abs(share - 0.25) <= 4.0 * math.sqrt(0.25 * 0.75 / used)
+    exact = wl.Environment([wl.TailSequence([1.0, 0.5], deficit=0.0)] * (horizon + 1))
+    assert wl.simulate_paths(exact, cfg, method=method, times=times).truncated_draws == 0
 
 
 def test_tv_distance_helper():
