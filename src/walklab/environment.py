@@ -660,6 +660,19 @@ def write_env_file(env: Environment, path: str, force: bool = False) -> None:
     _write_text(path, env_json_text(env), force)
 
 
+def _site_arrays(obj: dict) -> dict:
+    """json object hook: a site entry's omega list becomes a float64 array as
+    soon as it is decoded, so the Python floats of one site at most are alive
+    at a time.  A list that does not convert is left for load_env_file to
+    refuse."""
+    if obj.keys() == {"omega", "deficit"}:
+        try:
+            obj["omega"] = np.asarray(obj["omega"], dtype=np.float64)
+        except (TypeError, ValueError):
+            pass
+    return obj
+
+
 def load_env_file(path: str) -> Environment:
     """Read an environment file; the result has no generator for extension.
 
@@ -668,7 +681,7 @@ def load_env_file(path: str) -> Environment:
     """
     with open(path) as fh:
         try:
-            payload = json.load(fh)
+            payload = json.load(fh, object_hook=_site_arrays)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or not isinstance(payload.get("sites"), list):

@@ -63,12 +63,18 @@ __all__ = [
 
 def normal_density(mean, variance, z):
     """Density of N(mean, variance) at z (vectorized in any argument)."""
+    two_var, scale = _normal_terms(variance)
+    z = np.asarray(z, dtype=np.float64)
+    out = np.exp(-((z - mean) ** 2) / two_var) / scale
+    return float(out) if out.ndim == 0 else out
+
+
+def _normal_terms(variance):
+    """2 variance and sqrt(2 pi variance), the variance terms of a normal density."""
     variance = np.asarray(variance, dtype=np.float64)
     if np.any(variance <= 0.0):
         raise ValidationError("variance must be positive")
-    z = np.asarray(z, dtype=np.float64)
-    out = np.exp(-((z - mean) ** 2) / (2.0 * variance)) / np.sqrt(2.0 * math.pi * variance)
-    return float(out) if out.ndim == 0 else out
+    return 2.0 * variance, np.sqrt(2.0 * math.pi * variance)
 
 
 @dataclass(frozen=True)
@@ -198,20 +204,25 @@ def llt_predictor(
     x_values = np.asarray(x_values, dtype=np.int64)
     lo = np.empty(x_values.size)
     hi = np.empty(x_values.size)
+    if x_values.size:  # refuse negative sites, materialize the largest
+        env.site(int(x_values.min()))
+        env.site(int(x_values.max()))
     # sum of h_l(x) over any l-range is at most 2 sqrt(n) / sqrt(2 pi st2)
     density_sum_bound = 2.0 * math.sqrt(n) / math.sqrt(2.0 * math.pi * st2)
-    for i, x in enumerate(x_values):
-        site = env.site(int(x))
-        n_last = site.last_index
-        ell_lo = max(1, n - n_last)
-        ells = np.arange(ell_lo, n + 1)
-        h = normal_density(M[ells], ells * st2, float(x))
-        weights = site.values[n - ells]
-        exact = mu_inv * float(h @ weights)
-        lo[i] = exact
-        hi[i] = exact
-        if n - n_last >= 2 and site.deficit > 0.0:
-            hi[i] += mu_inv * site.deficit * density_sum_bound
+    rows = np.arange(x_values.size)
+    for k, sel in env.tail_groups(x_values):
+        # everything but the density's centre x is a property of the tail
+        site = env.tails[k]
+        ells = np.arange(max(1, n - site.last_index), n + 1)
+        two_var, scale = _normal_terms(ells * st2)
+        mean, weights = M[ells], site.values[n - ells]
+        idx = rows[sel]
+        for i, x in zip(idx.tolist(), x_values[sel].tolist()):
+            h = np.exp(-((float(x) - mean) ** 2) / two_var) / scale
+            lo[i] = mu_inv * float(h @ weights)
+        hi[idx] = lo[idx]
+        if n - site.last_index >= 2 and site.deficit > 0.0:
+            hi[idx] += mu_inv * site.deficit * density_sum_bound
     return PredictorInterval(n=n, x=x_values, lo=lo, hi=hi)
 
 

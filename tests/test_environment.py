@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -390,6 +391,40 @@ def test_env_file_old_schema_still_loads(tmp_path):
     d_old, d_shared = wl.diagnostics(loaded, 3.0), wl.diagnostics(shared, 3.0)
     for field in ("A", "A_prime", "K", "m", "m_tail_bound", "s2", "mu", "sigma2"):
         np.testing.assert_array_equal(getattr(d_old, field), getattr(d_shared, field))
+
+
+def test_env_file_load_peak_memory(tmp_path):
+    # distinct tails, so the file is nearly all decimals: reading it holds the
+    # bytes and the decoded text at once (2x its size), and each site's floats
+    # must become an array before the next site is decoded
+    tails = [wl.powerlaw_tail_sequence(2.5 + 0.01 * k, tail_tol=1e-9) for k in range(20)]
+    path = tmp_path / "env.json"
+    wl.write_env_file(wl.Environment(tails), str(path))
+    tracemalloc.start()
+    try:
+        loaded = wl.load_env_file(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * path.stat().st_size
+    for site, tail in zip(loaded.sites(), tails):
+        assert site.values.tobytes() == tail.values.tobytes()
+        assert site.deficit == tail.deficit
+
+
+@pytest.mark.parametrize("omega", ['"abc"', '["a"]', "[[1.0, 0.5]]", "[1.0, null]",
+                                   '{"a": 1}', "[]", "[1.0, 0.5, 0.75]", "[1.0, true]"])
+def test_env_file_malformed_omega(tmp_path, omega, capsys):
+    from walklab.cli import main
+
+    path = tmp_path / "bad.json"
+    path.write_text('{"model": {}, "sites": [{"omega": ' + omega + ', "deficit": 0.0}]}')
+    with pytest.raises(ValidationError):
+        wl.load_env_file(str(path))
+    out = tmp_path / "o.csv"
+    assert main(["exact", "--env", str(path), "--n", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("reference", ["true", "-1", "2", "7", "1.0"])

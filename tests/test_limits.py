@@ -90,6 +90,37 @@ def test_predictor_single_term_at_n1(geo_setup):
         assert pred.hi[i] == pred.lo[i]
 
 
+def predictor_per_site(env, params, diag, n, x_values):
+    """The earlier llt_predictor loop, every term formed again for each x."""
+    st2, mu_inv = params.sigma_tilde2, 1.0 / params.mu
+    bound = 2.0 * math.sqrt(n) / math.sqrt(2.0 * math.pi * st2)
+    lo, hi = np.empty(len(x_values)), np.empty(len(x_values))
+    for i, x in enumerate(x_values):
+        site = env.site(int(x))
+        ells = np.arange(max(1, n - site.last_index), n + 1)
+        h = wl.normal_density(diag.M[ells], ells * st2, float(x))
+        lo[i] = hi[i] = mu_inv * float(h @ site.values[n - ells])
+        if n - site.last_index >= 2 and site.deficit > 0.0:
+            hi[i] += mu_inv * site.deficit * bound
+    return lo, hi
+
+
+@pytest.mark.parametrize("n", [5, 40, 300])
+def test_predictor_matches_per_site_loop(n):
+    # three distinct tails, two of them too short to reach n
+    model = wl.RandomEnvModel(kind="iid", family="powerlaw", seed=5, choices=(2.5, 3.0, 4.0))
+    env = wl.sample_environment(model, 400, tail_tol=1e-4).environment
+    diag = wl.diagnostics(env, 2.5)
+    params = wl.LimitParams(mu=1.6, sigma2=0.9)
+    xs = [7, 0, 3, 3, 150, 42, 399]
+    pred = wl.llt_predictor(env, params, diag, n, x_values=xs)
+    lo, hi = predictor_per_site(env, params, diag, n, xs)
+    assert pred.lo.tobytes() == lo.tobytes() and pred.hi.tobytes() == hi.tobytes()
+    assert len({id(env.site(x)) for x in xs}) == 3
+    with pytest.raises(ValidationError):
+        wl.llt_predictor(env, params, diag, n, x_values=[2, -1])
+
+
 def test_predictor_mass_approaches_one(geo_setup):
     env, diag, params = geo_setup
     masses = []
