@@ -22,6 +22,7 @@ from .environment import (
     DEFAULT_TAIL_TOL,
     Environment,
     LsvParams,
+    _all_or_nothing,
     _refuse_overwrite,
     _write_text,
     diagnostics,
@@ -155,23 +156,24 @@ def _cmd_env(args) -> int:
         raise ValidationError("env needs --family or --random")
 
     diag = diagnostics(env, _beta_diag(env))
-    write_env_file(env, _out_path(args.out), force=args.force)
-    _write_csv(
-        outputs[1],
-        ["x", "A", "A_prime", "K", "m", "s2", "mu", "sigma2"],
-        (
-            (int(x), diag.A[x], diag.A_prime[x], diag.K[x], diag.m[x],
-             diag.s2[x], diag.mu[x], diag.sigma2[x])
-            for x in diag.x
-        ),
-        args.force,
-    )
-    _write_csv(
-        outputs[2],
-        ["n", "M"],
-        ((n, int(diag.M[n])) for n in range(diag.M.size)),
-        args.force,
-    )
+    with _all_or_nothing():
+        write_env_file(env, _out_path(args.out), force=args.force)
+        _write_csv(
+            outputs[1],
+            ["x", "A", "A_prime", "K", "m", "s2", "mu", "sigma2"],
+            (
+                (int(x), diag.A[x], diag.A_prime[x], diag.K[x], diag.m[x],
+                 diag.s2[x], diag.mu[x], diag.sigma2[x])
+                for x in diag.x
+            ),
+            args.force,
+        )
+        _write_csv(
+            outputs[2],
+            ["n", "M"],
+            ((n, int(diag.M[n])) for n in range(diag.M.size)),
+            args.force,
+        )
     print(f"env: {len(env)} sites -> {args.out}")
     return 0
 
@@ -270,12 +272,13 @@ def _cmd_dynsys(args) -> int:
             "tv_cells": tv_distance(exact[t], counts, contributing),
             "tolerance": mc_tv_tolerance(max(t, 1), contributing),
         })
-    _write_csv(args.out_hist, ["n", "x", "count", "paths"], hist_rows, args.force)
-    _write_csv(args.out_levels, ["n", "x", "y", "count", "paths"], level_rows, args.force)
-    _write_json(args.out_summary, {
-        "paths": args.paths, "seed": args.seed,
-        "flagged_paths": sample.flagged, "rows": summary,
-    }, args.force)
+    with _all_or_nothing():
+        _write_csv(args.out_hist, ["n", "x", "count", "paths"], hist_rows, args.force)
+        _write_csv(args.out_levels, ["n", "x", "y", "count", "paths"], level_rows, args.force)
+        _write_json(args.out_summary, {
+            "paths": args.paths, "seed": args.seed,
+            "flagged_paths": sample.flagged, "rows": summary,
+        }, args.force)
     print(f"dynsys: {args.paths} trajectories -> {args.out_summary}")
     return 0
 

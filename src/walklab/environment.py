@@ -36,6 +36,8 @@ back to it by site index.  ``Environment`` keeps the sharing as a tail table
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import json
 import math
 import os
@@ -574,14 +576,21 @@ def diagnostics(env: Environment, beta) -> EnvDiagnostics:
 
 
 def cumulative_hitting_moments(env: Environment, x: int) -> tuple[float, float]:
-    """(mu_x, sigma_x^2): mean and variance of the hitting time of site x."""
-    mu_x = 0.0
-    var_x = 0.0
-    for w in range(x):
-        site = env.site(w)
-        m_w = site.stored_mean()
-        mu_x += m_w
-        var_x += site.stored_second_moment() - m_w**2
+    """(mu_x, sigma_x^2): mean and variance of the hitting time of site x.
+
+    The sojourn mean m and variance s2 - m^2 are formed once per distinct
+    tail; the sums over sites 0..x-1 add them in site order.
+    """
+    if x <= 0:
+        return 0.0, 0.0
+    env.site(x - 1)  # materialize the prefix
+    keys = env.tail_index[:x]
+    terms = np.zeros((len(env.tails), 2))
+    for k in np.unique(keys).tolist():
+        m_k = env.tails[k].stored_mean()
+        terms[k] = m_k, env.tails[k].stored_second_moment() - m_k**2
+    # np.cumsum adds sequentially, so the sums equal a per-site loop's bit for bit
+    mu_x, var_x = np.cumsum(terms[keys], axis=0)[-1].tolist()
     return mu_x, var_x
 
 
@@ -650,10 +659,54 @@ def _refuse_overwrite(paths, force: bool) -> None:
             raise FileExistsError(f"refusing to overwrite {path}; pass force/--force")
 
 
-def _write_text(path: str, text: str, force: bool) -> None:
-    _refuse_overwrite([path], force)
-    with open(path, "w") as fh:
+# (temporary file, target) pairs of the output set open in this context
+_staged = contextvars.ContextVar("walklab_staged_outputs", default=None)
+
+
+@contextlib.contextmanager
+def _all_or_nothing():
+    """An output set, scoped like ``np.errstate``: every ``_write_text``
+    inside the block writes its text to a temporary file beside its target at
+    once, and the temporary files are renamed onto their targets
+    (``os.replace``) only when the block ends normally.  If it raises, they
+    are removed, so an error partway through leaves no new file.  A nested
+    block joins the enclosing set."""
+    if _staged.get() is not None:
+        yield
+        return
+    staged: list[tuple[str, str]] = []
+    token = _staged.set(staged)
+    try:
+        yield
+        while staged:
+            os.replace(*staged[0])
+            del staged[0]
+    finally:
+        _staged.reset(token)
+        for tmp, _ in staged:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+
+
+def _stage(path: str, text: str) -> None:
+    """Write text to a new temporary file in path's directory, as a member
+    of the open output set."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        # a device or pipe such as /dev/stdout is written to, never replaced
+        with open(path, "w") as fh:
+            fh.write(text)
+        return
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+    _staged.get().append((tmp, path))
+    with open(tmp, "x") as fh:
         fh.write(text)
+
+
+def _write_text(path: str, text: str, force: bool) -> None:
+    with _all_or_nothing():
+        _refuse_overwrite([path], force)
+        _stage(path, text)
 
 
 def write_env_file(env: Environment, path: str, force: bool = False) -> None:

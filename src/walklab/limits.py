@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .environment import EnvDiagnostics, Environment, cumulative_hitting_moments
 from .errors import HypothesisError, NonConvergentVarianceError, ValidationError
@@ -389,6 +388,19 @@ def llt_report_json(report: LltReport) -> dict:
 # distributional distance reports
 # ---------------------------------------------------------------------------
 
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def _normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Phi(z) = erfc(-z / sqrt 2) / 2 element-wise, by the C library's erfc.
+
+    Within 2.2e-16 (absolute) of the true value for every z, as accurate as
+    scipy's ``ndtr``; it is 0 below z = -38.5, where Phi underflows.
+    """
+    w = (z * -_SQRT1_2).tolist()
+    return 0.5 * np.fromiter(map(math.erfc, w), np.float64, len(w))
+
+
 def kolmogorov_distance_to_normal(dist: DiscreteDistribution, center: float, scale: float) -> float:
     """Kolmogorov distance between the standardized law and N(0, 1).
 
@@ -398,7 +410,7 @@ def kolmogorov_distance_to_normal(dist: DiscreteDistribution, center: float, sca
     if scale <= 0.0:
         raise ValidationError(f"scale must be positive, got {scale}")
     z = (dist.support.astype(np.float64) - center) / scale
-    phi = ndtr(z)
+    phi = _normal_cdf(z)
     upper = np.cumsum(dist.probs)
     lower = upper - dist.probs
     return float(max(np.abs(upper - phi).max(), np.abs(lower - phi).max()))

@@ -58,6 +58,10 @@ _FFT_MIN_ATOMS = 500
 _FFT_C = 8.0
 _U = 2.0**-53
 _TINY = float(np.finfo(np.float64).tiny)
+# A ladder scan keeps the per-tail terms (sojourn law, reversed tail) of this
+# many tails it met last, so tails that alternate are built once each; more
+# would only hold memory when each site has its own tail.
+_RECENT_TAILS = 4
 
 __all__ = [
     "DiscreteDistribution",
@@ -336,6 +340,12 @@ def _draw(env: Environment, cdfs: dict, u: np.ndarray, sites) -> tuple[np.ndarra
 # exact laws
 # ---------------------------------------------------------------------------
 
+def _reversed_tail(site: TailSequence) -> np.ndarray:
+    """extended() reversed: the weights omega_{n-k} of k = k_lo..k_hi are
+    rev[k_lo + j : k_hi + j + 1] with j = rev.size - 1 - n."""
+    return site.extended()[::-1].copy()
+
+
 def hitting_time_scan(
     env: Environment,
     x_stop: int,
@@ -358,11 +368,13 @@ def hitting_time_scan(
         raise ValidationError(f"trunc_tol must lie in [0, 1), got {trunc_tol}")
     dist = DiscreteDistribution.point_mass(0)
     yield 0, dist
+    sojourn_of = lru_cache(_RECENT_TAILS)(lambda k: sojourn_pmf(env.tails[k]))
     tail = -1
     for x in range(1, x_stop + 1):
-        site = env.site(x - 1)
+        env.site(x - 1)
         if env.tail_index[x - 1] != tail:  # sites often share one tail
-            tail, sojourn = env.tail_index[x - 1], sojourn_pmf(site)
+            tail = int(env.tail_index[x - 1])
+            sojourn = sojourn_of(tail)
         dist = dist.convolve(sojourn, trunc_tol, horizon)
         if dist.deficit > deficit_budget:
             raise DeficitBudgetError(
@@ -424,13 +436,13 @@ def position_scan(
         raise ValidationError(f"n must be >= 0, got {n}")
     rows: list[float] = []
     hit: list[float] = []
+    reversed_of = lru_cache(_RECENT_TAILS)(lambda k: _reversed_tail(env.tails[k]))
     tail = -1
     for x, dist in hitting_time_scan(env, n, trunc_tol, deficit_budget, horizon=n):
         site = env.site(x)
         if env.tail_index[x] != tail:
-            # the weights omega^x_{n-k} run backwards along ext; reversed, the
-            # weights of k = k_lo..k_hi are rev[k_lo + j : k_hi + j + 1]
-            tail, rev = env.tail_index[x], site.extended()[::-1].copy()
+            tail = int(env.tail_index[x])
+            rev = reversed_of(tail)
             j = rev.size - 1 - n
         k_lo = max(dist.offset, n - site.last_index - 1)
         k_hi = min(n, dist.end)

@@ -1,10 +1,14 @@
 import json
 import os
+import stat
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from walklab import load_env_file, position_distribution
+from walklab import environment, load_env_file, position_distribution
 from walklab import cli
 from walklab.cli import main
 
@@ -255,6 +259,67 @@ def test_dynsys_refuses_before_any_write(tmp_path, geo_env_file, monkeypatch):
                "--seed", "1", "--out-hist", "hist.csv", "--out-levels", "levels.csv",
                "--out-summary", "summary.json") == 4
     assert sorted(p.name for p in outdir.iterdir()) == ["summary.json"]
+
+
+@pytest.mark.parametrize("command", ["env", "dynsys"])
+def test_failed_write_leaves_no_file(tmp_path, geo_env_file, monkeypatch, command):
+    # the second output's temporary file is half written when the disk fails
+    stage, staged = environment._stage, []
+
+    def failing_stage(path, text):
+        staged.append(path)
+        if len(staged) == 2:
+            stage(path, text[: len(text) // 2])
+            raise OSError("no space left on device")
+        stage(path, text)
+
+    monkeypatch.setattr(environment, "_stage", failing_stage)
+    outdir = tmp_path / "reports"
+    outdir.mkdir()
+    if command == "env":
+        argv = ("env", "--family", "geometric", "--r", "0.5", "--xmax", "10",
+                "--out", outdir / "g.json")
+    else:
+        argv = ("dynsys", "--env", geo_env_file, "--paths", "100", "--n", "5", "--seed", "1",
+                "--out-hist", outdir / "h.csv", "--out-levels", outdir / "l.csv",
+                "--out-summary", outdir / "s.json")
+    assert run(*argv) == 4
+    assert len(staged) == 2
+    assert list(outdir.iterdir()) == []
+    monkeypatch.setattr(environment, "_stage", stage)
+    assert run(*argv) == 0
+    assert len(list(outdir.iterdir())) == 3
+
+
+def test_single_output_replaces_through_temporary_file(tmp_path, geo_env_file):
+    out = tmp_path / "x.csv"
+    out.write_text("old\n")
+    assert run("exact", "--env", geo_env_file, "--n", "3", "--out", out, "--force") == 0
+    assert out.read_text().startswith("x,prob,deficit_bound\n")
+    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".")]
+
+
+def test_output_to_a_pipe_is_written_not_replaced(tmp_path, geo_env_file):
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_text()), daemon=True)
+    reader.start()
+    assert run("exact", "--env", geo_env_file, "--n", "3", "--out", pipe, "--force") == 0
+    reader.join(timeout=30)
+    assert received and received[0].startswith("x,prob,deficit_bound\n")
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+
+
+def test_import_loads_no_scipy():
+    # scipy alone doubled the start-up time and memory of every command
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys, walklab, walklab.cli\n"
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=60)
+    assert done.stdout.strip() == "[]"
 
 
 def test_dynsys_checks_trunc_tol_before_simulating(tmp_path, geo_env_file, monkeypatch):

@@ -232,6 +232,30 @@ def test_constant_geometric_cumulatives(geometric_env):
     np.testing.assert_array_equal(diag.M, np.ceil(n / 2.0).astype(int))
 
 
+def cumulative_moments_per_site(env, x):
+    """The earlier per-site loop, kept as an oracle."""
+    mu_x = 0.0
+    var_x = 0.0
+    for w in range(x):
+        site = env.site(w)
+        m_w = site.stored_mean()
+        mu_x += m_w
+        var_x += site.stored_second_moment() - m_w**2
+    return mu_x, var_x
+
+
+def test_cumulative_hitting_moments_match_per_site_loop():
+    model = wl.RandomEnvModel(kind="iid", family="powerlaw", seed=5, choices=(2.5, 3.0, 4.0))
+    env = wl.sample_environment(model, 300, tail_tol=1e-8).environment
+    assert len(env.tails) == 3
+    for x in [0, 1, 2, 7, 150, 301]:
+        assert wl.cumulative_hitting_moments(env, x) == cumulative_moments_per_site(env, x)
+    # a generator-backed environment is materialized as far as x needs
+    env = wl.env_from_powerlaw(3.0, 10, tail_tol=1e-8)
+    assert wl.cumulative_hitting_moments(env, 40) == cumulative_moments_per_site(env, 40)
+    assert len(env) == 40
+
+
 def test_generalized_inverse_laws(geometric_env, powerlaw_env):
     for env in (geometric_env, powerlaw_env):
         diag = wl.diagnostics(env, 3.0)

@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import walklab as wl
+from walklab import limits
 from walklab.errors import (
     HypothesisError,
     NonConvergentVarianceError,
@@ -184,6 +186,32 @@ def test_kolmogorov_distance_basics():
     assert 0.0 <= k <= 1.0
     with pytest.raises(ValidationError):
         wl.kolmogorov_distance_to_normal(d, 0.0, 0.0)
+
+
+def test_normal_cdf_against_mpmath():
+    z = np.concatenate((np.linspace(-38.0, 38.0, 761), np.linspace(-1e-3, 1e-3, 41),
+                        [-37.99, 37.99, -8.3, 8.3, -1e-17, 1e-17, -5e-324, 5e-324]))
+    phi = limits._normal_cdf(z)
+    with mpmath.workdps(40):
+        err = max(abs(mpmath.mpf(float(p)) - mpmath.ncdf(mpmath.mpf(float(v))))
+                  for p, v in zip(phi, z))
+    assert err <= 2.2e-16
+
+
+@pytest.mark.parametrize("center, scale", [(5.1, 1.3), (4.0, 0.2), (30.0, 0.8)])
+def test_kolmogorov_distance_against_mpmath(center, scale):
+    # the sup of |F - Phi| by brute force: both sides of every atom, and between
+    d = wl.DiscreteDistribution(3, np.array([0.1, 0.25, 0.3, 0.2, 0.15]))
+    with mpmath.workdps(40):
+        cdf, gaps = mpmath.mpf(0), []
+        for k, p in zip(d.support.tolist(), d.probs.tolist()):
+            for t in (k - mpmath.mpf("0.5"), k):
+                phi = mpmath.ncdf((t - mpmath.mpf(center)) / mpmath.mpf(scale))
+                gaps.append(abs(cdf - phi))
+            cdf += mpmath.mpf(p)
+            gaps.append(abs(cdf - phi))
+        expected = float(max(gaps))
+    assert abs(wl.kolmogorov_distance_to_normal(d, center, scale) - expected) <= 1e-15
 
 
 def test_clt_report_trend(geo_setup):
