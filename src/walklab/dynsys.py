@@ -22,7 +22,7 @@ import numpy as np
 
 from .environment import Environment, TailSequence
 from .errors import TailTruncationError, ValidationError
-from .streams import CHUNK, stream
+from .streams import CHUNK, Guide, stream
 
 __all__ = [
     "CellInterval",
@@ -63,12 +63,11 @@ def cell_interval(env: Environment, x: int, y: int) -> CellInterval:
     return CellInterval(x=x, y=y, lower=x + ext[y + 1], upper=x + ext[y])
 
 
-def _branch_batch(ascending: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Level indices y with omega_{y+1} <= f < omega_y, and a below-tail mask;
-    ``ascending`` is the extended tail reversed."""
-    pos = np.searchsorted(ascending, f, side="right")
-    y = ascending.size - 1 - pos
-    return y, y > ascending.size - 2
+def _branch_batch(size: int, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Level indices y with omega_{y+1} <= f < omega_y, and a below-tail mask,
+    from the ranks pos of f in the extended tail (``size`` values) reversed."""
+    y = size - 1 - pos
+    return y, y > size - 2
 
 
 def _apply_local(ext: np.ndarray, f: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -90,7 +89,7 @@ def local_map(site: TailSequence, u: float) -> float:
         raise ValidationError(f"u must lie in [0, 1), got {u}")
     f = np.array([u])
     ext = site.extended()
-    y, below = _branch_batch(ext[::-1], f)
+    y, below = _branch_batch(ext.size, np.searchsorted(ext[::-1], f, side="right"))
     if below[0]:
         raise TailTruncationError(
             f"point {u} lies below the stored tail (deficit region); "
@@ -173,11 +172,11 @@ def simulate_trajectories(
     env.ensure(cfg.horizon)
 
     dtype = np.float64 if cfg.precision == "double" else np.longdouble
-    # each tail's extended values in dtype and their ascending copy, once per call
+    # each tail's extended values in dtype and a guide over them ascending, once per call
     levels_of = {}
     for k in np.unique(env.tail_index[: cfg.horizon + 1]).tolist():
         ext = env.tails[k].extended().astype(dtype)
-        levels_of[k] = ext, ext[::-1].copy()
+        levels_of[k] = ext, Guide(ext[::-1].copy())
     sample = TrajectorySample(paths=cfg.paths, seed=cfg.seed, times=times)
     lvl_pairs: dict[int, list[np.ndarray]] = {t: [] for t in times.tolist()}
     pos: dict[int, list[np.ndarray]] = {t: [] for t in keep_at}
@@ -232,9 +231,9 @@ def _step_batch(env: Environment, levels_of: dict, u: np.ndarray, alive: np.ndar
     out = np.empty(live_idx.size, dtype=u.dtype)
     dead_local = np.zeros(live_idx.size, dtype=bool)
     for k, sel in env.tail_groups(x):
-        ext, ascending = levels_of[k]
+        ext, guide = levels_of[k]
         in_tail = np.arange(x.size)[sel]
-        y, below = _branch_batch(ascending, f[in_tail])
+        y, below = _branch_batch(ext.size, guide.rank(f[in_tail]))
         dead_local[in_tail[below]] = True
         in_tail, y = in_tail[~below], y[~below]
         out[in_tail] = x[in_tail] + _apply_local(ext, f[in_tail], y).astype(u.dtype)
@@ -250,8 +249,8 @@ def _level_states(env: Environment, levels_of: dict, u: np.ndarray) -> np.ndarra
     f = u - x
     ys = np.empty_like(x)
     for k, sel in env.tail_groups(x):
-        ext, ascending = levels_of[k]
-        y, _ = _branch_batch(ascending, f[sel])
+        ext, guide = levels_of[k]
+        y, _ = _branch_batch(ext.size, guide.rank(f[sel]))
         # below-tail points were already flagged during stepping; clamp defensively
         ys[sel] = np.minimum(y, ext.size - 2)
     return np.stack([x, ys], axis=1)

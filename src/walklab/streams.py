@@ -6,7 +6,7 @@ components or indices are independent, results are reproducible bit for bit,
 and merges stay order-free: Monte Carlo paths are partitioned into fixed
 chunks of size ``CHUNK`` and chunk ``i`` always consumes
 ``stream(seed, component, i)`` no matter how many chunks run or in what
-order.
+order.  ``Guide`` turns uniforms into inverse-CDF indices.
 """
 
 from __future__ import annotations
@@ -18,6 +18,9 @@ import numpy as np
 from .errors import ValidationError
 
 CHUNK = 1 << 14
+# below this many keys searchsorted beats the guide's fixed numpy calls
+# (crossover 512-1024 keys on 49- to 2745-value CDFs, 2-vCPU Xeon, numpy 2.4)
+_GUIDED_MIN_KEYS = 1024
 
 
 def stream(seed: int, component: str, index: int = 0) -> np.random.Generator:
@@ -27,3 +30,31 @@ def stream(seed: int, component: str, index: int = 0) -> np.random.Generator:
     digest = hashlib.blake2b(f"{component}:{index}".encode(), digest_size=8).digest()
     key = np.array([int(seed), int.from_bytes(digest, "little")], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+class Guide:
+    """Guide table (Chen & Asau 1974) over ``values``, non-decreasing in
+    [0, 1]: ``rank(keys)`` is ``np.searchsorted(values, keys, side="right")``
+    for keys in [0, 1], bit for bit.  Key u falls in bucket floor(u m) of
+    m = 2^k > 2 values.size; u m and the edges j/m are exact in float64 and
+    long double.  A bucket with no value strictly inside (j/m, (j+1)/m) stores
+    #{v < (j+1)/m}, the rank of all its keys; the others store -1, and their
+    keys (0.15-0.8% on the benchmark tails) go to searchsorted.
+    """
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        m = self._m = 2 << values.size.bit_length()
+        scaled = values * m
+        bucket = scaled.astype(np.intp)
+        inside = np.bincount(bucket[scaled != bucket], minlength=m + 1) > 0
+        self._table = np.where(inside, -1, np.cumsum(np.bincount(bucket, minlength=m + 1)))
+
+    def rank(self, keys: np.ndarray) -> np.ndarray:
+        if keys.size < _GUIDED_MIN_KEYS:
+            return self.values.searchsorted(keys, side="right")
+        ranks = self._table.take((keys * self._m).astype(np.intp))
+        ambiguous = np.flatnonzero(ranks < 0)
+        if ambiguous.size:
+            ranks.flat[ambiguous] = self.values.searchsorted(keys.flat[ambiguous], side="right")
+        return ranks

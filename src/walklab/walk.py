@@ -22,7 +22,9 @@ outputs agree in distribution and are cross-checked in the test suite.  Both
 work once per distinct tail, not per site.  The chain method hands out its
 uniforms as a site-by-site loop would, so its output for a seed is unchanged;
 the sojourn method draws blocks of sites x paths, so its output for a seed
-differs from the site-by-site draws it replaced (the law is the same).
+differs from the site-by-site draws it replaced (the law is the same).  Both
+invert CDFs through guide tables (``streams.Guide``), whose index is by
+construction the ``searchsorted`` one, so outputs for a seed are unchanged.
 """
 
 from __future__ import annotations
@@ -36,12 +38,13 @@ import numpy as np
 
 from .environment import Environment, TailSequence
 from .errors import DeficitBudgetError, ValidationError
-from .streams import CHUNK, stream
+from .streams import CHUNK, Guide, stream
 
 DEFAULT_TRUNC_TOL = 1e-14
 DEFAULT_DEFICIT_BUDGET = 1e-6
 # largest block of uniforms the sojourn simulator draws at once
 _BLOCK = 1 << 16
+_MAX_RECORD_CELLS = 50_000_000  # paths x (horizon + 1) of a full-path or hitting-times record
 # A product of at least _FFT_MIN_MACS multiply-adds, both factors at least
 # _FFT_MIN_ATOMS long, goes through the FFT when the ladder may trim.  Direct
 # time over FFT time, measured on a 2-vCPU Xeon with numpy 2.4: 1.0 at
@@ -311,28 +314,26 @@ def sample_sojourn(site: TailSequence, uniform: float) -> SojournDraw:
 
     Intervals are half-open on the right, so every uniform maps to exactly one
     n.  A uniform at or beyond 1 - deficit falls in the truncated region and
-    maps to the last representable value N+1 with ``truncated`` set.
+    maps to the last representable value N+1 with ``truncated`` set.  The
+    simulators' guide tables return this ``searchsorted`` index by construction.
     """
     if not 0.0 <= uniform < 1.0:
         raise ValidationError(f"uniform must lie in [0, 1), got {uniform}")
-    values, truncated = _invert(1.0 - site.extended(), np.array([uniform]))
-    return SojournDraw(int(values[0]), bool(truncated[0]))
+    cdf = 1.0 - site.extended()
+    n = int(cdf.searchsorted(uniform, side="right"))
+    return SojournDraw(min(n, cdf.size - 1), n > cdf.size - 1)
 
 
-def _invert(cdf: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sojourns for uniforms u against cdf = 1 - extended(), capped at N+1, and
-    the mask of draws that fell in the truncated region."""
-    idx = np.searchsorted(cdf, u, side="right")
-    return np.minimum(idx, cdf.size - 1), idx > cdf.size - 1
-
-
-def _draw(env: Environment, cdfs: dict, u: np.ndarray, sites) -> tuple[np.ndarray, np.ndarray]:
+def _draw(env: Environment, guides: dict, u: np.ndarray, sites) -> tuple[np.ndarray, np.ndarray]:
     """Sojourns for uniforms u, row i drawn at site sites[i] by inverting the
-    CDF cdfs[k] of its tail k, and the mask of truncated draws."""
+    CDF 1 - extended() of its tail k through guides[k], capped at N+1, and the
+    mask of draws that fell in the truncated region."""
     n = np.empty(u.shape, dtype=np.int64)
     over = np.empty(u.shape, dtype=bool)
     for k, rows in env.tail_groups(sites):
-        n[rows], over[rows] = _invert(cdfs[k], u[rows])
+        idx = guides[k].rank(u[rows])
+        last = guides[k].values.size - 1  # N+1
+        n[rows], over[rows] = np.minimum(idx, last), idx > last
     return n, over
 
 
@@ -547,7 +548,8 @@ def simulate_paths(
     method draws i.i.d. sojourn times by inverse CDF and accumulates their
     partial sums.  Both produce the same laws and default sensibly: full-path
     records require the chain method, hitting-times records the sojourn
-    method, and everything else uses the faster sojourn route.
+    method, and everything else uses the faster sojourn route.  Both per-path
+    records are refused above ``_MAX_RECORD_CELLS`` cells, before any site is built.
     """
     if method is None:
         method = "chain" if cfg.record == "full-path" else "sojourn"
@@ -555,11 +557,12 @@ def simulate_paths(
         raise ValidationError(f"unknown method {method!r}")
     if cfg.record == "hitting-times" and method != "sojourn":
         raise ValidationError("hitting-times records require the sojourn method")
-    if cfg.record == "full-path":
-        if method != "chain":
-            raise ValidationError("full-path records require the chain method")
-        if cfg.paths * (cfg.horizon + 1) > 50_000_000:
-            raise ValidationError("full-path record too large; lower paths or horizon")
+    if cfg.record == "full-path" and method != "chain":
+        raise ValidationError("full-path records require the chain method")
+    cells = cfg.paths * (cfg.horizon + 1)
+    if cfg.record != "endpoint-only" and cells > _MAX_RECORD_CELLS:
+        raise ValidationError(f"{cfg.record} record of {cells} cells exceeds "
+                              f"{_MAX_RECORD_CELLS}; lower paths or horizon")
     if times is not None:
         times = np.asarray(sorted(int(t) for t in times), dtype=np.int64)
         if times.size == 0 or times[0] < 0 or times[-1] > cfg.horizon:
@@ -569,10 +572,10 @@ def simulate_paths(
     # (a path visits at most one site per step, so horizon sites always suffice)
     reach = max(0, cfg.horizon - 1) if cfg.record == "hitting-times" else cfg.horizon
     env.ensure(reach)
-    # each tail's CDF, formed once per call
-    cdfs = {k: 1.0 - env.tails[k].extended()
-            for k in np.unique(env.tail_index[: reach + 1]).tolist()}
-    draw = partial(_draw, env, cdfs)
+    # each tail's CDF and its guide table, formed once per call
+    guides = {k: Guide(1.0 - env.tails[k].extended())
+              for k in np.unique(env.tail_index[: reach + 1]).tolist()}
+    draw = partial(_draw, env, guides)
 
     sample = WalkSample(method=method, record=cfg.record, paths=cfg.paths,
                         seed=cfg.seed, times=times)

@@ -4,6 +4,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -190,6 +191,27 @@ def test_mc_hitting_times_refuses_chain(tmp_path, geo_env_file, capsys):
     assert run("mc", "--env", geo_env_file, "--paths", "5", "--n", "4", "--seed", "1",
                "--record", "hitting-times", "--method", "chain", "--out", out) == 2
     assert "error: hitting-times records require the sojourn method" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("record", ["full-path", "hitting-times"])
+def test_mc_refuses_oversized_per_path_record(tmp_path, geo_env_file, capsys, record):
+    # paths x (n + 1) int64 cells per record; n lies past the 101 sites of the
+    # file, so a request the cap let through would end in the site check
+    # before allocating anything either
+    out = tmp_path / "mc.csv"
+    for paths, n in [(1_000_000, 100_000), (500, 100_000)]:
+        start = time.perf_counter()
+        assert run("mc", "--env", geo_env_file, "--paths", paths, "--n", n, "--seed", "1",
+                   "--record", record, "--out", out) == 2
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert f"error: {record} record of {paths * (n + 1)} cells exceeds 50000000" in err
+        assert not out.exists()
+    # one path fewer is under the cap and reaches the site check
+    assert run("mc", "--env", geo_env_file, "--paths", 499, "--n", 100_000, "--seed", "1",
+               "--record", record, "--out", out) == 2
+    assert "beyond the materialized range" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import walklab as wl
-from walklab import dynsys, walk
+from walklab import dynsys, streams, walk
 from walklab.streams import CHUNK
 
 
@@ -158,6 +158,11 @@ def alternating_lossy_env(sites):
     return wl.Environment([a, b] * (sites // 2) + [a] * (sites % 2))
 
 
+def powerlaw_env(sites):
+    """The beta = 3 power-law tail (2155-atom sojourns) at every site."""
+    return wl.env_from_powerlaw(3.0, sites - 1, tail_tol=1e-10)
+
+
 class WatchedEnvironment(wl.Environment):
     """Records the largest site index read or ensured."""
 
@@ -208,6 +213,35 @@ def test_grouped_trajectories_match_per_site_oracle(monkeypatch, make_env, preci
     assert_identical(grouped, per_site)
     if make_env is alternating_lossy_env:
         assert grouped.flagged > 0
+
+
+@pytest.mark.parametrize("make_env", [alternating_lossy_env, powerlaw_env])
+@pytest.mark.parametrize("method,record,times", [
+    ("sojourn", "endpoint-only", None),
+    ("sojourn", "endpoint-only", [4, 17, 30]),
+    ("sojourn", "hitting-times", None),
+    ("chain", "endpoint-only", None),
+    ("chain", "full-path", None),
+])
+def test_guide_tables_match_searchsorted(monkeypatch, make_env, method, record, times):
+    # the walks invert each tail's CDF through a guide table; with the lookup
+    # put back to plain searchsorted every output, truncated draws included,
+    # must stay the same bit for bit
+    horizon = 30
+    env = make_env(horizon + 1)
+    cfg = wl.McConfig(paths=CHUNK + 900, horizon=horizon, seed=37, record=record)
+    batches = []
+    rank = streams.Guide.rank
+    monkeypatch.setattr(streams.Guide, "rank",
+                        lambda self, keys: batches.append(keys.size) or rank(self, keys))
+    guided = wl.simulate_paths(env, cfg, method=method, times=times)
+    assert max(batches) >= streams._GUIDED_MIN_KEYS  # the tables answered
+    monkeypatch.setattr(streams.Guide, "rank",
+                        lambda self, keys: np.searchsorted(self.values, keys, side="right"))
+    plain = wl.simulate_paths(env, cfg, method=method, times=times)
+    assert_identical(guided, plain)
+    if make_env is alternating_lossy_env:
+        assert guided.truncated_draws > 0
 
 
 @pytest.mark.parametrize("method,record,sites", [
