@@ -23,6 +23,7 @@ from .environment import (
     Environment,
     LsvParams,
     _all_or_nothing,
+    _format17,
     _refuse_overwrite,
     _write_text,
     diagnostics,
@@ -67,9 +68,22 @@ def _out_path(path: str) -> str:
     return path
 
 
-def _write_csv(path: str, header: list[str], rows, force: bool) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+def _cells(column) -> list[str]:
+    """The cells of one CSV column: a float column through ``_format17``
+    (a NaN cell empty), any other through ``_fmt``."""
+    values = np.asarray(column)
+    if values.dtype.kind != "f":
+        return [_fmt(v) for v in values.tolist()]
+    cells = _format17(values).split(", ") if values.size else []
+    for j in np.flatnonzero(np.isnan(values)).tolist():
+        cells[j] = ""
+    return cells
+
+
+def _write_csv(path: str, columns: dict, force: bool) -> None:
+    """Write the columns (name -> equal-length sequence) as a CSV table."""
+    lines = [",".join(columns)]
+    lines += map(",".join, zip(*map(_cells, columns.values())))
     _write_text(_out_path(path), "\n".join(lines) + "\n", force)
 
 
@@ -158,22 +172,11 @@ def _cmd_env(args) -> int:
     diag = diagnostics(env, _beta_diag(env))
     with _all_or_nothing():
         write_env_file(env, _out_path(args.out), force=args.force)
-        _write_csv(
-            outputs[1],
-            ["x", "A", "A_prime", "K", "m", "s2", "mu", "sigma2"],
-            (
-                (int(x), diag.A[x], diag.A_prime[x], diag.K[x], diag.m[x],
-                 diag.s2[x], diag.mu[x], diag.sigma2[x])
-                for x in diag.x
-            ),
-            args.force,
-        )
-        _write_csv(
-            outputs[2],
-            ["n", "M"],
-            ((n, int(diag.M[n])) for n in range(diag.M.size)),
-            args.force,
-        )
+        _write_csv(outputs[1], {
+            "x": diag.x, "A": diag.A, "A_prime": diag.A_prime, "K": diag.K, "m": diag.m,
+            "s2": diag.s2, "mu": diag.mu[:-1], "sigma2": diag.sigma2[:-1],
+        }, args.force)
+        _write_csv(outputs[2], {"n": np.arange(diag.M.size), "M": diag.M}, args.force)
     print(f"env: {len(env)} sites -> {args.out}")
     return 0
 
@@ -209,12 +212,10 @@ def _limit_params(env: Environment, args) -> LimitParams:
 def _cmd_exact(args) -> int:
     env = load_env_file(args.env)
     dist = position_distribution(env, args.n, args.trunc_tol)
-    _write_csv(
-        args.out,
-        ["x", "prob", "deficit_bound"],
-        ((int(x), dist.probs[i], dist.deficit) for i, x in enumerate(dist.support)),
-        args.force,
-    )
+    _write_csv(args.out, {
+        "x": dist.support, "prob": dist.probs,
+        "deficit_bound": np.full(dist.support.size, dist.deficit),
+    }, args.force)
     print(f"exact: law of X_{args.n} -> {args.out}")
     return 0
 
@@ -225,22 +226,21 @@ def _cmd_mc(args) -> int:
     sample = simulate_paths(env, cfg, method=args.method)
     if args.record == "endpoint-only":
         counts = sample.endpoint_counts()
-        rows = ((x, int(c), args.paths) for x, c in enumerate(counts) if c)
-        _write_csv(args.out, ["x", "count", "paths"], rows, args.force)
+        x = np.flatnonzero(counts)
+        _write_csv(args.out, {"x": x, "count": counts[x], "paths": np.full(x.size, args.paths)},
+                   args.force)
     elif args.record == "full-path":
-        rows = (
-            (p, t, int(sample.full_x[p, t]), int(sample.full_y[p, t]))
-            for p in range(args.paths)
-            for t in range(args.n + 1)
-        )
-        _write_csv(args.out, ["path", "n", "x", "y"], rows, args.force)
+        steps = args.n + 1
+        _write_csv(args.out, {
+            "path": np.repeat(np.arange(args.paths), steps), "n": np.tile(np.arange(steps), args.paths),
+            "x": sample.full_x.ravel(), "y": sample.full_y.ravel(),
+        }, args.force)
     else:
-        rows = (
-            (p, x, int(sample.hitting[p, x]))
-            for p in range(args.paths)
-            for x in range(sample.hitting.shape[1])
-        )
-        _write_csv(args.out, ["path", "x", "T"], rows, args.force)
+        sites = sample.hitting.shape[1]
+        _write_csv(args.out, {
+            "path": np.repeat(np.arange(args.paths), sites), "x": np.tile(np.arange(sites), args.paths),
+            "T": sample.hitting.ravel(),
+        }, args.force)
     print(f"mc: {args.paths} paths, record={args.record} -> {args.out}")
     return 0
 
@@ -255,16 +255,16 @@ def _cmd_dynsys(args) -> int:
     exact = {t: position_distribution(env, t, args.trunc_tol)
              for t in sorted(set(times)) if 0 <= t <= args.n}
     sample = simulate_trajectories(env, cfg, times=times, levels=True)
-    hist_rows = []
-    level_rows = []
+    # one 2-D block per time, its rows the CSV columns
+    hist = [np.empty((4, 0), dtype=np.int64)]
+    levels = [np.empty((5, 0), dtype=np.int64)]
     summary = []
     for t in sorted(sample.cell_counts):
         counts = sample.cell_counts[t]
-        hist_rows += [(t, x, int(c), args.paths) for x, c in enumerate(counts) if c]
+        x = np.flatnonzero(counts)
+        hist.append(np.stack([np.full(x.size, t), x, counts[x], np.full(x.size, args.paths)]))
         xs, ys, cs = sample.level_counts[t]
-        level_rows += [
-            (t, int(x), int(y), int(c), args.paths) for x, y, c in zip(xs, ys, cs)
-        ]
+        levels.append(np.stack([np.full(len(xs), t), xs, ys, cs, np.full(len(xs), args.paths)]))
         contributing = sample.contributing[t]
         summary.append({
             "n": t,
@@ -273,8 +273,10 @@ def _cmd_dynsys(args) -> int:
             "tolerance": mc_tv_tolerance(max(t, 1), contributing),
         })
     with _all_or_nothing():
-        _write_csv(args.out_hist, ["n", "x", "count", "paths"], hist_rows, args.force)
-        _write_csv(args.out_levels, ["n", "x", "y", "count", "paths"], level_rows, args.force)
+        _write_csv(args.out_hist, dict(zip(["n", "x", "count", "paths"],
+                                           np.concatenate(hist, axis=1))), args.force)
+        _write_csv(args.out_levels, dict(zip(["n", "x", "y", "count", "paths"],
+                                             np.concatenate(levels, axis=1))), args.force)
         _write_json(args.out_summary, {
             "paths": args.paths, "seed": args.seed,
             "flagged_paths": sample.flagged, "rows": summary,
@@ -300,15 +302,8 @@ def _cmd_clt(args) -> int:
     env = load_env_file(args.env)
     params = _limit_params(env, args)
     rep = clt_report(env, params, _parse_list(args.n_grid, int), trunc_tol=args.trunc_tol)
-    _write_csv(
-        args.out,
-        ["n", "kolmogorov_X", "x", "kolmogorov_T"],
-        (
-            (int(rep.n[i]), rep.dist_position[i], int(rep.hitting_x[i]), rep.dist_hitting[i])
-            for i in range(rep.n.size)
-        ),
-        args.force,
-    )
+    _write_csv(args.out, {"n": rep.n, "kolmogorov_X": rep.dist_position,
+                          "x": rep.hitting_x, "kolmogorov_T": rep.dist_hitting}, args.force)
     print(f"clt: grid {args.n_grid} -> {args.out}")
     return 0
 
@@ -320,15 +315,8 @@ def _cmd_slln(args) -> int:
     cfg = McConfig(paths=args.paths, horizon=args.horizon, seed=args.seed)
     sample = simulate_paths(env, cfg, method="sojourn", times=times)
     rep = slln_report(env, params, sample, tol=args.tol)
-    _write_csv(
-        args.out,
-        ["n", "mean_ratio", "frac_within"],
-        (
-            (int(rep.times[i]), rep.mean_ratio[i], rep.frac_within[i])
-            for i in range(rep.times.size)
-        ),
-        args.force,
-    )
+    _write_csv(args.out, {"n": rep.times, "mean_ratio": rep.mean_ratio,
+                          "frac_within": rep.frac_within}, args.force)
     print(
         f"slln: speed={rep.speed:.6g} final_frac_within={rep.final_frac_within:.4f} "
         f"-> {args.out}"

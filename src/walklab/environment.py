@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import fractions
+import functools
 import json
 import math
 import os
@@ -238,37 +240,93 @@ class LsvParams:
 
 
 def _invert_branch(
-    params: LsvParams,
-    target: float,
-    hi: float,
+    params,
+    target,
+    hi,
     rel_tol: float,
     max_iter: int = 200,
-) -> float:
-    """Solve branch(y) = target for y in (0, hi] by Newton's method from hi.
+) -> np.ndarray:
+    """Solve branch(y) = target for y in (0, hi] by Newton's method from hi,
+    elementwise: ``params`` is an LsvParams or carries ``alpha`` and ``kappa``
+    arrays that broadcast with ``target`` and ``hi``.  Returns a 1-D array.
 
     The branch is strictly increasing and convex, so from branch(hi) >= target
     the Newton iterates decrease monotonically onto the root and need no
-    bracketing safeguard.  The iteration stops at the first step of at most
-    rel_tol * y, taking that step when it is positive; the iteration cap only
-    guards pathological tolerances.
+    bracketing safeguard.  Each element stops at its first step of at most
+    rel_tol * y, taking that step when it is positive, and leaves the
+    iteration, so its root does not depend on the other elements.  The
+    iteration cap only guards pathological tolerances.
     """
-    kappa, alpha = params.kappa, params.alpha
-    slope = kappa * (alpha + 1.0)
-    y = hi
+    y, target, kappa, alpha = np.broadcast_arrays(
+        *(np.array(v, dtype=np.float64, ndmin=1) for v in (hi, target, params.kappa, params.alpha)))
+    power = alpha + 1.0
+    slope = kappa * power
     # branch(y) - target, with y - target exact near the root
-    excess = (y - target) + kappa * y ** (alpha + 1.0)
-    if excess < 0.0:
-        raise RootFindError(f"no root in (0, {hi}]: branch({hi}) < {target}")
+    excess = (y - target) + kappa * y ** power
+    if np.any(excess < 0.0):
+        raise RootFindError("no root in (0, hi]: branch(hi) < target")
+    root = np.empty(y.size)
+    lanes = np.arange(y.size)
     for _ in range(max_iter):
         step = excess / (1.0 + slope * y ** alpha)
-        if step <= rel_tol * y:
-            return y - step if step > 0.0 else y
-        y -= step
-        excess = (y - target) + kappa * y ** (alpha + 1.0)
+        done = step <= rel_tol * y
+        if done.any():
+            root[lanes[done]] = (y - np.maximum(step, 0.0))[done]
+            if done.all():
+                return root
+            keep = ~done
+            lanes, y, step, target, kappa, alpha, power, slope = (
+                v[keep] for v in (lanes, y, step, target, kappa, alpha, power, slope))
+        y = y - step
+        excess = (y - target) + kappa * y ** power
     raise RootFindError(
         f"Newton's method did not reach relative tolerance {rel_tol} "
         f"within {max_iter} iterations"
     )
+
+
+@dataclass(frozen=True)
+class _Branches:
+    """The slow branches of many parameter values, as arrays."""
+
+    alpha: np.ndarray
+    kappa: np.ndarray
+
+    def __getitem__(self, keep) -> "_Branches":
+        return _Branches(self.alpha[keep], self.kappa[keep])
+
+
+def _lsv_tails(params: Sequence[LsvParams], n_cap: int, tail_tol: float) -> list[TailSequence]:
+    """The tails of ``lsv_tail_sequence`` for many parameter values, their
+    backward orbits stepped together as arrays; callers check n_cap and
+    tail_tol.
+
+    Every orbit takes one Newton solve per step, and an orbit leaves the
+    batch at its own stop (tail_tol or n_cap) with its deficit solved.  An
+    orbit's values do not depend on the batch it is stepped in.
+    """
+    branches = _Branches(np.array([p.alpha for p in params]), np.array([p.kappa for p in params]))
+    lanes = np.arange(len(params))
+    y = np.array([p.c for p in params])
+    steps = [(lanes, y)]  # orbit values c_1, c_2, ... of the live lanes, step by step
+    size = np.empty(len(params), dtype=np.intp)  # N + 2 for 1, c_1..c_N, deficit
+    k = 1  # every live orbit holds c_1..c_k
+    while lanes.size:
+        stop = (y <= tail_tol) | (k >= n_cap)  # the next value is the deficit
+        y = _invert_branch(branches, y, y, _ORBIT_REL_TOL)
+        steps.append((lanes, y))
+        if stop.any():
+            size[lanes[stop]] = k + 2
+            branches, lanes, y = branches[~stop], lanes[~stop], y[~stop]
+        k += 1
+    start = np.concatenate(([0], np.cumsum(size)[:-1]))
+    flat = np.ones(size.sum())
+    for t, (live, values) in enumerate(steps):
+        flat[start[live] + 1 + t] = values
+    return [
+        TailSequence(flat[a : a + m - 1], deficit=flat[a + m - 1], cap_reached=flat[a + m - 2] > tail_tol)
+        for a, m in zip(start.tolist(), size.tolist())
+    ]
 
 
 def lsv_cn_sequence(params: LsvParams, count: int) -> np.ndarray:
@@ -278,11 +336,7 @@ def lsv_cn_sequence(params: LsvParams, count: int) -> np.ndarray:
     """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
-    out = np.empty(count, dtype=np.float64)
-    out[0] = params.c
-    for i in range(1, count):
-        out[i] = _invert_branch(params, out[i - 1], out[i - 1], _ORBIT_REL_TOL)
-    return out
+    return _lsv_tails([params], count, 0.0)[0].values[1:].copy()
 
 
 def lsv_tail_sequence(
@@ -290,17 +344,14 @@ def lsv_tail_sequence(
     n_cap: int = DEFAULT_N_CAP,
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> TailSequence:
-    """Tail omega_n = c_n (with c_0 = 1); deficit is the next preimage c_{N+1}."""
+    """Tail omega_n = c_n (with c_0 = 1); deficit is the next preimage c_{N+1}.
+
+    The orbit is stepped by ``_lsv_tails``, the routine that builds the tails
+    of a quenched environment together, so this tail equals, bit for bit,
+    the same parameter's tail built inside a batch.
+    """
     _check_truncation(n_cap, tail_tol)
-    values = [1.0, params.c]
-    while values[-1] > tail_tol and len(values) - 1 < n_cap:
-        values.append(_invert_branch(params, values[-1], values[-1], _ORBIT_REL_TOL))
-    deficit = _invert_branch(params, values[-1], values[-1], _ORBIT_REL_TOL)
-    return TailSequence(
-        np.array(values),
-        deficit=deficit,
-        cap_reached=values[-1] > tail_tol,
-    )
+    return _lsv_tails([params], n_cap, tail_tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +410,23 @@ class Environment:
 
     def tail_groups(self, sites):
         """Yield (k, sel) for each distinct tail k of the materialized ``sites``
-        (an index array or a slice): sites[sel] are those with tail k, and
-        sel is slice(None) when all of them share one tail."""
+        (an index array or a slice), in ascending k: sites[sel] are those with
+        tail k, sel ascending, and sel is slice(None) when all of them share
+        one tail."""
+        if len(self.tails) == 1:
+            yield 0, slice(None)
+            return
         of = self.tail_index[sites]
-        keys = np.unique(of).tolist() if len(self.tails) > 1 else [0]
-        for k in keys:
-            yield k, (slice(None) if len(keys) == 1 else np.flatnonzero(of == k))
+        # one stable sort gives every group, each in ascending site order;
+        # numpy sorts keys of up to 16 bits by radix
+        order = np.argsort(of.astype(np.min_scalar_type(len(self.tails) - 1)), kind="stable")
+        keys = of[order]
+        cuts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+        if not cuts.size:
+            if keys.size:
+                yield int(keys[0]), slice(None)
+            return
+        yield from zip(keys[np.append(0, cuts)].tolist(), np.split(order, cuts))
 
     def ensure(self, x_max: int) -> None:
         """Materialize sites through ``x_max`` using the factory."""
@@ -626,30 +688,187 @@ def window_fluctuation(env: Environment, x: int, u: float, mu: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# float printing
+# ---------------------------------------------------------------------------
+
+# values printed per block: the printer's temporaries take ~460 bytes a
+# value, most of it the index array np.compress builds
+_PRINT_BLOCK = 1 << 13
+# decimal exponents printed without ``format``; 10**(16 - e) and its split
+# halves stay normal and finite over this range
+_FAST_EXP = 290
+# layout kinds: %g prints exponents -4..16 in fixed point (kinds 0..20),
+# others as d.ddde+xx (kind 21) or d.ddde+xxx (kind 22)
+_KINDS = 23
+# One row holds every byte any layout can print: the sign, "0.000", the 17
+# digits with a "." slot after each of the first 16, "e", the exponent's sign
+# and 3 digits, ", ".  A layout is a mask over it.
+_ROW = np.frombuffer(b"-0.000" + b"0." * 16 + b"0e+000, ", dtype=np.uint8)
+_DIGIT = 6  # column of the first digit; digit j (from 1) sits at 4 + 2j
+_WIDTH = 26  # bytes of the longest value, "-2.2250738585072014e-308", and ", "
+
+
+@functools.cache
+def _print_tables():
+    """The printer's tables, built on first use.
+
+    For each exponent e in [-_FAST_EXP, _FAST_EXP]: 10**(16 - e) as the
+    unevaluated sum hi + lo, each correctly rounded, with hi split into two
+    halves of 26 bits for Dekker's exact product.  The 4-digit ASCII table,
+    one uint32 per entry.  For each (sign, layout kind, significant digits)
+    the mask of ``_ROW`` columns printed, and its count.
+    """
+    hi, hi1, hi2, lo = (np.empty(2 * _FAST_EXP + 1) for _ in range(4))
+    for i, e in enumerate(range(-_FAST_EXP, _FAST_EXP + 1)):
+        exact = fractions.Fraction(10) ** (16 - e)
+        hi[i] = float(exact)
+        lo[i] = float(exact - fractions.Fraction(hi[i]))
+        mant, scale = math.frexp(hi[i])
+        split = mant * 134217729.0  # 2**27 + 1
+        head = split - (split - mant)
+        hi1[i], hi2[i] = math.ldexp(head, scale), math.ldexp(mant - head, scale)
+    digits4 = np.frombuffer("".join(map("{:04d}".format, range(10000))).encode(),
+                            dtype=np.uint32)
+    masks = np.zeros((2, _KINDS, 17, _ROW.size), dtype=bool)
+    digit = _DIGIT + 2 * np.arange(17)  # digit j + 1 is at digit[j]
+    for neg in range(2):
+        for kind in range(_KINDS):
+            for sig in range(1, 18):
+                mask = masks[neg, kind, sig - 1]
+                mask[0] = neg
+                mask[-2:] = True
+                x = kind - 4
+                if kind < 4:  # 0.0001234 for x in -4..-1
+                    mask[1 : 2 - x] = True
+                    mask[digit[:sig]] = True
+                elif kind <= 20:  # 1234.5678 for x in 0..16
+                    mask[digit[: max(sig, x + 1)]] = True
+                    mask[digit[x] + 1] = sig > x + 1
+                else:  # 1.2345e-05 or 1.2345e-100
+                    mask[digit[:sig]] = True
+                    mask[digit[0] + 1] = sig > 1
+                    mask[[-7, -6, -4, -3]] = True  # e, sign, 2 digits
+                    mask[-5] = kind == 22
+    return hi, hi1, hi2, lo, digits4, masks.reshape(-1, _ROW.size), masks.sum(axis=-1).ravel()
+
+
+def _print_block(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the ASCII bytes of format(x, ".17g") + ", " for each x of ``v``,
+    back to back, to the start of ``out``; return each value's byte count.
+
+    A finite nonzero |x| with decimal exponent e, |e| <= _FAST_EXP, is scaled
+    to s = |x| * 10**(16 - e) in double-double arithmetic (Dekker, Numer.
+    Math. 1971), accurate to ~1e-14 absolute, and rounded to the 17-digit
+    integer n.  ``format`` prints every value whose s has a fraction within
+    1e-9 of 1/2 (format rounds ties to even), whose floor lies outside
+    [10**16, 10**17) (e misjudged) or which rounds up to 10**17 (the exponent
+    moves), and every value outside that range other than +-0.
+    """
+    hi, hi1, hi2, lo, digits4, masks, counts = _print_tables()
+    a = np.abs(v)
+    zero = a == 0.0
+    fast = (a >= 10.0 ** -_FAST_EXP) & (a < 10.0 ** _FAST_EXP)
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    i = e + _FAST_EXP
+    p = a * hi[i]
+    split = a * 134217729.0
+    a1 = split - (split - a)
+    a2 = a - a1
+    # a * hi = p + err exactly, so s = p + tail to ~1e-14
+    err = ((a1 * hi1[i] - p) + a1 * hi2[i] + a2 * hi1[i]) + a2 * hi2[i]
+    whole = p.astype(np.int64)
+    tail = (p - whole) + (err + a * lo[i])
+    step = np.floor(tail)
+    frac = tail - step
+    floor = whole + step.astype(np.int64)
+    n = floor + (frac > 0.5)
+    ok = fast & (floor >= 10**16) & (n < 10**17) & (np.abs(frac - 0.5) > 1e-9)
+    n[~ok] = 0
+
+    rows = np.empty((v.size, _ROW.size), dtype=np.uint8)
+    rows[:] = _ROW
+    lead, rest = np.divmod(n, 10**16)
+    rows[:, _DIGIT] += lead.astype(np.uint8)
+    high, low = np.divmod(rest, 10**8)
+    for j, part in enumerate((high // 10**4, high % 10**4, low // 10**4, low % 10**4)):
+        start = _DIGIT + 2 + 8 * j
+        rows[:, start : start + 8 : 2] = digits4[part].view(np.uint8).reshape(-1, 4)
+    rows[e < 0, -6] = ord("-")
+    rows[:, -5:-2] = digits4[np.abs(e)].view(np.uint8).reshape(-1, 4)[:, 1:]
+    # significant digits: 17 less the trailing zeros; a zero prints one
+    sig = 17 - np.argmax(rows[:, _DIGIT + 32 : _DIGIT - 1 : -2] != ord("0"), axis=1)
+    sig[zero] = 1
+    kind = np.where((e >= -4) & (e <= 16), e + 4, np.where(np.abs(e) < 100, _KINDS - 2, _KINDS - 1))
+    layout = (np.signbit(v) * _KINDS + kind) * 17 + sig - 1
+    keep = masks[layout]
+    count = counts[layout]
+    for j in np.flatnonzero(~(ok | zero)).tolist():
+        text = np.frombuffer((format(v[j], ".17g") + ", ").encode(), dtype=np.uint8)
+        rows[j, : text.size] = text
+        keep[j] = np.arange(_ROW.size) < text.size
+        count[j] = text.size
+    np.compress(keep.ravel(), rows.ravel(), out=out[: count.sum()])
+    return count
+
+
+def _print(values) -> tuple[memoryview, np.ndarray]:
+    """The ASCII bytes of format(x, ".17g") + ", " for every x of ``values``,
+    back to back, and the offset of each value's bytes (then the total).
+
+    The bytes go to one buffer sized for the longest value, allocated before
+    any block is printed, so a long stream is one allocation that is handed
+    back whole when it is freed, not a trail of pieces among the printer's
+    temporaries.
+    """
+    values = np.asarray(values, dtype=np.float64).ravel()
+    out = np.empty(values.size * _WIDTH, dtype=np.uint8)
+    offsets = np.zeros(values.size + 1, dtype=np.intp)
+    for b in range(0, values.size, _PRINT_BLOCK):
+        count = _print_block(values[b : b + _PRINT_BLOCK], out[offsets[b] :])
+        offsets[b + 1 : b + 1 + count.size] = offsets[b] + np.cumsum(count)
+    return memoryview(out)[: offsets[-1]], offsets
+
+
+def _format17(values) -> str:
+    """", ".join(format(x, ".17g") for x in values), byte for byte, at numpy speed."""
+    stream, _ = _print(values)
+    return str(stream[:-2], "ascii")
+
+
+# ---------------------------------------------------------------------------
 # file format
 # ---------------------------------------------------------------------------
 
 def env_json_text(env: Environment) -> str:
     """Serialize to the environment file schema with full-precision decimals.
 
-    A site holding the same tail object as an earlier site is written as that
+    Every omega and deficit is written as format(x, ".17g"), which reads back
+    to the same float64: the distinct tails are printed by ``_print`` as one
+    stream, and each tail's omega and deficit are sliced out of it.  A site
+    holding the same tail object as an earlier site is written as that
     earlier site's index, so a shared tail is printed once.
     """
+    arrays = [a for tail in env.tails for a in (tail.values, [tail.deficit])]
+    stream, offsets = _print(np.concatenate(arrays))
+    bounds = offsets[np.cumsum([0] + [len(a) for a in arrays])].tolist()
+    # each array's values, without the ", " after its last one
+    printed = iter([stream[a : b - 2] for a, b in zip(bounds[:-1], bounds[1:])])
     # one join over every piece, so the text is copied once
-    pieces = ['{"model": ' + json.dumps(env.model, sort_keys=True) + ', "sites": [\n']
+    pieces = [('{"model": ' + json.dumps(env.model, sort_keys=True) + ', "sites": [\n').encode()]
     # tails are numbered in order of first appearance, so first[k] is tail k's first site
     _, first = np.unique(env.tail_index, return_index=True)
     for x, k in enumerate(env.tail_index.tolist()):
         if x:
-            pieces.append(",\n")
+            pieces.append(b",\n")
         if first[k] < x:
-            pieces.append(str(first[k]))
-            continue
-        site = env.tails[k]
-        omegas = ", ".join(format(v, ".17g") for v in site.values.tolist())
-        pieces.append('{"omega": [' + omegas + '], "deficit": ' + format(site.deficit, ".17g") + "}")
-    pieces.append("\n]}\n")
-    return "".join(pieces)
+            pieces.append(b"%d" % first[k])
+        else:
+            pieces += [b'{"omega": [', next(printed), b'], "deficit": ', next(printed), b"}"]
+    pieces.append(b"\n]}\n")
+    text = b"".join(pieces)
+    del pieces, printed, stream  # the stream's buffer goes before the text is decoded
+    return text.decode("ascii")
 
 
 def _refuse_overwrite(paths, force: bool) -> None:

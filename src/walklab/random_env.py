@@ -27,6 +27,8 @@ from .environment import (
     Environment,
     EnvDiagnostics,
     LsvParams,
+    _check_truncation,
+    _lsv_tails,
     diagnostics,
     geometric_tail_sequence,
     lsv_tail_sequence,
@@ -223,10 +225,10 @@ class QuenchedSample:
     seed: int
 
 
-def _site_builder(model: RandomEnvModel, n_cap: int, tail_tol: float):
+def _site_builder(model: RandomEnvModel, n_cap: int, tail_tol: float, tails: dict):
     """Tail of one parameter value, built once per distinct value, so sites
-    with equal parameters share one tail object."""
-    tails: dict = {}
+    with equal parameters share one tail object; ``tails`` holds those built
+    so far."""
 
     def builder(theta):
         if theta not in tails:
@@ -250,14 +252,22 @@ def sample_environment(
 ) -> QuenchedSample:
     """Materialize sites 0..x_max from the model; bit-reproducible in the seed.
 
-    The returned environment keeps a factory, so later extension reproduces
-    exactly what a larger ``x_max`` would have produced.
+    The lsv tails of sites 0..x_max are built together, one orbit per
+    distinct parameter (``environment._lsv_tails``).  The returned
+    environment keeps a factory, so later extension reproduces exactly what a
+    larger ``x_max`` would have produced.
     """
     if x_max < 0:
         raise ValidationError(f"x_max must be >= 0, got {x_max}")
-    builder = _site_builder(model, n_cap, tail_tol)
+    _check_truncation(n_cap, tail_tol)
     parameter = partial(model.site_parameter, _cache={})  # one cache for the sites and the factory
     trace = np.array([parameter(x) for x in range(x_max + 1)])
+    tails: dict = {}
+    if model.family == "lsv":
+        distinct = list(dict.fromkeys(trace.tolist()))
+        params = [LsvParams.from_alpha_c(theta, model.lsv_c) for theta in distinct]
+        tails.update(zip(distinct, _lsv_tails(params, n_cap, tail_tol)))
+    builder = _site_builder(model, n_cap, tail_tol, tails)
     sites = [builder(theta) for theta in trace]
     descriptor = {
         "family": model.family,

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import walklab as wl
 from walklab.errors import ValidationError
@@ -464,3 +466,32 @@ def test_env_file_malformed_back_reference(tmp_path, reference, capsys):
     assert main(["exact", "--env", str(path), "--n", "3", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def per_key_tail_groups(env, sites):
+    """The per-key scan tail_groups replaced, kept as the reference."""
+    of = env.tail_index[sites]
+    keys = np.unique(of).tolist() if len(env.tails) > 1 else [0]
+    for k in keys:
+        yield k, (slice(None) if len(keys) == 1 else np.flatnonzero(of == k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=40), st.data())
+def test_tail_groups_match_per_key_scan(keys, data):
+    tails = [wl.TailSequence([1.0, 0.5 ** (k + 1)], deficit=0.0) for k in range(max(keys) + 1)]
+    env = wl.Environment([tails[k] for k in keys])
+    n = len(env)
+    sites = data.draw(st.one_of(
+        st.lists(st.integers(0, n - 1), max_size=60).map(lambda s: np.array(s, dtype=np.int64)),
+        st.builds(slice, st.integers(0, n), st.integers(0, n)),
+    ))
+    got = list(env.tail_groups(sites))
+    want = list(per_key_tail_groups(env, sites))
+    assert [k for k, _ in got] == [k for k, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        if isinstance(b, slice):
+            assert a == b
+        else:
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
