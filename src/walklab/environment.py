@@ -54,6 +54,7 @@ DEFAULT_N_CAP = 100_000
 DEFAULT_TAIL_TOL = 1e-12
 # relative Newton step tolerance of each backward-orbit preimage
 _ORBIT_REL_TOL = 1e-13
+_WRITE_SLICE = 1 << 20  # characters an output file is written in at a time
 
 __all__ = [
     "DEFAULT_N_CAP",
@@ -285,17 +286,6 @@ def _invert_branch(
     )
 
 
-@dataclass(frozen=True)
-class _Branches:
-    """The slow branches of many parameter values, as arrays."""
-
-    alpha: np.ndarray
-    kappa: np.ndarray
-
-    def __getitem__(self, keep) -> "_Branches":
-        return _Branches(self.alpha[keep], self.kappa[keep])
-
-
 def _lsv_tails(params: Sequence[LsvParams], n_cap: int, tail_tol: float) -> list[TailSequence]:
     """The tails of ``lsv_tail_sequence`` for many parameter values, their
     backward orbits stepped together as arrays; callers check n_cap and
@@ -305,7 +295,10 @@ def _lsv_tails(params: Sequence[LsvParams], n_cap: int, tail_tol: float) -> list
     batch at its own stop (tail_tol or n_cap) with its deficit solved.  An
     orbit's values do not depend on the batch it is stepped in.
     """
-    branches = _Branches(np.array([p.alpha for p in params]), np.array([p.kappa for p in params]))
+    if len(params) == 1:
+        return [_lone_orbit(params[0], n_cap, tail_tol)]
+    # the slow branches as records with alpha and kappa fields
+    branches = np.rec.fromrecords([(p.alpha, p.kappa) for p in params], names="alpha,kappa")
     lanes = np.arange(len(params))
     y = np.array([p.c for p in params])
     steps = [(lanes, y)]  # orbit values c_1, c_2, ... of the live lanes, step by step
@@ -327,6 +320,33 @@ def _lsv_tails(params: Sequence[LsvParams], n_cap: int, tail_tol: float) -> list
         TailSequence(flat[a : a + m - 1], deficit=flat[a + m - 1], cap_reached=flat[a + m - 2] > tail_tol)
         for a, m in zip(start.tolist(), size.tolist())
     ]
+
+
+def _lone_orbit(params: LsvParams, n_cap: int, tail_tol: float,
+                max_iter: int = 200) -> TailSequence:
+    """``_lsv_tails`` of one parameter, step for step on Python floats.  Both
+    powers of an iterate come from one numpy array pow, whose bits are the
+    batch's (Python's ``**`` differs from it in the last bit now and then)."""
+    kappa, slope = params.kappa, params.kappa * (params.alpha + 1.0)
+    exponents, powers = np.array([params.alpha, params.alpha + 1.0]), np.empty(2)
+    y = params.c
+    values = [1.0, y]  # 1, c_1, ..., c_k
+    while True:
+        stop = y <= tail_tol or len(values) > n_cap  # the next value is the deficit
+        target = y
+        for _ in range(max_iter):
+            y_alpha, y_power = np.power(y, exponents, powers).tolist()
+            step = ((y - target) + kappa * y_power) / (1.0 + slope * y_alpha)
+            if step <= _ORBIT_REL_TOL * y:
+                break
+            y -= step
+        else:
+            raise RootFindError(f"Newton's method did not reach relative tolerance "
+                                f"{_ORBIT_REL_TOL} within {max_iter} iterations")
+        y -= max(step, 0.0)
+        if stop:
+            return TailSequence(np.array(values), deficit=y, cap_reached=values[-1] > tail_tol)
+        values.append(y)
 
 
 def lsv_cn_sequence(params: LsvParams, count: int) -> np.ndarray:
@@ -909,17 +929,18 @@ def _all_or_nothing():
 
 def _stage(path: str, text: str) -> None:
     """Write text to a new temporary file in path's directory, as a member
-    of the open output set."""
+    of the open output set.  The text goes out in slices of _WRITE_SLICE
+    characters, so the encoded copy a write makes stays that small."""
     if os.path.exists(path) and not os.path.isfile(path):
         # a device or pipe such as /dev/stdout is written to, never replaced
-        with open(path, "w") as fh:
-            fh.write(text)
-        return
-    head, name = os.path.split(path)
-    tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
-    _staged.get().append((tmp, path))
-    with open(tmp, "x") as fh:
-        fh.write(text)
+        target, mode = path, "w"
+    else:
+        head, name = os.path.split(path)
+        target, mode = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp"), "x"
+        _staged.get().append((target, path))
+    with open(target, mode) as fh:
+        for start in range(0, len(text), _WRITE_SLICE):
+            fh.write(text[start : start + _WRITE_SLICE])
 
 
 def _write_text(path: str, text: str, force: bool) -> None:

@@ -6,13 +6,11 @@ horizontal coordinate X_n is therefore a renewal-style walk whose sojourn at
 site x has pmf omega_{n-1} - omega_n, and the first-passage time of site x is
 the convolution of the sojourns at sites 0..x-1.
 
-Exact computations convolve pmfs with contiguous upper-tail trimming into an
-explicit deficit.  Products are formed directly, except that a ladder allowed
-to trim (``trunc_tol > 0``) forms large products by FFT: every FFT atom is
-lowered by a rigorous roundoff bound, so it is a certified lower bound, never
-negative, and the mass this removes is booked in the deficit.  With
-``trunc_tol = 0`` every product is direct and loss-free.  Position laws at time
-n come from
+Exact computations convolve pmfs one raw ladder step at a time (``_step``).
+A ladder allowed to trim (``trunc_tol > 0``) books in an explicit deficit its
+trimmed upper tails, its floored lower tails and the roundoff bound of its FFT
+products (see ``DiscreteDistribution.convolve``); with ``trunc_tol = 0`` every
+product is direct and loss-free.  Position laws at time n come from
 
     P(X_n = x) = sum_k P(T_x = k) * omega^x_{n-k},
 
@@ -61,6 +59,9 @@ _FFT_MIN_ATOMS = 500
 _FFT_C = 8.0
 _U = 2.0**-53
 _TINY = float(np.finfo(np.float64).tiny)
+# A trimming ladder moves a law's leading atoms below 2^-958 (2^64 x the smallest
+# normal) to its deficit, so their products with sojourn atoms >= 2^-64 stay normal.
+_FLOOR = 2.0**-958
 # A ladder scan keeps the per-tail terms (sojourn law, reversed tail) of this
 # many tails it met last, so tails that alternate are built once each; more
 # would only hold memory when each site has its own tail.
@@ -93,12 +94,12 @@ class DiscreteDistribution:
     """Pmf on a contiguous block of integers plus two kinds of missing mass.
 
     ``beyond`` is exact mass known to lie above the horizon the block was
-    clipped to; ``deficit`` bounds mass lost to truncation or to the roundoff
-    bound of FFT steps, whose position is unknown.  The stored block is
-    canonical: leading and trailing exact zeros are stripped (shifting
-    ``offset``), every stored atom is non-negative, and mass + beyond +
-    deficit stays within 1e-9 of one.  A law whose whole mass lies beyond its
-    horizon stores one zero atom.
+    clipped to; ``deficit`` bounds mass lost to truncation, the underflow
+    floor or the roundoff bound of FFT steps, whose position is unknown.
+    The stored block is canonical: leading and trailing exact zeros are
+    stripped (shifting ``offset``), every stored atom is non-negative, and
+    mass + beyond + deficit stays within 1e-9 of one.  A law whose whole
+    mass lies beyond its horizon stores one zero atom.
     """
 
     offset: int
@@ -115,31 +116,27 @@ class DiscreteDistribution:
         beyond = float(self.beyond)
         if beyond < 0.0:
             raise ValidationError(f"beyond must be non-negative, got {beyond}")
-        first, last = 0, arr.size - 1
-        if arr[first] == 0.0 or arr[last] == 0.0:  # an end to strip
-            nz = np.flatnonzero(arr)
-            if nz.size == 0:
-                if beyond == 0.0:
-                    raise ValidationError("distribution has no positive atom")
-                nz = np.zeros(1, dtype=np.intp)
-            first, last = int(nz[0]), int(nz[-1])
-            arr = arr[first : last + 1]
-        offset = int(self.offset) + first
+        offset, arr = _strip_zeros(int(self.offset), arr, beyond)
         deficit = float(self.deficit)
         if deficit < -1e-12:
             raise ValidationError(f"deficit must be non-negative, got {deficit}")
         deficit = max(deficit, 0.0)
-        mass = float(arr.sum())
+        self._store(offset, arr, float(arr.sum()), deficit, beyond)
+
+    def _store(self, offset, probs, mass, deficit, beyond):
         total = mass + beyond + deficit
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(
                 f"mass + beyond + deficit = {total!r}, expected 1 within 1e-9")
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "deficit", deficit)
-        object.__setattr__(self, "beyond", beyond)
-        object.__setattr__(self, "_mass", mass)
+        probs.setflags(write=False)
+        vars(self).update(offset=offset, probs=probs, deficit=deficit, beyond=beyond, _mass=mass)
+
+    @classmethod
+    def _of(cls, *raw) -> "DiscreteDistribution":
+        """A law from a raw block of ``_step``, uncopied: only the mass check runs."""
+        law = object.__new__(cls)
+        law._store(*raw)
+        return law
 
     @classmethod
     def point_mass(cls, k: int) -> "DiscreteDistribution":
@@ -180,13 +177,21 @@ class DiscreteDistribution:
         mean = self.mean()
         return self.moment(2) - mean**2
 
-    def _upper_sums(self) -> np.ndarray:
-        """rest[j] = probs[j:].sum() for j = 0..size, formed once per law."""
-        rest = self.__dict__.get("_rest")
-        if rest is None:
-            rest = np.append(np.cumsum(self.probs[::-1])[::-1], 0.0)
-            object.__setattr__(self, "_rest", rest)
-        return rest
+    def _reversed_sums(self, length: int) -> np.ndarray:
+        """rev[j] = probs[size - j:].sum() for j <= size and the whole sum up
+        to j < length: upper sums, reversed, kept per law, grown on demand."""
+        rev = vars(self).get("_rev")
+        if rev is None or rev.size < length:
+            rest = np.cumsum(self.probs[::-1])
+            pad = np.full(max(length - rest.size - 1, 0), rest[-1])
+            rev = vars(self)["_rev"] = np.concatenate(([0.0], rest, pad))
+        return rev
+
+    def _spectrum(self, m: int) -> tuple[np.ndarray, float]:
+        """rfft(probs, m) and the 2-norm of probs, kept for the last m asked."""
+        if vars(self).get("_spectra", (None,))[0] != m:
+            vars(self)["_spectra"] = (m, np.fft.rfft(self.probs, m), _norm2(self.probs))
+        return self._spectra[1:]
 
     def convolve(self, other: "DiscreteDistribution", trunc_tol: float = 0.0,
                  horizon: int | None = None) -> "DiscreteDistribution":
@@ -195,8 +200,12 @@ class DiscreteDistribution:
         With a ``horizon`` only atoms up to it are formed; the product mass
         above it is added to ``beyond`` exactly.  Only the largest stored
         points are trimmed, and only while they and ``beyond`` together hold
-        at most ``trunc_tol``, so the support stays contiguous and the stored
-        law is stochastically dominated by the true one.
+        at most ``trunc_tol``, so the support stays contiguous.
+
+        With ``trunc_tol > 0`` the leading atoms below ``_FLOOR`` (2^-958),
+        but the last, go to ``deficit`` too: this underflow floor is a deficit
+        source beside trimming and FFT roundoff, and through it a stored law
+        is not stochastically dominated by the true one.
 
         Products are formed directly, except that with ``trunc_tol > 0`` a
         product of at least ``_FFT_MIN_MACS`` multiply-adds, both factors at
@@ -205,45 +214,72 @@ class DiscreteDistribution:
         is a lower bound on the true atom, and the mass this removes is booked
         in ``deficit``.  With ``trunc_tol = 0`` every product is direct.
         """
-        offset = self.offset + other.offset
-        a, b = self.probs, other.probs
-        mass_a, mass_b = self._mass, other._mass
-        beyond = self.beyond * (mass_b + other.beyond) + mass_a * other.beyond
-        above = 0.0  # mass of the stored atoms' product above the horizon
-        if horizon is None:
-            keep = a.size + b.size - 1
-        else:
-            keep = horizon - offset + 1
-            a, b = a[:keep], b[:keep]
-            # a_i * b_j lands above the horizon iff j >= keep - i; atoms of a
-            # before keep - b.size never do
-            start = min(max(keep - other.probs.size, 0), self.probs.size)
-            lags = np.maximum(keep - np.arange(start, self.probs.size), 0)
-            above = float(self.probs[start:] @ other._upper_sums()[lags])
-            beyond += above
-        deficit = self.deficit + other.deficit - self.deficit * other.deficit
-        if keep <= 0:
-            probs = np.zeros(1)
-        elif (trunc_tol > 0.0 and a.size * b.size >= _FFT_MIN_MACS
-                and min(a.size, b.size) >= _FFT_MIN_ATOMS):
-            probs = _fft_product(a, b, keep, mass_a, mass_b)
-            # the atoms below the horizon hold mass_a mass_b - above in truth
-            deficit += max(mass_a * mass_b - above - float(probs.sum()), 0.0)
-        else:
-            probs = np.convolve(a, b)[:keep]
-        if trunc_tol > beyond and probs.size > 1:
-            target = trunc_tol - beyond
-            # a cumsum is sequential, so that of the last 64 atoms is the start
-            # of the whole reversed one; most trims stop within it
-            rev = np.cumsum(probs[::-1][:64])
-            if rev[-1] <= target and rev.size < probs.size:
-                rev = np.cumsum(probs[::-1])
-            cut = int(np.searchsorted(rev, target, side="right"))
-            cut = min(cut, probs.size - 1)
-            if cut > 0:
-                deficit += float(rev[cut - 1])
-                probs = probs[:-cut]
-        return DiscreteDistribution(offset, probs, deficit, beyond)
+        law = (self.offset, self.probs, self._mass, self.deficit, self.beyond)
+        return DiscreteDistribution._of(*_step(law, other, trunc_tol, horizon))
+
+
+def _step(law: tuple, other: DiscreteDistribution, trunc_tol: float,
+          horizon: int | None) -> tuple:
+    """``convolve`` on a raw law (offset, probs, mass, deficit, beyond) with a
+    canonical block; returns the product in the same form."""
+    offset, a, mass_a, deficit_a, beyond_a = law
+    offset, b, mass_b = offset + other.offset, other.probs, other._mass
+    beyond = beyond_a * (mass_b + other.beyond) + mass_a * other.beyond
+    above = 0.0  # mass of the stored atoms' product above the horizon
+    if horizon is None:
+        keep = a.size + b.size - 1
+    else:
+        keep = horizon - offset + 1
+        # a_i * b_j lands above the horizon iff j >= keep - i, so a_i carries
+        # rev[b.size - keep + i]; atoms of a before keep - b.size never do
+        start = min(max(keep - b.size, 0), a.size)
+        first = min(b.size - keep + start, b.size)
+        rev = other._reversed_sums(first + a.size - start)
+        above = float(a[start:] @ rev[first : first + a.size - start])
+        beyond += above
+        a, b = a[:keep], b[:keep]
+    deficit = deficit_a + other.deficit - deficit_a * other.deficit
+    if keep <= 0:
+        probs = np.zeros(1)
+    elif (trunc_tol > 0.0 and a.size * b.size >= _FFT_MIN_MACS
+            and min(a.size, b.size) >= _FFT_MIN_ATOMS):
+        spectrum = other._spectrum if b.size == other.probs.size else None
+        probs = _fft_product(a, b, keep, mass_a, mass_b, spectrum)
+        # the atoms below the horizon hold mass_a mass_b - above in truth
+        deficit += max(mass_a * mass_b - above - float(probs.sum()), 0.0)
+    else:
+        probs = np.convolve(a, b)[:keep]
+    if trunc_tol > beyond and probs.size > 1:
+        target = trunc_tol - beyond
+        # a cumsum is sequential, so that of the last 64 atoms is the start
+        # of the whole reversed one; most trims stop within it
+        rev = np.cumsum(probs[::-1][:64])
+        if rev[-1] <= target and rev.size < probs.size:
+            rev = np.cumsum(probs[::-1])
+        cut = min(int(np.searchsorted(rev, target, side="right")), probs.size - 1)
+        if cut > 0:
+            deficit += float(rev[cut - 1])
+            probs = probs[:-cut]
+    offset, probs = _strip_zeros(offset, probs, beyond)
+    if trunc_tol > 0.0 and probs[0] < _FLOOR and probs.size > 1:
+        # argmax is 0 when no atom reaches the floor: keep the last one then
+        cut = int(np.argmax(probs >= _FLOOR)) or probs.size - 1
+        deficit += float(probs[:cut].sum())
+        offset, probs = offset + cut, probs[cut:]
+    return offset, probs, float(probs.sum()), deficit, beyond
+
+
+def _strip_zeros(offset: int, probs: np.ndarray, beyond: float) -> tuple[int, np.ndarray]:
+    """Strip a block's zero ends (one zero stays if all its mass is beyond)."""
+    if probs[0] == 0.0 or probs[-1] == 0.0:
+        nz = np.flatnonzero(probs)
+        if nz.size == 0:
+            if beyond == 0.0:
+                raise ValidationError("distribution has no positive atom")
+            nz = np.zeros(1, dtype=np.intp)
+        offset += int(nz[0])
+        probs = probs[nz[0] : nz[-1] + 1]
+    return offset, probs
 
 
 @lru_cache(maxsize=256)
@@ -261,10 +297,11 @@ def _fft_length(size: int) -> int:
 
 
 def _fft_product(a: np.ndarray, b: np.ndarray, keep: int, mass_a: float,
-                 mass_b: float) -> np.ndarray:
+                 mass_b: float, spectrum=None) -> np.ndarray:
     """First ``keep`` atoms of a * b by FFT, each lowered to a certified lower
     bound max(c~ - eps, 0) of the true atom; ``mass_a`` and ``mass_b`` bound
-    the l1 norms of a and b.
+    the l1 norms of a and b.  ``spectrum(m)``, if given, returns rfft(b, m)
+    and the 2-norm of b, as b's law keeps them (``_spectrum``).
 
     For the transform length m (5-smooth, at least a.size + b.size - 1, so no
     atom wraps around), t = ceil(log2 m) butterfly stages and the per-stage
@@ -281,8 +318,9 @@ def _fft_product(a: np.ndarray, b: np.ndarray, keep: int, mass_a: float,
     """
     size = a.size + b.size - 1
     m = _fft_length(size)
-    c = np.fft.irfft(np.fft.rfft(a, m) * np.fft.rfft(b, m), m)[: min(keep, size)]
-    norm_a, norm_b = _norm2(a), _norm2(b)
+    spectrum_b, norm_b = (np.fft.rfft(b, m), _norm2(b)) if spectrum is None else spectrum(m)
+    c = np.fft.irfft(np.fft.rfft(a, m) * spectrum_b, m)[: min(keep, size)]
+    norm_a = _norm2(a)
     t = (m - 1).bit_length()
     eps = (_FFT_C * _U * t * (2.0 * norm_a * norm_b + min(mass_a * norm_b, norm_a * mass_b))
            + m * _TINY)
@@ -353,22 +391,24 @@ def hitting_time_scan(
     trunc_tol: float = DEFAULT_TRUNC_TOL,
     deficit_budget: float = DEFAULT_DEFICIT_BUDGET,
     horizon: int | None = None,
+    *, _raw: bool = False,
 ) -> Iterator[tuple[int, DiscreteDistribution]]:
     """Yield (x, law of T_x) for x = 0..x_stop, convolving one site at a time.
 
     With a ``horizon`` n each law keeps only its atoms up to n and carries
     P(T_x > n) in ``beyond``.  This is exact for every atom up to n: a
     sojourn lasts at least one step, so no atom above n ever comes back
-    below it.  ``deficit_budget`` applies to the deficit alone (truncation
-    and FFT roundoff), not to ``beyond``.
-    ``trunc_tol``, the mass one trim may drop, must lie in [0, 1).
+    below it.  ``deficit_budget`` applies to the deficit alone (truncation,
+    the underflow floor and FFT roundoff), not to ``beyond``.
+    ``trunc_tol``, the mass one trim may drop, must lie in [0, 1).  ``_raw``
+    yields the raw blocks of ``_step`` instead, so no law is built per site.
     """
     if x_stop < 0:
         raise ValidationError(f"x_stop must be >= 0, got {x_stop}")
     if not 0.0 <= trunc_tol < 1.0:
         raise ValidationError(f"trunc_tol must lie in [0, 1), got {trunc_tol}")
-    dist = DiscreteDistribution.point_mass(0)
-    yield 0, dist
+    law = (0, np.ones(1), 1.0, 0.0, 0.0)
+    yield 0, law if _raw else DiscreteDistribution._of(*law)
     sojourn_of = lru_cache(_RECENT_TAILS)(lambda k: sojourn_pmf(env.tails[k]))
     tail = -1
     for x in range(1, x_stop + 1):
@@ -376,14 +416,14 @@ def hitting_time_scan(
         if env.tail_index[x - 1] != tail:  # sites often share one tail
             tail = int(env.tail_index[x - 1])
             sojourn = sojourn_of(tail)
-        dist = dist.convolve(sojourn, trunc_tol, horizon)
-        if dist.deficit > deficit_budget:
+        law = _step(law, sojourn, trunc_tol, horizon)
+        if law[3] > deficit_budget:
             raise DeficitBudgetError(
-                f"accumulated deficit {dist.deficit:.3e} exceeds budget "
+                f"accumulated deficit {law[3]:.3e} exceeds budget "
                 f"{deficit_budget:.3e} at site {x}; increase N_cap, tighten "
                 f"tail_tol, or coarsen trunc_tol"
             )
-        yield x, dist
+        yield x, law if _raw else DiscreteDistribution._of(*law)
 
 
 def hitting_time_distribution(
@@ -428,10 +468,8 @@ def position_scan(
     larger lags.  The deficit is at least omega^x_{N+1} and 0 is at most the
     dropped weights, so a row is neither an upper nor a lower bound.
 
-    With ``trunc_tol > 0`` the ladder forms its large products by FFT (see
-    ``DiscreteDistribution.convolve``): their atoms are certified lower bounds
-    and the mass their roundoff bound removes is in the deficit.  With
-    ``trunc_tol = 0`` every step is direct.
+    With ``trunc_tol > 0`` the ladder's FFT products and underflow floor put
+    mass in the deficit too (see ``DiscreteDistribution.convolve``).
     """
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
@@ -439,21 +477,22 @@ def position_scan(
     hit: list[float] = []
     reversed_of = lru_cache(_RECENT_TAILS)(lambda k: _reversed_tail(env.tails[k]))
     tail = -1
-    for x, dist in hitting_time_scan(env, n, trunc_tol, deficit_budget, horizon=n):
+    for x, (offset, probs, mass, _, _) in hitting_time_scan(
+            env, n, trunc_tol, deficit_budget, horizon=n, _raw=True):
         site = env.site(x)
         if env.tail_index[x] != tail:
             tail = int(env.tail_index[x])
             rev = reversed_of(tail)
             j = rev.size - 1 - n
-        k_lo = max(dist.offset, n - site.last_index - 1)
-        k_hi = min(n, dist.end)
+        k_lo = max(offset, n - site.last_index - 1)
+        k_hi = min(n, offset + probs.size - 1)
         if k_lo > k_hi:
             rows.append(0.0)
         else:
-            probs = dist.probs[k_lo - dist.offset : k_hi - dist.offset + 1]
-            rows.append(float(probs @ rev[k_lo + j : k_hi + j + 1]))
-        hit.append(dist.prob_at(n))
-        if x == n or dist.cdf_at(n) < trunc_tol:
+            weights = rev[k_lo + j : k_hi + j + 1]
+            rows.append(float(probs[k_lo - offset : k_hi - offset + 1] @ weights))
+        hit.append(float(probs[-1]) if k_hi == n else 0.0)  # a law ending past n is 0
+        if x == n or mass < trunc_tol:  # clipped to n: mass is P(T_x <= n)
             break
     prob = np.array(rows)
     deficit = max(0.0, 1.0 - float(prob.sum()))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walklab as wl
+from walklab import environment
 from walklab.errors import ValidationError
 
 from conftest import bisect_root
@@ -495,3 +496,14 @@ def test_tail_groups_match_per_key_scan(keys, data):
         else:
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("length", [0, 1, 6, 7, 8, 50])
+def test_text_written_in_slices_round_trips(tmp_path, monkeypatch, length):
+    # slices of 7 characters: none, one, a part and several, a ragged last one
+    monkeypatch.setattr(environment, "_WRITE_SLICE", 7)
+    text = "".join(f"{i % 10}\n" if i % 5 == 4 else str(i % 10) for i in range(length))
+    path = tmp_path / "out.txt"
+    environment._write_text(str(path), text, force=False)
+    assert path.read_bytes() == text.encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
