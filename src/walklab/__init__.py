@@ -39,24 +39,18 @@ from .errors import (
 from .walk import (
     DiscreteDistribution,
     McConfig,
-    SojournDraw,
     WalkSample,
     hitting_time_distribution,
     mc_tv_tolerance,
     position_distribution,
     position_scan,
-    sample_sojourn,
     simulate_paths,
     sojourn_pmf,
     tv_distance,
 )
 from .dynsys import (
-    CellInterval,
     TrajectoryConfig,
     TrajectorySample,
-    cell_interval,
-    global_step,
-    local_map,
     simulate_trajectories,
 )
 from .limits import (

@@ -266,6 +266,10 @@ def _cmd_dynsys(args) -> int:
         xs, ys, cs = sample.level_counts[t]
         levels.append(np.stack([np.full(len(xs), t), xs, ys, cs, np.full(len(xs), args.paths)]))
         contributing = sample.contributing[t]
+        if not contributing:
+            raise TailTruncationError(
+                f"all {args.paths} trajectories are flagged by n = {t}: their "
+                "points fell below the stored tail, so no path is left to compare")
         summary.append({
             "n": t,
             "contributing_paths": contributing,

@@ -15,52 +15,15 @@ of the sample.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .environment import Environment, TailSequence
-from .errors import TailTruncationError, ValidationError
+from .environment import Environment
+from .errors import ValidationError
 from .streams import CHUNK, Guide, stream
 
-__all__ = [
-    "CellInterval",
-    "TrajectoryConfig",
-    "TrajectorySample",
-    "cell_interval",
-    "local_map",
-    "global_step",
-    "simulate_trajectories",
-]
-
-
-@dataclass(frozen=True)
-class CellInterval:
-    """The sub-interval of cell x carrying level y."""
-
-    x: int
-    y: int
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not self.lower < self.upper:
-            raise ValidationError(f"degenerate cell interval {self}")
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-
-def cell_interval(env: Environment, x: int, y: int) -> CellInterval:
-    site = env.site(x)
-    if not 0 <= y <= site.last_index:
-        raise ValidationError(
-            f"level {y} outside stored range 0..{site.last_index} at site {x}"
-        )
-    ext = site.extended()
-    return CellInterval(x=x, y=y, lower=x + ext[y + 1], upper=x + ext[y])
+__all__ = ["TrajectoryConfig", "TrajectorySample", "simulate_trajectories"]
 
 
 def _branch_batch(size: int, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -75,35 +38,6 @@ def _apply_local(ext: np.ndarray, f: np.ndarray, y: np.ndarray) -> np.ndarray:
     be valid levels for it.  Level 0 maps onto [1, 2), level y onto level y-1."""
     slope = (ext[y - 1] - ext[y]) / (ext[y] - ext[y + 1])
     return np.where(y == 0, 1.0 + (f - ext[1]) / (1.0 - ext[1]), ext[y] + slope * (f - ext[y + 1]))
-
-
-def local_map(site: TailSequence, u: float) -> float:
-    """Image in [0, 2) of a point of [0, 1) under the site's local map.
-
-    Level y >= 1 intervals map onto the next level up,
-    [omega_{y+1}, omega_y) -> [omega_y, omega_{y-1}), and the top interval
-    [omega_1, 1) maps onto [1, 2); branch lookup is half-open so boundary
-    points belong to the interval they start.
-    """
-    if not 0.0 <= u < 1.0:
-        raise ValidationError(f"u must lie in [0, 1), got {u}")
-    f = np.array([u])
-    ext = site.extended()
-    y, below = _branch_batch(ext.size, np.searchsorted(ext[::-1], f, side="right"))
-    if below[0]:
-        raise TailTruncationError(
-            f"point {u} lies below the stored tail (deficit region); "
-            "rebuild the environment with a larger N_cap or smaller tail_tol"
-        )
-    return float(_apply_local(ext, f, y)[0])
-
-
-def global_step(env: Environment, u: float) -> float:
-    """One step of the extended map: cell index plus local image."""
-    if u < 0.0:
-        raise ValidationError(f"u must be non-negative, got {u}")
-    x = int(math.floor(u))
-    return x + local_map(env.site(x), u - x)
 
 
 @dataclass(frozen=True)

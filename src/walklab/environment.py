@@ -54,6 +54,7 @@ DEFAULT_N_CAP = 100_000
 DEFAULT_TAIL_TOL = 1e-12
 # relative Newton step tolerance of each backward-orbit preimage
 _ORBIT_REL_TOL = 1e-13
+_NEWTON_MAX_ITER = 200  # guards pathological tolerances only
 _WRITE_SLICE = 1 << 20  # characters an output file is written in at a time
 
 __all__ = [
@@ -235,70 +236,25 @@ class LsvParams:
                 hi = mid
         return cls(alpha=alpha, c=0.5 * (lo + hi), kappa=kappa)
 
-    def branch(self, y: float) -> float:
-        """Slow-branch value y + kappa * y**(alpha+1)."""
-        return y + self.kappa * y ** (self.alpha + 1.0)
-
-
-def _invert_branch(
-    params,
-    target,
-    hi,
-    rel_tol: float,
-    max_iter: int = 200,
-) -> np.ndarray:
-    """Solve branch(y) = target for y in (0, hi] by Newton's method from hi,
-    elementwise: ``params`` is an LsvParams or carries ``alpha`` and ``kappa``
-    arrays that broadcast with ``target`` and ``hi``.  Returns a 1-D array.
-
-    The branch is strictly increasing and convex, so from branch(hi) >= target
-    the Newton iterates decrease monotonically onto the root and need no
-    bracketing safeguard.  Each element stops at its first step of at most
-    rel_tol * y, taking that step when it is positive, and leaves the
-    iteration, so its root does not depend on the other elements.  The
-    iteration cap only guards pathological tolerances.
-    """
-    y, target, kappa, alpha = np.broadcast_arrays(
-        *(np.array(v, dtype=np.float64, ndmin=1) for v in (hi, target, params.kappa, params.alpha)))
-    power = alpha + 1.0
-    slope = kappa * power
-    # branch(y) - target, with y - target exact near the root
-    excess = (y - target) + kappa * y ** power
-    if np.any(excess < 0.0):
-        raise RootFindError("no root in (0, hi]: branch(hi) < target")
-    root = np.empty(y.size)
-    lanes = np.arange(y.size)
-    for _ in range(max_iter):
-        step = excess / (1.0 + slope * y ** alpha)
-        done = step <= rel_tol * y
-        if done.any():
-            root[lanes[done]] = (y - np.maximum(step, 0.0))[done]
-            if done.all():
-                return root
-            keep = ~done
-            lanes, y, step, target, kappa, alpha, power, slope = (
-                v[keep] for v in (lanes, y, step, target, kappa, alpha, power, slope))
-        y = y - step
-        excess = (y - target) + kappa * y ** power
-    raise RootFindError(
-        f"Newton's method did not reach relative tolerance {rel_tol} "
-        f"within {max_iter} iterations"
-    )
-
 
 def _lsv_tails(params: Sequence[LsvParams], n_cap: int, tail_tol: float) -> list[TailSequence]:
     """The tails of ``lsv_tail_sequence`` for many parameter values, their
     backward orbits stepped together as arrays; callers check n_cap and
     tail_tol.
 
-    Every orbit takes one Newton solve per step, and an orbit leaves the
-    batch at its own stop (tail_tol or n_cap) with its deficit solved.  An
-    orbit's values do not depend on the batch it is stepped in.
+    Each step solves branch(y) = c_k for every live orbit by Newton's method
+    from y = c_k.  The branch is strictly increasing and convex, so the
+    iterates decrease monotonically onto the root and need no bracketing
+    safeguard.  An orbit stops iterating at its first step of at most
+    _ORBIT_REL_TOL * y, taking that step when it is positive, and leaves the
+    batch at its own stop (tail_tol or n_cap) with its deficit solved, so
+    its values do not depend on the batch it is stepped in.
     """
     if len(params) == 1:
         return [_lone_orbit(params[0], n_cap, tail_tol)]
-    # the slow branches as records with alpha and kappa fields
-    branches = np.rec.fromrecords([(p.alpha, p.kappa) for p in params], names="alpha,kappa")
+    alpha, kappa = np.array([(p.alpha, p.kappa) for p in params]).T
+    power = alpha + 1.0
+    coef = np.stack([alpha, power, kappa, kappa * power])  # one column per live orbit
     lanes = np.arange(len(params))
     y = np.array([p.c for p in params])
     steps = [(lanes, y)]  # orbit values c_1, c_2, ... of the live lanes, step by step
@@ -306,11 +262,24 @@ def _lsv_tails(params: Sequence[LsvParams], n_cap: int, tail_tol: float) -> list
     k = 1  # every live orbit holds c_1..c_k
     while lanes.size:
         stop = (y <= tail_tol) | (k >= n_cap)  # the next value is the deficit
-        y = _invert_branch(branches, y, y, _ORBIT_REL_TOL)
+        alpha, power, kappa, slope = coef
+        root, todo = y, np.ones(y.size, dtype=bool)
+        for _ in range(_NEWTON_MAX_ITER):
+            # branch(root) - c_k over the slope, with root - c_k exact near the root
+            step = ((root - y) + kappa * root ** power) / (1.0 + slope * root ** alpha)
+            done = step <= _ORBIT_REL_TOL * root
+            root = np.where(todo & ((step > 0.0) | ~done), root - step, root)
+            todo &= ~done
+            if not todo.any():
+                break
+        else:
+            raise RootFindError(f"Newton's method did not reach relative tolerance "
+                                f"{_ORBIT_REL_TOL} within {_NEWTON_MAX_ITER} iterations")
+        y = root
         steps.append((lanes, y))
         if stop.any():
             size[lanes[stop]] = k + 2
-            branches, lanes, y = branches[~stop], lanes[~stop], y[~stop]
+            coef, lanes, y = coef[:, ~stop], lanes[~stop], y[~stop]
         k += 1
     start = np.concatenate(([0], np.cumsum(size)[:-1]))
     flat = np.ones(size.sum())
@@ -322,8 +291,7 @@ def _lsv_tails(params: Sequence[LsvParams], n_cap: int, tail_tol: float) -> list
     ]
 
 
-def _lone_orbit(params: LsvParams, n_cap: int, tail_tol: float,
-                max_iter: int = 200) -> TailSequence:
+def _lone_orbit(params: LsvParams, n_cap: int, tail_tol: float) -> TailSequence:
     """``_lsv_tails`` of one parameter, step for step on Python floats.  Both
     powers of an iterate come from one numpy array pow, whose bits are the
     batch's (Python's ``**`` differs from it in the last bit now and then)."""
@@ -334,7 +302,7 @@ def _lone_orbit(params: LsvParams, n_cap: int, tail_tol: float,
     while True:
         stop = y <= tail_tol or len(values) > n_cap  # the next value is the deficit
         target = y
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_MAX_ITER):
             y_alpha, y_power = np.power(y, exponents, powers).tolist()
             step = ((y - target) + kappa * y_power) / (1.0 + slope * y_alpha)
             if step <= _ORBIT_REL_TOL * y:
@@ -342,7 +310,7 @@ def _lone_orbit(params: LsvParams, n_cap: int, tail_tol: float,
             y -= step
         else:
             raise RootFindError(f"Newton's method did not reach relative tolerance "
-                                f"{_ORBIT_REL_TOL} within {max_iter} iterations")
+                                f"{_ORBIT_REL_TOL} within {_NEWTON_MAX_ITER} iterations")
         y -= max(step, 0.0)
         if stop:
             return TailSequence(np.array(values), deficit=y, cap_reached=values[-1] > tail_tol)
@@ -688,23 +656,19 @@ def window_fluctuation(env: Environment, x: int, u: float, mu: float) -> float:
     if u <= 0.0:
         raise ValidationError(f"u must be positive, got {u}")
     span = int(math.floor(u * math.sqrt(x * math.log(x))))
+    if span == 0:
+        return 0.0
     w_lo = max(0, x - span - 1)
-    w_hi = x + span - 1
-    env.ensure(w_hi)
-    centered = np.array(
-        [env.site(w).stored_mean() - mu for w in range(w_lo, w_hi + 1)]
-    )
-    csum = np.concatenate(([0.0], np.cumsum(centered)))
-
-    def window_sum(a: int, b: int) -> float:
-        # inclusive site range [a, b] within [w_lo, w_hi]
-        return csum[b - w_lo + 1] - csum[a - w_lo]
-
-    best = 0.0
-    for ell in range(1, span + 1):
-        best = max(best, abs(window_sum(x, x + ell - 1)))
-        best = max(best, abs(window_sum(max(0, x - ell - 1), x)))
-    return best
+    env.ensure(x + span - 1)
+    # per-site m_w - mu over [w_lo, x + span - 1], one mean per distinct tail
+    keys, of_site = np.unique(env.tail_index[w_lo : x + span], return_inverse=True)
+    means = np.array([env.tails[k].stored_mean() for k in keys.tolist()])
+    csum = np.concatenate(([0.0], np.cumsum(means[of_site] - mu)))
+    # windows [x, x+l-1] and [max(0, x-l-1), x] for l = 1..span
+    ell = np.arange(1, span + 1)
+    sums = np.concatenate((csum[x - w_lo + ell] - csum[x - w_lo],
+                           csum[x - w_lo + 1] - csum[np.maximum(0, x - ell - 1) - w_lo]))
+    return float(np.abs(sums).max())
 
 
 # ---------------------------------------------------------------------------

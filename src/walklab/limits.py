@@ -110,18 +110,16 @@ class LimitFit:
 _MIN_FIT_SITES = 100
 
 
-def fit_limit_params(diag: EnvDiagnostics, eta: float = 0.0) -> LimitFit:
+def fit_limit_params(diag: EnvDiagnostics) -> LimitFit:
     """Fit (mu, sigma^2) from the largest materialized prefix.
 
     mu_hat = mu_X / X and sigma2_hat = sigma2_X / X at the prefix end.  The
-    residuals theta_i(x) (NaN at x = 0) and their scaled versions x^eta *
-    sqrt(log x) * theta_i(x), eta in [0, 1/2), are returned for hypothesis
-    inspection; this is the only place they are formed.  Environments whose
-    declared beta makes the variance tail divergent are rejected with
+    residuals theta_i(x) (NaN at x = 0) and their scaled versions
+    sqrt(log x) * theta_i(x) are returned for hypothesis inspection; this is
+    the only place they are formed.  Environments whose declared beta makes
+    the variance tail divergent are rejected with
     ``NonConvergentVarianceError`` instead of producing a variance fit.
     """
-    if not 0.0 <= eta < 0.5:
-        raise ValidationError(f"eta must lie in [0, 1/2), got {eta}")
     count = diag.x.size
     if count < _MIN_FIT_SITES:
         raise ValidationError(f"need at least {_MIN_FIT_SITES} sites to fit, got {count}")
@@ -143,8 +141,7 @@ def fit_limit_params(diag: EnvDiagnostics, eta: float = 0.0) -> LimitFit:
     theta1 = diag.mu[:-1] / np.maximum(diag.x, 1) - mu_hat
     theta2 = diag.sigma2[:-1] / np.maximum(diag.x, 1) - sigma2_hat
     theta1[0] = theta2[0] = math.nan
-    with np.errstate(invalid="ignore"):
-        scale = diag.x.astype(np.float64) ** eta * np.sqrt(np.log(np.maximum(diag.x, 1)))
+    scale = np.sqrt(np.log(np.maximum(diag.x, 1)))
     return LimitFit(params=params, x=diag.x, theta1=theta1, theta2=theta2,
                     scaled_theta1=scale * theta1, scaled_theta2=scale * theta2)
 

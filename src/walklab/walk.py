@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -71,10 +71,8 @@ __all__ = [
     "DiscreteDistribution",
     "McConfig",
     "WalkSample",
-    "SojournDraw",
     "PositionScan",
     "sojourn_pmf",
-    "sample_sojourn",
     "hitting_time_distribution",
     "position_distribution",
     "position_scan",
@@ -340,26 +338,6 @@ def _norm2(v: np.ndarray) -> float:
 def sojourn_pmf(site: TailSequence) -> DiscreteDistribution:
     """Law of the sojourn time at a site: P(tau = n) = omega_{n-1} - omega_n."""
     return DiscreteDistribution(offset=1, probs=site.sojourn_probs(), deficit=site.deficit)
-
-
-class SojournDraw(NamedTuple):
-    n: int
-    truncated: bool
-
-
-def sample_sojourn(site: TailSequence, uniform: float) -> SojournDraw:
-    """Inverse-CDF draw: the unique n with 1 - omega_{n-1} <= uniform < 1 - omega_n.
-
-    Intervals are half-open on the right, so every uniform maps to exactly one
-    n.  A uniform at or beyond 1 - deficit falls in the truncated region and
-    maps to the last representable value N+1 with ``truncated`` set.  The
-    simulators' guide tables return this ``searchsorted`` index by construction.
-    """
-    if not 0.0 <= uniform < 1.0:
-        raise ValidationError(f"uniform must lie in [0, 1), got {uniform}")
-    cdf = 1.0 - site.extended()
-    n = int(cdf.searchsorted(uniform, side="right"))
-    return SojournDraw(min(n, cdf.size - 1), n > cdf.size - 1)
 
 
 def _draw(env: Environment, guides: dict, u: np.ndarray, sites) -> tuple[np.ndarray, np.ndarray]:

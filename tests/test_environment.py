@@ -131,11 +131,16 @@ def test_cn_printed_bounds(alpha):
     assert np.all(n ** (1 / alpha + 1) * diffs[: cn.size] <= diff_bound)
 
 
-def test_root_finder_iteration_cap():
-    from walklab.environment import _invert_branch
-    params = wl.LsvParams.from_alpha_c(0.33, 0.5)
-    with pytest.raises(wl.RootFindError):
-        _invert_branch(params, params.c, params.c, rel_tol=1e-15, max_iter=3)
+def test_root_finder_iteration_cap(monkeypatch):
+    # no Newton step is ever small enough, so both orbit loops hit the cap
+    import walklab.environment as env_mod
+    monkeypatch.setattr(env_mod, "_NEWTON_MAX_ITER", 3)
+    monkeypatch.setattr(env_mod, "_ORBIT_REL_TOL", -1.0)
+    params = [wl.LsvParams.from_alpha_c(a, 0.5) for a in (0.2, 0.33)]
+    with pytest.raises(wl.RootFindError, match="within 3 iterations"):
+        env_mod._lsv_tails(params, 100, 1e-6)  # the batch loop
+    with pytest.raises(wl.RootFindError, match="within 3 iterations"):
+        wl.lsv_tail_sequence(params[0], 100, 1e-6)  # the lone orbit
 
 
 def test_root_find_failure_carries_site_index(monkeypatch):

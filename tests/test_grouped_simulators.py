@@ -1,5 +1,5 @@
-"""The simulators step one group per distinct tail; these per-site loops are
-the earlier site-by-site implementations, kept as oracles.  The grouped chain
+"""The simulators step one group per distinct tail; the per-site loops in
+``oracles`` are the earlier site-by-site implementations.  The grouped chain
 walk and extended map must reproduce them bit for bit, and no simulator may
 read an environment past the sites a run needs."""
 
@@ -11,113 +11,7 @@ import pytest
 import walklab as wl
 from walklab import dynsys, streams, walk
 from walklab.streams import CHUNK
-
-
-# ---------------------------------------------------------------------------
-# per-site oracles
-# ---------------------------------------------------------------------------
-
-def sample_sojourn_batch(site, u):
-    cdf = 1.0 - site.extended()
-    idx = np.searchsorted(cdf, u, side="right")
-    n_bound = site.last_index + 1
-    truncated = int(np.count_nonzero(idx > n_bound))
-    return np.minimum(idx, n_bound).astype(np.int64), truncated
-
-
-def entry_levels(site, rng, count):
-    draws, truncated = sample_sojourn_batch(site, rng.random(count))
-    return draws - 1, truncated
-
-
-def chain_chunk_per_site(env, cfg, rng, size, times):
-    x = np.zeros(size, dtype=np.int64)
-    y, truncated = entry_levels(env.site(0), rng, size)
-    full_x = full_y = None
-    if cfg.record == "full-path":
-        full_x = np.zeros((size, cfg.horizon + 1), dtype=np.int64)
-        full_y = np.zeros((size, cfg.horizon + 1), dtype=np.int64)
-        full_y[:, 0] = y
-    x_at = None
-    if times is not None:
-        x_at = np.zeros((size, times.size), dtype=np.int64)
-    for t in range(1, cfg.horizon + 1):
-        descending = y > 0
-        y[descending] -= 1
-        jumping = np.flatnonzero(~descending)
-        if jumping.size:
-            new_x = x[jumping] + 1
-            for site_idx in np.unique(new_x):
-                group = jumping[new_x == site_idx]
-                levels, trunc = entry_levels(env.site(int(site_idx)), rng, group.size)
-                y[group] = levels
-                truncated += trunc
-            x[jumping] = new_x
-        if full_x is not None:
-            full_x[:, t] = x
-            full_y[:, t] = y
-        if x_at is not None:
-            hit = np.flatnonzero(times == t)
-            if hit.size:
-                x_at[:, hit] = x[:, None]
-    return {"x_final": x, "y_final": y, "x_at_times": x_at,
-            "full_x": full_x, "full_y": full_y, "truncated": truncated}
-
-
-def branch_batch_per_site(site, f):
-    ext = site.extended()
-    ascending = ext[::-1].astype(f.dtype, copy=False)
-    pos = np.searchsorted(ascending, f, side="right")
-    y = ext.size - 1 - pos
-    return y, y > site.last_index
-
-
-def apply_local_per_site(site, f, y):
-    ext = site.extended().astype(f.dtype)
-    out = np.empty_like(f)
-    top = y == 0
-    if np.any(top):
-        out[top] = 1.0 + (f[top] - ext[1]) / (1.0 - ext[1])
-    rest = ~top
-    if np.any(rest):
-        yr = y[rest]
-        slope = (ext[yr - 1] - ext[yr]) / (ext[yr] - ext[yr + 1])
-        out[rest] = ext[yr] + slope * (f[rest] - ext[yr + 1])
-    return out
-
-
-def step_batch_per_site(env, u, alive):
-    live_idx = np.flatnonzero(alive)
-    if live_idx.size == 0:
-        return u, alive
-    x = np.floor(u[live_idx]).astype(np.int64)
-    f = u[live_idx] - x
-    out = np.empty(live_idx.size, dtype=u.dtype)
-    dead_local = np.zeros(live_idx.size, dtype=bool)
-    for site_idx in np.unique(x):
-        in_site = np.flatnonzero(x == site_idx)
-        site = env.site(int(site_idx))
-        y, below = branch_batch_per_site(site, f[in_site])
-        if np.any(below):
-            dead_local[in_site[below]] = True
-            in_site = in_site[~below]
-            y = y[~below]
-        out[in_site] = site_idx + apply_local_per_site(site, f[in_site], y).astype(u.dtype)
-    keep = ~dead_local
-    u[live_idx[keep]] = out[keep]
-    alive[live_idx[dead_local]] = False
-    return u, alive
-
-
-def level_states_per_site(env, u):
-    x = np.floor(u).astype(np.int64)
-    f = u - x
-    ys = np.empty_like(x)
-    for site_idx in np.unique(x):
-        in_site = x == site_idx
-        y, below = branch_batch_per_site(env.site(int(site_idx)), f[in_site])
-        ys[in_site] = np.minimum(y, env.site(int(site_idx)).last_index)
-    return np.stack([x, ys], axis=1)
+from oracles import chain_chunk_per_site, level_states_per_site, step_batch_per_site
 
 
 # ---------------------------------------------------------------------------

@@ -33,16 +33,13 @@ def test_normal_density_values():
         wl.normal_density(0.0, 0.0, 1.0)
 
 
-def test_limit_params_validation(geo_setup):
+def test_limit_params_validation():
     params = wl.LimitParams(mu=2.0, sigma2=2.0)
     assert params.sigma_tilde2 == 0.25
     with pytest.raises(HypothesisError):
         wl.LimitParams(mu=1.0, sigma2=1.0)
     with pytest.raises(HypothesisError):
         wl.LimitParams(mu=2.0, sigma2=0.0)
-    # the residual rate exponent is only used, and checked, by the fit
-    with pytest.raises(ValidationError):
-        wl.fit_limit_params(geo_setup[1], eta=0.5)
 
 
 def test_fit_constant_geometric(geo_setup):
@@ -52,7 +49,7 @@ def test_fit_constant_geometric(geo_setup):
     assert fit.params.sigma2 == pytest.approx(2.0, abs=1e-9)
     assert fit.params.source == "fitted"
     assert np.nanmax(np.abs(fit.theta1[1:])) < 1e-10
-    # eta = 0 keeps the residual scale sqrt(log x) only
+    # the residual scale is sqrt(log x)
     assert fit.scaled_theta1.shape == fit.theta1.shape
 
 
