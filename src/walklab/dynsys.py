@@ -22,22 +22,34 @@ import numpy as np
 from .environment import Environment
 from .errors import ValidationError
 from .streams import CHUNK, Guide, stream
+from .walk import _state_counts
 
 __all__ = ["TrajectoryConfig", "TrajectorySample", "simulate_trajectories"]
 
 
 def _branch_batch(size: int, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Level indices y with omega_{y+1} <= f < omega_y, and a below-tail mask,
-    from the ranks pos of f in the extended tail (``size`` values) reversed."""
-    y = size - 1 - pos
-    return y, y > size - 2
+    """Level indices y with omega_{y+1} <= f < omega_y, from the ranks pos of f
+    in the extended tail (``size`` values) reversed, and a below-tail mask;
+    below-tail points get the deepest level, size - 2."""
+    return size - 1 - np.maximum(pos, 1), pos == 0
 
 
-def _apply_local(ext: np.ndarray, f: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Affine branch images; ext is the extended tail in f's dtype and y must
-    be valid levels for it.  Level 0 maps onto [1, 2), level y onto level y-1."""
-    slope = (ext[y - 1] - ext[y]) / (ext[y] - ext[y + 1])
-    return np.where(y == 0, 1.0 + (f - ext[1]) / (1.0 - ext[1]), ext[y] + slope * (f - ext[y + 1]))
+def _slopes(ext: np.ndarray) -> np.ndarray:
+    """Branch slopes by level, (ext[y-1] - ext[y]) / (ext[y] - ext[y+1]) in ext's
+    dtype; 0 at level 0, which has its own image, and at empty levels."""
+    slope = np.zeros_like(ext[1:])
+    np.divide(ext[:-2] - ext[1:-1], ext[1:-1] - ext[2:], out=slope[1:], where=ext[1:-1] > ext[2:])
+    return slope
+
+
+def _apply_local(ext: np.ndarray, slope: np.ndarray, f: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Affine branch images; ext is the extended tail in f's dtype, slope its
+    ``_slopes`` and y valid levels.  Level y >= 1 maps onto level y-1, level 0
+    onto [1, 2) by its own formula, computed for its points only."""
+    out = ext.take(y) + slope.take(y) * (f - ext[1:].take(y))
+    top = np.flatnonzero(y == 0)
+    out[top] = 1.0 + (f[top] - ext[1]) / (1.0 - ext[1])
+    return out
 
 
 @dataclass(frozen=True)
@@ -106,13 +118,14 @@ def simulate_trajectories(
     env.ensure(cfg.horizon)
 
     dtype = np.float64 if cfg.precision == "double" else np.longdouble
-    # each tail's extended values in dtype and a guide over them ascending, once per call
+    # each tail's extended values in dtype, slope table and ascending guide, once per call
     levels_of = {}
     for k in np.unique(env.tail_index[: cfg.horizon + 1]).tolist():
         ext = env.tails[k].extended().astype(dtype)
-        levels_of[k] = ext, Guide(ext[::-1].copy())
+        levels_of[k] = ext, _slopes(ext), Guide(ext[::-1].copy())
+    width = max(ext.size for ext, _, _ in levels_of.values()) - 1  # levels y < width
     sample = TrajectorySample(paths=cfg.paths, seed=cfg.seed, times=times)
-    lvl_pairs: dict[int, list[np.ndarray]] = {t: [] for t in times.tolist()}
+    lvl_keys: dict[int, list[np.ndarray]] = {t: [] for t in times.tolist()}  # x * width + y
     pos: dict[int, list[np.ndarray]] = {t: [] for t in keep_at}
 
     for index, start in enumerate(range(0, cfg.paths, CHUNK)):
@@ -129,51 +142,41 @@ def simulate_trajectories(
             u = np.minimum(u, np.nextafter(dtype(1.0), dtype(0.0)))
         alive = np.ones(size, dtype=bool)
         for t in range(cfg.horizon + 1):
-            if t > 0:
+            if t > 0 and alive.any():  # a chunk with every path flagged stops stepping
                 u, alive = _step_batch(env, levels_of, u, alive)
-            if t in lvl_pairs:
+            if t in lvl_keys:
                 live = u[alive].astype(np.float64)
                 sample.contributing[t] = sample.contributing.get(t, 0) + live.size
                 sample.cell_counts[t] = sample.cell_counts.get(t, 0) + np.bincount(
                     np.floor(live).astype(np.int64), minlength=cfg.horizon + 2)
                 if levels:
-                    lvl_pairs[t].append(_level_states(env, levels_of, live))
+                    states = _level_states(env, levels_of, live)
+                    lvl_keys[t].append(states[:, 0] * width + states[:, 1])
                 if t in pos:
                     pos[t].append(live)
         sample.flagged += int(np.count_nonzero(~alive))
 
-    for t, pairs in lvl_pairs.items():
-        if levels:
-            uniq, counts = np.unique(np.concatenate(pairs), axis=0, return_counts=True)
-            sample.level_counts[t] = (uniq[:, 0], uniq[:, 1], counts)
-    for t in pos:
-        sample.positions[t] = np.concatenate(pos[t])
+    if levels:
+        sample.level_counts = {t: _state_counts(np.concatenate(keys), width)
+                               for t, keys in lvl_keys.items()}
+    sample.positions = {t: np.concatenate(p) for t, p in pos.items()}
     return sample
 
 
 def _step_batch(env: Environment, levels_of: dict, u: np.ndarray, alive: np.ndarray):
-    """Advance live paths one step, one group per distinct tail; newly
-    below-tail paths become dead.
-
-    Arithmetic stays in u's dtype so the extended-precision mode is effective.
-    """
-    live_idx = np.flatnonzero(alive)
-    if live_idx.size == 0:
-        return u, alive
-    x = np.floor(u[live_idx]).astype(np.int64)
-    f = u[live_idx] - x
-    out = np.empty(live_idx.size, dtype=u.dtype)
-    dead_local = np.zeros(live_idx.size, dtype=bool)
-    for k, sel in env.tail_groups(x):
-        ext, guide = levels_of[k]
-        in_tail = np.arange(x.size)[sel]
-        y, below = _branch_batch(ext.size, guide.rank(f[in_tail]))
-        dead_local[in_tail[below]] = True
-        in_tail, y = in_tail[~below], y[~below]
-        out[in_tail] = x[in_tail] + _apply_local(ext, f[in_tail], y).astype(u.dtype)
-    keep = ~dead_local
-    u[live_idx[keep]] = out[keep]
-    alive[live_idx[dead_local]] = False
+    """Advance a chunk of paths one step, one group per distinct tail.  Every
+    path is stepped; a flagged point keeps its value and flag, and a live one
+    that falls below its site's tail is flagged.  Arithmetic stays in u's
+    dtype so the extended-precision mode is effective."""
+    x = np.floor(u)
+    f = u - x
+    image, below = np.empty_like(u), np.empty(u.size, dtype=bool)
+    for k, sel in env.tail_groups(x.astype(np.int64)):
+        ext, slope, guide = levels_of[k]
+        y, below[sel] = _branch_batch(ext.size, guide.rank(f[sel]))
+        image[sel] = x[sel] + _apply_local(ext, slope, f[sel], y)
+    alive &= ~below
+    np.copyto(u, image, where=alive)
     return u, alive
 
 
@@ -183,8 +186,6 @@ def _level_states(env: Environment, levels_of: dict, u: np.ndarray) -> np.ndarra
     f = u - x
     ys = np.empty_like(x)
     for k, sel in env.tail_groups(x):
-        ext, guide = levels_of[k]
-        y, _ = _branch_batch(ext.size, guide.rank(f[sel]))
-        # below-tail points were already flagged during stepping; clamp defensively
-        ys[sel] = np.minimum(y, ext.size - 2)
+        ext, _, guide = levels_of[k]
+        ys[sel] = _branch_batch(ext.size, guide.rank(f[sel]))[0]
     return np.stack([x, ys], axis=1)

@@ -548,9 +548,15 @@ class WalkSample:
         """Distinct (x, y) endpoint states with their counts."""
         if self.x_final is None or self.y_final is None:
             raise ValidationError("sample has no (x, y) endpoint record")
-        states = np.stack([self.x_final, self.y_final], axis=1)
-        uniq, counts = np.unique(states, axis=0, return_counts=True)
-        return uniq[:, 0], uniq[:, 1], counts
+        width = int(self.y_final.max(initial=0)) + 1
+        return _state_counts(self.x_final * width + self.y_final, width)
+
+
+def _state_counts(keys: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct states (x, y) in ``np.unique(axis=0)``'s order, with their counts,
+    from int64 keys x * width + y of states with x >= 0 and 0 <= y < width."""
+    uniq, counts = np.unique(keys, return_counts=True)
+    return uniq // width, uniq % width, counts
 
 
 def simulate_paths(
@@ -619,13 +625,10 @@ def _chain_chunk(cfg, rng, size, times, draw):
         full_x = np.zeros((size, cfg.horizon + 1), dtype=np.int64)
         full_y = np.zeros((size, cfg.horizon + 1), dtype=np.int64)
         full_y[:, 0] = y
-    x_at = None
-    if times is not None:
-        x_at = np.zeros((size, times.size), dtype=np.int64)
+    x_at = None if times is None else np.zeros((size, times.size), dtype=np.int64)
     for t in range(1, cfg.horizon + 1):
-        descending = y > 0
-        y[descending] -= 1
-        jumping = np.flatnonzero(~descending)
+        jumping = np.flatnonzero(y == 0)
+        y -= 1  # the jumping paths' -1 is overwritten by their entry levels
         if jumping.size:
             new_x = x[jumping] + 1
             # one stream of uniforms handed out site by site, in path order; a
@@ -641,14 +644,9 @@ def _chain_chunk(cfg, rng, size, times, draw):
             full_x[:, t] = x
             full_y[:, t] = y
         if x_at is not None:
-            hit = np.flatnonzero(times == t)
-            if hit.size:
-                x_at[:, hit] = x[:, None]
-    return {
-        "x_final": x, "y_final": y, "x_at_times": x_at,
-        "full_x": full_x, "full_y": full_y,
-        "truncated": truncated,
-    }
+            x_at[:, times == t] = x[:, None]
+    return {"x_final": x, "y_final": y, "x_at_times": x_at,
+            "full_x": full_x, "full_y": full_y, "truncated": truncated}
 
 
 def _sojourn_chunk(cfg, rng, size, times, draw):

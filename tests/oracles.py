@@ -2,9 +2,9 @@
 
 * Scalar steps of the extended map (``local_map``, ``global_step``) and the
   level intervals they act on (``cell_interval``).  They call the package's
-  branch lookup and affine images (``dynsys._branch_batch``,
-  ``dynsys._apply_local``) on one point, so map-geometry tests exercise the
-  code the trajectory simulator runs.
+  branch lookup, slope table and affine images (``dynsys._branch_batch``,
+  ``dynsys._slopes``, ``dynsys._apply_local``) on one point, so map-geometry
+  tests exercise the code the trajectory simulator runs.
 * Inverse-CDF sojourn draws (``sample_sojourn``) by plain ``searchsorted``,
   the lookup the simulators' guide tables reproduce.
 * The site-by-site simulator loops that grouped stepping replaced
@@ -70,7 +70,7 @@ def local_map(site, u):
     y, below = dynsys._branch_batch(ext.size, np.searchsorted(ext[::-1], f, side="right"))
     if below[0]:
         raise TailTruncationError(f"point {u} lies below the stored tail (deficit region)")
-    return float(dynsys._apply_local(ext, f, y)[0])
+    return float(dynsys._apply_local(ext, dynsys._slopes(ext), f, y)[0])
 
 
 def global_step(env, u):

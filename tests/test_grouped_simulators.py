@@ -4,6 +4,7 @@ walk and extended map must reproduce them bit for bit, and no simulator may
 read an environment past the sites a run needs."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,18 @@ def alternating_lossy_env(sites):
     return wl.Environment([a, b] * (sites // 2) + [a] * (sites % 2))
 
 
+def geometric_env(sites):
+    """One geometric r = 0.5 tail at every site, coarse enough to flag paths."""
+    return wl.env_geometric(0.5, sites - 1, tail_tol=1e-3)
+
+
+def zero_width_env(sites):
+    """One tail whose deficit equals its last value, so level 2 is empty; 40%
+    of the points fall below it at each site, and by t = 30 every path of
+    both chunks is flagged."""
+    return wl.Environment([wl.TailSequence([1.0, 0.5, 0.4], deficit=0.4)] * sites)
+
+
 def powerlaw_env(sites):
     """The beta = 3 power-law tail (2155-atom sojourns) at every site."""
     return wl.env_from_powerlaw(3.0, sites - 1, tail_tol=1e-10)
@@ -75,12 +88,12 @@ class WatchedEnvironment(wl.Environment):
 # tests
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("make_env", [two_point_env, alternating_lossy_env])
+@pytest.mark.parametrize("make_env", [two_point_env, alternating_lossy_env, geometric_env])
 @pytest.mark.parametrize("record", ["endpoint-only", "full-path"])
 def test_grouped_chain_matches_per_site_oracle(monkeypatch, make_env, record):
     horizon = 30
     env = make_env(horizon + 1)
-    assert len(env.tails) == 2
+    assert len(env.tails) == (1 if make_env is geometric_env else 2)
     # two chunks, so the stream of the second one is checked too
     cfg = wl.McConfig(paths=CHUNK + 900, horizon=horizon, seed=29, record=record)
     grouped = wl.simulate_paths(env, cfg, method="chain", times=[4, 17, 30])
@@ -88,9 +101,12 @@ def test_grouped_chain_matches_per_site_oracle(monkeypatch, make_env, record):
                         chain_chunk_per_site(env, cfg, rng, size, times))
     per_site = wl.simulate_paths(env, cfg, method="chain", times=[4, 17, 30])
     assert_identical(grouped, per_site)
+    if make_env is not two_point_env:
+        assert grouped.truncated_draws > 0
 
 
-@pytest.mark.parametrize("make_env", [two_point_env, alternating_lossy_env])
+@pytest.mark.parametrize("make_env", [two_point_env, alternating_lossy_env, geometric_env,
+                                      zero_width_env])
 @pytest.mark.parametrize("precision", ["double", "extended"])
 def test_grouped_trajectories_match_per_site_oracle(monkeypatch, make_env, precision):
     horizon = 30
@@ -98,15 +114,36 @@ def test_grouped_trajectories_match_per_site_oracle(monkeypatch, make_env, preci
     cfg = wl.TrajectoryConfig(paths=CHUNK + 900, horizon=horizon, seed=31,
                               precision=precision)
     kwargs = dict(times=[0, 9, 30], levels=True, keep_positions_at=[9])
-    grouped = wl.simulate_trajectories(env, cfg, **kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. no division by an empty level's width
+        grouped = wl.simulate_trajectories(env, cfg, **kwargs)
     monkeypatch.setattr(dynsys, "_step_batch",
                         lambda env, levels_of, u, alive: step_batch_per_site(env, u, alive))
     monkeypatch.setattr(dynsys, "_level_states",
                         lambda env, levels_of, u: level_states_per_site(env, u))
     per_site = wl.simulate_trajectories(env, cfg, **kwargs)
     assert_identical(grouped, per_site)
-    if make_env is alternating_lossy_env:
+    if make_env is not two_point_env:
         assert grouped.flagged > 0
+    if make_env is zero_width_env:
+        assert grouped.contributing[30] == 0 < grouped.contributing[9]
+
+
+def test_step_batch_freezes_flagged_points():
+    # the batch steps every path: already flagged points must keep their value
+    # and flag, as in the per-site loop that steps only the live ones
+    env = alternating_lossy_env(8)
+    levels_of = {}
+    for k, tail in enumerate(env.tails):
+        ext = tail.extended()
+        levels_of[k] = ext, dynsys._slopes(ext), streams.Guide(ext[::-1].copy())
+    rng = np.random.default_rng(5)
+    u = 7.0 * rng.random(3000)
+    alive = rng.random(3000) < 0.7
+    grouped = dynsys._step_batch(env, levels_of, u.copy(), alive.copy())
+    per_site = step_batch_per_site(env, u.copy(), alive.copy())
+    assert_identical(grouped, per_site)
+    assert np.count_nonzero(alive & ~grouped[1]) > 0  # some live points were flagged
 
 
 @pytest.mark.parametrize("make_env", [alternating_lossy_env, powerlaw_env])

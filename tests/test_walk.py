@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import walklab as wl
 from walklab.errors import DeficitBudgetError, ValidationError
-from walklab.walk import hitting_time_scan
+from walklab.walk import _state_counts, hitting_time_scan
 from oracles import sample_sojourn
 
 
@@ -281,6 +281,20 @@ def test_chain_and_sojourn_agree_in_distribution(geometric_env):
     _, ya, na = a.level_counts()
     _, yb, nb = b.level_counts()
     assert abs(np.average(ya, weights=na) - np.average(yb, weights=nb)) < 0.05
+
+
+@pytest.mark.parametrize("size", [5000, 1, 0])
+def test_state_counts_match_unique_rows(size):
+    # one int64 key per state gives np.unique(axis=0)'s rows, order and dtypes
+    rng = np.random.default_rng(size)
+    x = rng.integers(0, 60, size)
+    y = rng.integers(0, 40, size)
+    width = int(y.max(initial=0)) + 1
+    uniq, counts = np.unique(np.stack([x, y], 1), axis=0, return_counts=True)
+    expected = (uniq[:, 0], uniq[:, 1], counts)
+    for got, want in zip(_state_counts(x * width + y, width), expected):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 def test_hitting_record_mean(geometric_env):
