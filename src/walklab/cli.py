@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -52,14 +51,6 @@ from .walk import (
 from .dynsys import TrajectoryConfig, simulate_trajectories
 
 
-def _fmt(v) -> str:
-    if v is None or (isinstance(v, float) and math.isnan(v)):
-        return ""
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
-
-
 def _out_path(path: str) -> str:
     """Relative output paths land in $WALKLAB_OUT_DIR when it is set."""
     base = os.environ.get("WALKLAB_OUT_DIR")
@@ -70,10 +61,10 @@ def _out_path(path: str) -> str:
 
 def _cells(column) -> list[str]:
     """The cells of one CSV column: a float column through ``_format17``
-    (a NaN cell empty), any other through ``_fmt``."""
+    (a NaN cell empty), any other through ``str`` (a None cell empty)."""
     values = np.asarray(column)
     if values.dtype.kind != "f":
-        return [_fmt(v) for v in values.tolist()]
+        return ["" if v is None else str(v) for v in values.tolist()]
     cells = _format17(values).split(", ") if values.size else []
     for j in np.flatnonzero(np.isnan(values)).tolist():
         cells[j] = ""
@@ -135,11 +126,13 @@ def _build_random_model(args) -> random_env.RandomEnvModel:
     raise ValidationError("random models need --choices or --range")
 
 
+def _env_outputs(args) -> tuple:
+    return (args.out, args.diagnostics_out or _suffixed(args.out, "-diagnostics.csv"),
+            args.m_table_out or _suffixed(args.out, "-mtable.csv"))
+
+
 def _cmd_env(args) -> int:
-    outputs = (args.out, args.diagnostics_out or _suffixed(args.out, "-diagnostics.csv"),
-               args.m_table_out or _suffixed(args.out, "-mtable.csv"))
-    # all or nothing: refuse before the first write if any target exists
-    _refuse_overwrite([_out_path(p) for p in outputs], args.force)
+    outputs = _env_outputs(args)
     if args.random:
         if args.seed is None:
             raise ValidationError("sampling commands require --seed")
@@ -246,8 +239,6 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_dynsys(args) -> int:
-    outputs = (args.out_hist, args.out_levels, args.out_summary)
-    _refuse_overwrite([_out_path(p) for p in outputs], args.force)
     env = load_env_file(args.env)
     times = _parse_list(args.times, int) if args.times else [args.n]
     cfg = TrajectoryConfig(paths=args.paths, horizon=args.n, seed=args.seed)
@@ -269,7 +260,9 @@ def _cmd_dynsys(args) -> int:
         if not contributing:
             raise TailTruncationError(
                 f"all {args.paths} trajectories are flagged by n = {t}: their "
-                "points fell below the stored tail, so no path is left to compare")
+                "points fell below the stored tail, so no path is left to compare; with "
+                "power-of-two slopes (geometric r = 0.5) each step uses up one bit of "
+                "a point's fraction, and only earlier times help, not a longer tail")
         summary.append({
             "n": t,
             "contributing_paths": contributing,
@@ -336,6 +329,7 @@ def _add_common(p, seed_required: bool) -> None:
     p.add_argument("--seed", type=int, required=seed_required,
                    help="stream seed (required for stochastic commands)")
     p.add_argument("--force", action="store_true", help="overwrite existing outputs")
+    p.set_defaults(outputs=lambda args: (args.out,))  # the command's output paths
 
 
 def _add_params_flags(p) -> None:
@@ -368,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diagnostics-out", dest="diagnostics_out")
     p.add_argument("--m-table-out", dest="m_table_out")
     _add_common(p, seed_required=False)
-    p.set_defaults(run=_cmd_env)
+    p.set_defaults(run=_cmd_env, outputs=_env_outputs)
 
     p = sub.add_parser("exact", help="exact law of the position at time n")
     p.add_argument("--env", required=True)
@@ -399,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-levels", required=True, dest="out_levels")
     p.add_argument("--out-summary", required=True, dest="out_summary")
     _add_common(p, seed_required=True)
-    p.set_defaults(run=_cmd_dynsys)
+    p.set_defaults(run=_cmd_dynsys,
+                   outputs=lambda args: (args.out_hist, args.out_levels, args.out_summary))
 
     p = sub.add_parser("llt", help="pointwise comparison against the local predictor")
     p.add_argument("--env", required=True)
@@ -438,14 +433,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # all or nothing: refuse before any work if an output exists
+        _refuse_overwrite([_out_path(p) for p in args.outputs(args)], args.force)
         return args.run(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DeficitBudgetError, TailTruncationError) as exc:
+        # each message names its own remedy; no one hint fits both errors
         print(f"numeric budget exceeded: {exc}", file=sys.stderr)
-        print("hint: increase N_cap, tighten tail_tol, or coarsen --trunc-tol",
-              file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

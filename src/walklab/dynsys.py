@@ -104,8 +104,10 @@ def simulate_trajectories(
     ``times`` defaults to the horizon only.  With ``levels`` the (cell, level)
     resolved histogram is recorded as well; ``keep_positions_at`` keeps the raw
     positions at the given times (for within-interval uniformity checks).
-    Flagged paths (fractional part below the stored tail) stop contributing
-    from the moment they are flagged.
+    A path is flagged by the first step that starts from a point below its
+    site's stored tail, and stops contributing from then on; a point that has
+    just landed below the tail still counts at a recorded time (in its cell,
+    and at the deepest level with ``levels``) until its next step flags it.
     """
     if times is None:
         times = [cfg.horizon]

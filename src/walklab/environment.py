@@ -351,8 +351,9 @@ class Environment:
     holds the distinct tail objects in order of first appearance and
     ``tail_index[x]`` is site x's position in it.
 
-    Sites 0..x_max are materialized eagerly; a ``factory`` callable, when
-    present, extends the family on demand (append-only, ascending order).
+    Sites 0..x_max are materialized eagerly; a range ``factory``, when
+    present, extends the family on demand: ``factory(start, stop)`` returns
+    the tails of sites start..stop-1 (append-only, ascending order).
     Materialized sites are immutable and safe to share across readers.
     """
 
@@ -360,7 +361,7 @@ class Environment:
         self,
         sites: Sequence[TailSequence],
         model: dict | None = None,
-        factory: Callable[[int], TailSequence] | None = None,
+        factory: Callable[[int, int], list[TailSequence]] | None = None,
     ):
         self.tails: list[TailSequence] = []  # append-only
         self._position: dict[int, int] = {}  # id of a tail -> its index in tails
@@ -417,7 +418,7 @@ class Environment:
         yield from zip(keys[np.append(0, cuts)].tolist(), np.split(order, cuts))
 
     def ensure(self, x_max: int) -> None:
-        """Materialize sites through ``x_max`` using the factory."""
+        """Materialize sites through ``x_max`` with one factory call."""
         if x_max <= self.x_max:
             return
         if self._factory is None:
@@ -425,7 +426,7 @@ class Environment:
                 f"site {x_max} is beyond the materialized range 0..{self.x_max} "
                 "and this environment has no generator"
             )
-        self._extend([self._factory(x) for x in range(self._size, x_max + 1)])
+        self._extend(self._factory(self._size, x_max + 1))
 
     def site(self, x: int) -> TailSequence:
         if x < 0:
@@ -449,7 +450,8 @@ def _constant_env(tail, param, x_max: int, n_cap: int, tail_tol: float,
         raise RootFindError(f"site 0: {exc}") from exc
     model.update(x_max=x_max, n_cap=n_cap, tail_tol=tail_tol,
                  capped_sites="all" if shared.cap_reached else [])
-    return Environment([shared] * (x_max + 1), model=model, factory=lambda x: shared)
+    return Environment([shared] * (x_max + 1), model=model,
+                       factory=lambda start, stop: [shared] * (stop - start))
 
 
 def env_geometric(

@@ -85,10 +85,10 @@ class LimitParams:
     source: str = "supplied"
 
     def __post_init__(self):
-        if not self.mu > 1.0:
-            raise HypothesisError(f"mu must exceed 1, got {self.mu}")
-        if not self.sigma2 > 0.0:
-            raise HypothesisError(f"sigma2 must be positive, got {self.sigma2}")
+        if not 1.0 < self.mu < math.inf:
+            raise HypothesisError(f"mu must be finite and exceed 1, got {self.mu}")
+        if not 0.0 < self.sigma2 < math.inf:
+            raise HypothesisError(f"sigma2 must be finite and positive, got {self.sigma2}")
 
     @property
     def sigma_tilde2(self) -> float:

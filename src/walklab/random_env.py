@@ -31,7 +31,7 @@ from .environment import (
     _lsv_tails,
     diagnostics,
     geometric_tail_sequence,
-    lsv_tail_sequence,
+    lsv_tail_sequence,  # unused here; bench/spans.py wraps random_env.lsv_tail_sequence by name
     powerlaw_tail_sequence,
 )
 from .errors import ValidationError
@@ -225,23 +225,23 @@ class QuenchedSample:
     seed: int
 
 
-def _site_builder(model: RandomEnvModel, n_cap: int, tail_tol: float, tails: dict):
-    """Tail of one parameter value, built once per distinct value, so sites
-    with equal parameters share one tail object; ``tails`` holds those built
-    so far."""
+def _tail_maker(model: RandomEnvModel, n_cap: int, tail_tol: float):
+    """A function from a list of parameter values to their tails, built once
+    per distinct value, so sites with equal parameters share one tail object
+    across calls; a call's new lsv values are stepped as one batch."""
+    tails: dict = {}
 
-    def builder(theta):
-        if theta not in tails:
-            if model.family == "powerlaw":
-                tails[theta] = powerlaw_tail_sequence(theta, n_cap, tail_tol)
-            elif model.family == "geometric":
-                tails[theta] = geometric_tail_sequence(theta, n_cap, tail_tol)
-            else:
-                params = LsvParams.from_alpha_c(theta, model.lsv_c)
-                tails[theta] = lsv_tail_sequence(params, n_cap, tail_tol)
-        return tails[theta]
+    def tails_of(thetas: list) -> list:
+        new = [theta for theta in dict.fromkeys(thetas) if theta not in tails]
+        if model.family == "lsv":
+            params = [LsvParams.from_alpha_c(theta, model.lsv_c) for theta in new]
+            tails.update(zip(new, _lsv_tails(params, n_cap, tail_tol) if new else []))
+        else:
+            tail = powerlaw_tail_sequence if model.family == "powerlaw" else geometric_tail_sequence
+            tails.update((theta, tail(theta, n_cap, tail_tol)) for theta in new)
+        return [tails[theta] for theta in thetas]
 
-    return builder
+    return tails_of
 
 
 def sample_environment(
@@ -252,23 +252,18 @@ def sample_environment(
 ) -> QuenchedSample:
     """Materialize sites 0..x_max from the model; bit-reproducible in the seed.
 
-    The lsv tails of sites 0..x_max are built together, one orbit per
-    distinct parameter (``environment._lsv_tails``).  The returned
-    environment keeps a factory, so later extension reproduces exactly what a
-    larger ``x_max`` would have produced.
+    The returned environment keeps a range factory that builds later sites
+    with the function that built sites 0..x_max (one tail per distinct
+    parameter, the new lsv orbits of a range stepped together), so extension
+    reproduces exactly what a larger ``x_max`` would have produced.
     """
     if x_max < 0:
         raise ValidationError(f"x_max must be >= 0, got {x_max}")
     _check_truncation(n_cap, tail_tol)
     parameter = partial(model.site_parameter, _cache={})  # one cache for the sites and the factory
+    tails_of = _tail_maker(model, n_cap, tail_tol)
     trace = np.array([parameter(x) for x in range(x_max + 1)])
-    tails: dict = {}
-    if model.family == "lsv":
-        distinct = list(dict.fromkeys(trace.tolist()))
-        params = [LsvParams.from_alpha_c(theta, model.lsv_c) for theta in distinct]
-        tails.update(zip(distinct, _lsv_tails(params, n_cap, tail_tol)))
-    builder = _site_builder(model, n_cap, tail_tol, tails)
-    sites = [builder(theta) for theta in trace]
+    sites = tails_of(trace.tolist())
     descriptor = {
         "family": model.family,
         "random": model.descriptor(),
@@ -278,7 +273,8 @@ def sample_environment(
         "beta_diag": [float(b) for b in _beta_from(model, trace)],
         "capped_sites": [x for x, s in enumerate(sites) if s.cap_reached],
     }
-    env = Environment(sites, model=descriptor, factory=lambda x: builder(parameter(x)))
+    env = Environment(sites, model=descriptor, factory=lambda start, stop: tails_of(
+        [parameter(x) for x in range(start, stop)]))
     return QuenchedSample(environment=env, parameter_trace=trace, model=model,
                           seed=model.seed)
 

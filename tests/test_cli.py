@@ -264,6 +264,44 @@ def test_exit_code_overwrite(tmp_path, geo_env_file):
                "--force") == 0
 
 
+@pytest.mark.parametrize("command, compute, argv", [
+    ("exact", "position_distribution", ["--n", "8000"]),
+    ("mc", "simulate_paths", ["--paths", "10", "--n", "5", "--seed", "1"]),
+    ("llt", "llt_report", ["--n-grid", "8000"]),
+    ("clt", "clt_report", ["--n-grid", "250"]),
+    ("slln", "simulate_paths", ["--paths", "10", "--horizon", "20", "--seed", "1"]),
+])
+def test_existing_output_refused_before_any_work(tmp_path, geo_env_file, monkeypatch, capsys,
+                                                 command, compute, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran before the overwrite check")
+
+    monkeypatch.setattr(cli, compute, refuse)
+    monkeypatch.setattr(cli, "load_env_file", refuse)
+    out = tmp_path / "o.out"
+    out.write_text("kept\n")
+    assert run(command, "--env", geo_env_file, *argv, "--out", out) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "refusing to overwrite" in captured.err
+    assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("flag", ["--mu", "--sigma2"])
+@pytest.mark.parametrize("command", ["llt", "clt", "slln"])
+def test_non_finite_limit_constants_refused(tmp_path, geo_env_file, capsys, command, flag, value):
+    constants = {"--mu": "2", "--sigma2": "2", flag: value}
+    argv = (["--paths", "10", "--horizon", "20", "--seed", "1"] if command == "slln"
+            else ["--n-grid", "10"])
+    out = tmp_path / "o.out"
+    assert run(command, "--env", geo_env_file, *argv, *sum(constants.items(), ()),
+               "--out", out) == 2
+    captured = capsys.readouterr()
+    assert f"error: {flag[2:]} must be finite" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_env_refuses_before_any_write(tmp_path):
     (tmp_path / "g-diagnostics.csv").write_text("kept\n")
     assert run("env", "--family", "geometric", "--r", "0.5", "--xmax", "10",
@@ -363,8 +401,10 @@ def test_dynsys_with_every_path_flagged_exits_3(tmp_path, geo_env_file, capsys):
     assert run("dynsys", "--env", geo_env_file, "--paths", "200", "--n", "60", "--seed", "1",
                "--times", "10,60", "--out-hist", outputs[0], "--out-levels", outputs[1],
                "--out-summary", outputs[2]) == 3
+    err = capsys.readouterr().err
     assert ("all 200 trajectories are flagged by n = 60: their points fell below the "
-            "stored tail") in capsys.readouterr().err
+            "stored tail") in err
+    assert "not a longer tail" in err and "N_cap" not in err  # no advice that cannot help
     assert not any(p.exists() for p in outputs)
 
 

@@ -365,6 +365,35 @@ def test_environment_extension_and_bounds(geometric_env):
         loaded.site(10)
 
 
+def test_ensure_calls_the_range_factory_once_per_extension():
+    tail = wl.TailSequence([1.0, 0.5, 0.25], deficit=0.0)
+    calls = []
+
+    def factory(start, stop):
+        calls.append((start, stop))
+        return [tail] * (stop - start)
+
+    env = wl.Environment([tail], factory=factory)
+    env.ensure(10)
+    env.site(5)
+    env.site(12)
+    assert calls == [(1, 11), (11, 13)]
+    assert len(env) == 13 and env.tails == [tail]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: wl.env_geometric(0.5, 5),
+    lambda: wl.env_from_powerlaw(3.0, 5, tail_tol=1e-6),
+    lambda: wl.env_from_lsv(wl.LsvParams.from_alpha_c(0.33, 0.5), 5, tail_tol=1e-6),
+], ids=["geometric", "powerlaw", "lsv"])
+def test_constant_env_extension_holds_its_shared_tail(build):
+    env = build()
+    shared = env.site(0)
+    env.ensure(40)
+    assert len(env) == 41 and len(env.tails) == 1 and env.tails[0] is shared
+    assert all(site is shared for site in env.sites())
+
+
 def test_env_file_round_trip(tmp_path, lsv_env):
     path = tmp_path / "env.json"
     wl.write_env_file(lsv_env, str(path))

@@ -44,7 +44,7 @@ def test_site_built_alone_equals_site_built_in_batch():
     model = wl.RandomEnvModel(kind="iid", family="lsv", seed=11, low=0.2, high=0.45)
     batch = wl.sample_environment(model, 60, tail_tol=1e-6).environment
     grown = wl.sample_environment(model, 3, tail_tol=1e-6).environment
-    grown.ensure(60)  # sites 4..60 built one at a time by the factory
+    grown.ensure(60)  # sites 4..60 built by one factory call, a batch of their own
     assert len(batch.tails) == 61
     for x in range(61):
         assert_same_bits(grown.site(x), batch.site(x))

@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 import walklab as wl
+from walklab import random_env
 from walklab.errors import ValidationError
 
 
@@ -42,6 +43,48 @@ def test_shift_consistency_across_x_max():
     # lazily extending the small sample reproduces the large one
     np.testing.assert_array_equal(small.environment.site(31).values,
                                   large.environment.site(31).values)
+
+
+GROWN_MODELS = {
+    "iid-lsv": lambda: wl.RandomEnvModel(kind="iid", family="lsv", seed=3, low=0.2, high=0.35),
+    "mdep-powerlaw": lambda: wl.RandomEnvModel(kind="m-dependent", family="powerlaw", seed=5,
+                                               low=2.2, high=3.8, window=2),
+    "markov-geometric": lambda: wl.RandomEnvModel(
+        kind="markov", family="geometric", seed=21,
+        chain=wl.MarkovChainSpec(states=(0.3, 0.6), transition=np.array([[0.8, 0.2], [0.3, 0.7]]))),
+    "iid-choices": lambda: iid_powerlaw_model(choices=(2.5, 3.0, 3.5)),
+}
+
+
+@pytest.mark.parametrize("name", list(GROWN_MODELS))
+def test_grown_environment_equals_direct_sample(name):
+    model = GROWN_MODELS[name]()
+    direct = wl.sample_environment(model, 80, tail_tol=1e-7).environment
+    grown = wl.sample_environment(model, 3, tail_tol=1e-7).environment
+    grown.ensure(30)  # growth in two ranges
+    grown.ensure(80)
+    np.testing.assert_array_equal(grown.tail_index, direct.tail_index)  # same sharing
+    assert len(grown.tails) == len(direct.tails)
+    for a, b in zip(grown.tails, direct.tails):
+        assert a.values.tobytes() == b.values.tobytes()
+        assert np.float64(a.deficit).tobytes() == np.float64(b.deficit).tobytes()
+        assert a.cap_reached == b.cap_reached
+
+
+def test_extension_steps_new_lsv_values_in_one_batch(monkeypatch):
+    calls = []
+    batch = random_env._lsv_tails
+    monkeypatch.setattr(random_env, "_lsv_tails",
+                        lambda params, *rest: calls.append(len(params)) or batch(params, *rest))
+    model = wl.RandomEnvModel(kind="iid", family="lsv", seed=3, low=0.2, high=0.35)
+    env = wl.sample_environment(model, 3, tail_tol=1e-6).environment
+    env.ensure(40)
+    assert calls == [4, 37]  # the sample, then sites 4..40 in one call
+    two_point = wl.RandomEnvModel(kind="iid", family="lsv", seed=3, choices=(0.2, 0.35))
+    env = wl.sample_environment(two_point, 30, tail_tol=1e-6).environment
+    assert len(env.tails) == 2
+    env.ensure(60)  # no new value, so no batch
+    assert calls == [4, 37, 2] and len(env.tails) == 2
 
 
 def test_seed_changes_sample():
