@@ -42,6 +42,7 @@ from .limits import (
     slln_report,
 )
 from .walk import (
+    DEFAULT_TRUNC_TOL,
     McConfig,
     mc_tv_tolerance,
     position_distribution,
@@ -367,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", help="exact law of the position at time n")
     p.add_argument("--env", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trunc-tol", type=float, default=1e-14, dest="trunc_tol")
+    p.add_argument("--trunc-tol", type=float, default=DEFAULT_TRUNC_TOL, dest="trunc_tol")
     p.add_argument("--out", required=True)
     _add_common(p, seed_required=False)
     p.set_defaults(run=_cmd_exact)

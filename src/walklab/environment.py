@@ -55,6 +55,10 @@ DEFAULT_TAIL_TOL = 1e-12
 # relative Newton step tolerance of each backward-orbit preimage
 _ORBIT_REL_TOL = 1e-13
 _NEWTON_MAX_ITER = 200  # guards pathological tolerances only
+# fewer lsv orbits than this are stepped alone (a batch step costs ~80 us): at
+# alpha in [0.30, 0.33], c 0.5, tail_tol 1e-10, 8 orbits took 0.20 s alone, 0.38 s
+# batched, 16 took 0.34-0.55 s against 0.33-0.39 s (2-vCPU Xeon, numpy 2.4.6)
+_LONE_ORBITS = 12
 _WRITE_SLICE = 1 << 20  # characters an output file is written in at a time
 
 __all__ = [
@@ -248,10 +252,12 @@ def _lsv_tails(params: Sequence[LsvParams], n_cap: int, tail_tol: float) -> list
     safeguard.  An orbit stops iterating at its first step of at most
     _ORBIT_REL_TOL * y, taking that step when it is positive, and leaves the
     batch at its own stop (tail_tol or n_cap) with its deficit solved, so
-    its values do not depend on the batch it is stepped in.
+    its values do not depend on the batch it is stepped in.  Fewer than
+    _LONE_ORBITS parameters are stepped by ``_lone_orbit``, which gives the
+    same bits.
     """
-    if len(params) == 1:
-        return [_lone_orbit(params[0], n_cap, tail_tol)]
+    if len(params) < _LONE_ORBITS:
+        return [_lone_orbit(p, n_cap, tail_tol) for p in params]
     alpha, kappa = np.array([(p.alpha, p.kappa) for p in params]).T
     power = alpha + 1.0
     coef = np.stack([alpha, power, kappa, kappa * power])  # one column per live orbit
@@ -353,7 +359,9 @@ class Environment:
 
     Sites 0..x_max are materialized eagerly; a range ``factory``, when
     present, extends the family on demand: ``factory(start, stop)`` returns
-    the tails of sites start..stop-1 (append-only, ascending order).
+    the tails of sites start..stop-1 (append-only, ascending order).  The
+    ``model`` descriptor is kept as given, not copied, so a factory that
+    records its sites there describes every materialized site.
     Materialized sites are immutable and safe to share across readers.
     """
 
@@ -370,7 +378,7 @@ class Environment:
         self._extend(sites)
         if not self._size:
             raise ValidationError("environment needs at least one site")
-        self.model = dict(model or {})
+        self.model = {} if model is None else model
         self._factory = factory
 
     def _extend(self, sites) -> None:
@@ -441,17 +449,23 @@ class Environment:
 
 def _constant_env(tail, param, x_max: int, n_cap: int, tail_tol: float,
                   model: dict) -> Environment:
-    """Sites 0..x_max, and every site the factory adds later, share one tail."""
+    """Sites 0..x_max, and every site the factory adds later, share one tail.
+    One range function builds sites 0..x_max and is the factory; it sets
+    ``x_max`` in ``model`` (``capped_sites``, "all" or [], holds as it grows)."""
     if x_max < 0:
         raise ValidationError(f"x_max must be >= 0, got {x_max}")
     try:
         shared = tail(param, n_cap, tail_tol)
     except RootFindError as exc:
         raise RootFindError(f"site 0: {exc}") from exc
-    model.update(x_max=x_max, n_cap=n_cap, tail_tol=tail_tol,
+    model.update(n_cap=n_cap, tail_tol=tail_tol,
                  capped_sites="all" if shared.cap_reached else [])
-    return Environment([shared] * (x_max + 1), model=model,
-                       factory=lambda start, stop: [shared] * (stop - start))
+
+    def grow(start: int, stop: int) -> list[TailSequence]:
+        model["x_max"] = stop - 1
+        return [shared] * (stop - start)
+
+    return Environment(grow(0, x_max + 1), model=model, factory=grow)
 
 
 def env_geometric(
@@ -546,7 +560,7 @@ class EnvDiagnostics:
 
 
 def _diagnostic_row(site: TailSequence, b) -> tuple:
-    """One site's (A, A flag, A', A' flag, K, m, m tail, m2, s2 tail, capped)."""
+    """One site's (A, A flag, A', A' flag, K, m tail, s2 tail, capped)."""
     v = site.values
     n_last = site.last_index
     diffs = -np.diff(site.extended())  # P(tau = n), n = 1..N+1
@@ -570,9 +584,16 @@ def _diagnostic_row(site: TailSequence, b) -> tuple:
         K = math.nan
 
     return (A, A_flag, A_prime, Ap_flag, K,
-            site.stored_mean(), tail_mean_bound(site, b),
-            site.stored_second_moment(), tail_second_moment_bound(site, b),
-            site.cap_reached)
+            tail_mean_bound(site, b), tail_second_moment_bound(site, b), site.cap_reached)
+
+
+def _sojourn_moments(env: Environment, start: int, stop: int) -> np.ndarray:
+    """Rows m and m2: the stored sojourn mean and second moment of each site
+    start..stop-1, formed once per distinct tail and spread over its sites."""
+    env.ensure(stop - 1)
+    keys, of_site = np.unique(env.tail_index[start:stop], return_inverse=True)
+    return np.array([(env.tails[k].stored_mean(), env.tails[k].stored_second_moment())
+                     for k in keys.tolist()]).T[:, of_site]
 
 
 def diagnostics(env: Environment, beta) -> EnvDiagnostics:
@@ -602,8 +623,9 @@ def diagnostics(env: Environment, beta) -> EnvDiagnostics:
     pairs, inverse = np.unique(np.column_stack((env.tail_index, betas)), axis=0,
                                return_inverse=True)
     rows = [_diagnostic_row(env.tails[int(k)], b) for k, b in pairs]
-    A, A_flag, A_prime, Ap_flag, K, m, m_tail, m2, s2_tail, capped = (
+    A, A_flag, A_prime, Ap_flag, K, m_tail, s2_tail, capped = (
         np.array(column)[inverse.ravel()] for column in zip(*rows))
+    m, m2 = _sojourn_moments(env, 0, xs.size)
 
     s2 = m2 - m**2
     mu = np.concatenate(([0.0], np.cumsum(m)))
@@ -630,20 +652,15 @@ def diagnostics(env: Environment, beta) -> EnvDiagnostics:
 def cumulative_hitting_moments(env: Environment, x: int) -> tuple[float, float]:
     """(mu_x, sigma_x^2): mean and variance of the hitting time of site x.
 
-    The sojourn mean m and variance s2 - m^2 are formed once per distinct
-    tail; the sums over sites 0..x-1 add them in site order.
+    The sums over sites 0..x-1 add the sojourn mean m and variance
+    m2 - m^2 in site order.
     """
     if x <= 0:
         return 0.0, 0.0
-    env.site(x - 1)  # materialize the prefix
-    keys = env.tail_index[:x]
-    terms = np.zeros((len(env.tails), 2))
-    for k in np.unique(keys).tolist():
-        m_k = env.tails[k].stored_mean()
-        terms[k] = m_k, env.tails[k].stored_second_moment() - m_k**2
-    # np.cumsum adds sequentially, so the sums equal a per-site loop's bit for bit
-    mu_x, var_x = np.cumsum(terms[keys], axis=0)[-1].tolist()
-    return mu_x, var_x
+    m, m2 = _sojourn_moments(env, 0, x)
+    # float_power is libm pow, as Python's ** (m**2 is m*m, which differs now and then in
+    # the last bit); np.cumsum adds sequentially, so this equals a per-site loop bit for bit
+    return float(np.cumsum(m)[-1]), float(np.cumsum(m2 - np.float_power(m, 2))[-1])
 
 
 def window_fluctuation(env: Environment, x: int, u: float, mu: float) -> float:
@@ -661,11 +678,8 @@ def window_fluctuation(env: Environment, x: int, u: float, mu: float) -> float:
     if span == 0:
         return 0.0
     w_lo = max(0, x - span - 1)
-    env.ensure(x + span - 1)
-    # per-site m_w - mu over [w_lo, x + span - 1], one mean per distinct tail
-    keys, of_site = np.unique(env.tail_index[w_lo : x + span], return_inverse=True)
-    means = np.array([env.tails[k].stored_mean() for k in keys.tolist()])
-    csum = np.concatenate(([0.0], np.cumsum(means[of_site] - mu)))
+    m, _ = _sojourn_moments(env, w_lo, x + span)  # sites w_lo..x + span - 1
+    csum = np.concatenate(([0.0], np.cumsum(m - mu)))
     # windows [x, x+l-1] and [max(0, x-l-1), x] for l = 1..span
     ell = np.arange(1, span + 1)
     sums = np.concatenate((csum[x - w_lo + ell] - csum[x - w_lo],

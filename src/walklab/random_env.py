@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -225,25 +224,6 @@ class QuenchedSample:
     seed: int
 
 
-def _tail_maker(model: RandomEnvModel, n_cap: int, tail_tol: float):
-    """A function from a list of parameter values to their tails, built once
-    per distinct value, so sites with equal parameters share one tail object
-    across calls; a call's new lsv values are stepped as one batch."""
-    tails: dict = {}
-
-    def tails_of(thetas: list) -> list:
-        new = [theta for theta in dict.fromkeys(thetas) if theta not in tails]
-        if model.family == "lsv":
-            params = [LsvParams.from_alpha_c(theta, model.lsv_c) for theta in new]
-            tails.update(zip(new, _lsv_tails(params, n_cap, tail_tol) if new else []))
-        else:
-            tail = powerlaw_tail_sequence if model.family == "powerlaw" else geometric_tail_sequence
-            tails.update((theta, tail(theta, n_cap, tail_tol)) for theta in new)
-        return [tails[theta] for theta in thetas]
-
-    return tails_of
-
-
 def sample_environment(
     model: RandomEnvModel,
     x_max: int,
@@ -252,39 +232,42 @@ def sample_environment(
 ) -> QuenchedSample:
     """Materialize sites 0..x_max from the model; bit-reproducible in the seed.
 
-    The returned environment keeps a range factory that builds later sites
-    with the function that built sites 0..x_max (one tail per distinct
-    parameter, the new lsv orbits of a range stepped together), so extension
-    reproduces exactly what a larger ``x_max`` would have produced.
+    One range function builds sites 0..x_max and is the factory.  It draws a
+    range's parameters, builds one tail per distinct value across ranges (a
+    range's new lsv values in one ``_lsv_tails`` call) and records the range's
+    ``beta_diag`` values, capped sites and ``x_max`` in the descriptor, so an
+    extended environment equals, descriptor included, a larger sample.
     """
     if x_max < 0:
         raise ValidationError(f"x_max must be >= 0, got {x_max}")
     _check_truncation(n_cap, tail_tol)
-    parameter = partial(model.site_parameter, _cache={})  # one cache for the sites and the factory
-    tails_of = _tail_maker(model, n_cap, tail_tol)
-    trace = np.array([parameter(x) for x in range(x_max + 1)])
-    sites = tails_of(trace.tolist())
-    descriptor = {
-        "family": model.family,
-        "random": model.descriptor(),
-        "x_max": x_max,
-        "n_cap": n_cap,
-        "tail_tol": tail_tol,
-        "beta_diag": [float(b) for b in _beta_from(model, trace)],
-        "capped_sites": [x for x, s in enumerate(sites) if s.cap_reached],
-    }
-    env = Environment(sites, model=descriptor, factory=lambda start, stop: tails_of(
-        [parameter(x) for x in range(start, stop)]))
-    return QuenchedSample(environment=env, parameter_trace=trace, model=model,
+    cache: dict = {}  # noise values or Markov states, from range to range
+    tails: dict = {}  # parameter value -> its tail
+    thetas: list = []  # the parameters of every materialized site
+    descriptor = {"family": model.family, "random": model.descriptor(), "n_cap": n_cap,
+                  "tail_tol": tail_tol, "beta_diag": [], "capped_sites": []}
+
+    def grow(start: int, stop: int) -> list:
+        theta = [model.site_parameter(x, cache) for x in range(start, stop)]
+        new = [t for t in dict.fromkeys(theta) if t not in tails]
+        if model.family == "lsv":
+            params = [LsvParams.from_alpha_c(t, model.lsv_c) for t in new]
+            tails.update(zip(new, _lsv_tails(params, n_cap, tail_tol) if new else []))
+            beta = [1.0 / t for t in theta]
+        else:
+            tail = powerlaw_tail_sequence if model.family == "powerlaw" else geometric_tail_sequence
+            tails.update((t, tail(t, n_cap, tail_tol)) for t in new)
+            beta = theta if model.family == "powerlaw" else [model.beta_diag] * len(theta)
+        sites = [tails[t] for t in theta]
+        thetas.extend(theta)
+        descriptor["x_max"] = stop - 1
+        descriptor["beta_diag"] += [float(b) for b in beta]
+        descriptor["capped_sites"] += [x for x, s in enumerate(sites, start) if s.cap_reached]
+        return sites
+
+    env = Environment(grow(0, x_max + 1), model=descriptor, factory=grow)
+    return QuenchedSample(environment=env, parameter_trace=np.array(thetas), model=model,
                           seed=model.seed)
-
-
-def _beta_from(model: RandomEnvModel, trace: np.ndarray) -> np.ndarray:
-    if model.family == "powerlaw":
-        return trace
-    if model.family == "lsv":
-        return 1.0 / trace
-    return np.full(trace.size, model.beta_diag)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import walklab as wl
-from walklab.environment import _ORBIT_REL_TOL, _lsv_tails
+from walklab.environment import _LONE_ORBITS, _ORBIT_REL_TOL, _lone_orbit, _lsv_tails
 
 
 def scalar_tail(params, n_cap, tail_tol):
@@ -52,10 +52,20 @@ def test_site_built_alone_equals_site_built_in_batch():
 
 @pytest.mark.parametrize("n_cap, tail_tol", [(100_000, 1e-7), (40, 1e-10), (1, 1e-3)])
 def test_lsv_tail_sequence_equals_its_batch_lane(n_cap, tail_tol):
-    params = [wl.LsvParams.from_alpha_c(a, c) for a in (0.2, 0.33, 0.45) for c in (0.3, 0.8)]
+    params = [wl.LsvParams.from_alpha_c(a, c) for a in (0.2, 0.27, 0.33, 0.45)
+              for c in (0.3, 0.5, 0.8)]
+    assert len(params) >= _LONE_ORBITS  # stepped as one batch
     batch = _lsv_tails(params, n_cap, tail_tol)
     for p, tail in zip(params, batch):
         assert_same_bits(wl.lsv_tail_sequence(p, n_cap, tail_tol), tail)
+
+
+@pytest.mark.parametrize("count", [_LONE_ORBITS - 1, _LONE_ORBITS])
+def test_lone_orbits_and_batch_agree_at_the_threshold(count):
+    # below the threshold _lsv_tails steps each orbit alone, at it as one batch
+    params = [wl.LsvParams.from_alpha_c(float(a), 0.5) for a in np.linspace(0.2, 0.4, count)]
+    for p, tail in zip(params, _lsv_tails(params, 100_000, 1e-7)):
+        assert_same_bits(tail, _lone_orbit(p, 100_000, 1e-7))
 
 
 @pytest.mark.parametrize("n_cap, tail_tol", [(100_000, 1e-10), (25, 1e-10), (1, 0.5)])

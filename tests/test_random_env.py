@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 import walklab as wl
-from walklab import random_env
+from walklab import cli, random_env
 from walklab.errors import ValidationError
 
 
@@ -69,6 +69,57 @@ def test_grown_environment_equals_direct_sample(name):
         assert a.values.tobytes() == b.values.tobytes()
         assert np.float64(a.deficit).tobytes() == np.float64(b.deficit).tobytes()
         assert a.cap_reached == b.cap_reached
+
+
+def random_model(kind, family):
+    low, high = {"powerlaw": (2.2, 3.8), "geometric": (0.3, 0.6), "lsv": (0.2, 0.35)}[family]
+    if kind == "markov":
+        return wl.RandomEnvModel(kind=kind, family=family, seed=13, chain=wl.MarkovChainSpec(
+            states=(low, high), transition=np.array([[0.8, 0.2], [0.3, 0.7]])))
+    return wl.RandomEnvModel(kind=kind, family=family, seed=13, low=low, high=high,
+                             window=2 if kind == "m-dependent" else 0)
+
+
+def random_builder(kind, family, n_cap=wl.DEFAULT_N_CAP):
+    return lambda x_max, tail_tol=1e-6: wl.sample_environment(
+        random_model(kind, family), x_max, n_cap=n_cap, tail_tol=tail_tol).environment
+
+
+# (x_max, tail_tol) -> environment, each family's constant builder and every random model
+BUILDERS = {
+    "geometric": lambda x_max, tail_tol=1e-6: wl.env_geometric(0.5, x_max, tail_tol=tail_tol),
+    "geometric-capped": lambda x_max, tail_tol=1e-6: wl.env_geometric(
+        0.5, x_max, n_cap=5, tail_tol=tail_tol),
+    "powerlaw": lambda x_max, tail_tol=1e-6: wl.env_from_powerlaw(3.0, x_max, tail_tol=tail_tol),
+    "lsv": lambda x_max, tail_tol=1e-6: wl.env_from_lsv(
+        wl.LsvParams.from_alpha_c(0.33, 0.5), x_max, tail_tol=tail_tol),
+    **{f"{kind}-{family}": random_builder(kind, family)
+       for kind in ("iid", "m-dependent", "markov") for family in ("powerlaw", "geometric", "lsv")},
+    # beta below 3 needs more than 100 values at tail_tol 1e-6, so some sites are capped
+    "iid-powerlaw-capped": random_builder("iid", "powerlaw", n_cap=100),
+}
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_grown_environment_file_equals_direct_build(name):
+    grown = BUILDERS[name](3)
+    grown.ensure(20)
+    grown.ensure(40)
+    assert wl.env_json_text(grown) == wl.env_json_text(BUILDERS[name](40))
+    if name.endswith("-capped"):
+        assert grown.model["capped_sites"]
+
+
+@pytest.mark.parametrize("name", ["geometric", "iid-geometric", "markov-geometric"])
+def test_reports_run_on_a_grown_environment_file(tmp_path, name):
+    env = BUILDERS[name](3, tail_tol=1e-14)
+    env.ensure(40)
+    path = tmp_path / "grown.json"
+    wl.write_env_file(env, str(path))
+    for command in ("llt", "clt"):
+        assert cli.main([command, "--env", str(path), "--n-grid", "10,20", "--mu", "2",
+                         "--sigma2", "2", "--trunc-tol", "1e-8",
+                         "--out", str(tmp_path / command)]) == 0
 
 
 def test_extension_steps_new_lsv_values_in_one_batch(monkeypatch):
