@@ -55,9 +55,9 @@ DEFAULT_TAIL_TOL = 1e-12
 # relative Newton step tolerance of each backward-orbit preimage
 _ORBIT_REL_TOL = 1e-13
 _NEWTON_MAX_ITER = 200  # guards pathological tolerances only
-# fewer lsv orbits than this are stepped alone (a batch step costs ~80 us): at
-# alpha in [0.30, 0.33], c 0.5, tail_tol 1e-10, 8 orbits took 0.20 s alone, 0.38 s
-# batched, 16 took 0.34-0.55 s against 0.33-0.39 s (2-vCPU Xeon, numpy 2.4.6)
+# a batch orbit step costs as much as ~12 lone ones (76-80 us at 1-24 live lanes against
+# 6.4 us; alpha 0.33, c 0.5, tail_tol 1e-10, 2-vCPU Xeon, numpy 2.4.6): fewer live orbits
+# go on alone (bench env-files' last ones; no timed workload makes a smaller call)
 _LONE_ORBITS = 12
 _WRITE_SLICE = 1 << 20  # characters an output file is written in at a time
 
@@ -252,12 +252,9 @@ def _lsv_tails(params: Sequence[LsvParams], n_cap: int, tail_tol: float) -> list
     safeguard.  An orbit stops iterating at its first step of at most
     _ORBIT_REL_TOL * y, taking that step when it is positive, and leaves the
     batch at its own stop (tail_tol or n_cap) with its deficit solved, so
-    its values do not depend on the batch it is stepped in.  Fewer than
-    _LONE_ORBITS parameters are stepped by ``_lone_orbit``, which gives the
-    same bits.
+    its values do not depend on the batch it is stepped in.  Once fewer than
+    _LONE_ORBITS orbits are live, each goes on in ``_lone_steps`` (same bits).
     """
-    if len(params) < _LONE_ORBITS:
-        return [_lone_orbit(p, n_cap, tail_tol) for p in params]
     alpha, kappa = np.array([(p.alpha, p.kappa) for p in params]).T
     power = alpha + 1.0
     coef = np.stack([alpha, power, kappa, kappa * power])  # one column per live orbit
@@ -266,7 +263,7 @@ def _lsv_tails(params: Sequence[LsvParams], n_cap: int, tail_tol: float) -> list
     steps = [(lanes, y)]  # orbit values c_1, c_2, ... of the live lanes, step by step
     size = np.empty(len(params), dtype=np.intp)  # N + 2 for 1, c_1..c_N, deficit
     k = 1  # every live orbit holds c_1..c_k
-    while lanes.size:
+    while lanes.size >= _LONE_ORBITS:
         stop = (y <= tail_tol) | (k >= n_cap)  # the next value is the deficit
         alpha, power, kappa, slope = coef
         root, todo = y, np.ones(y.size, dtype=bool)
@@ -287,26 +284,30 @@ def _lsv_tails(params: Sequence[LsvParams], n_cap: int, tail_tol: float) -> list
             size[lanes[stop]] = k + 2
             coef, lanes, y = coef[:, ~stop], lanes[~stop], y[~stop]
         k += 1
+    rests = [_lone_steps(params[i], c, k, n_cap, tail_tol) for i, c in zip(lanes.tolist(), y.tolist())]
+    size[lanes] = [k + 1 + len(rest) for rest in rests]
     start = np.concatenate(([0], np.cumsum(size)[:-1]))
     flat = np.ones(size.sum())
     for t, (live, values) in enumerate(steps):
         flat[start[live] + 1 + t] = values
+    for a, rest in zip(start[lanes].tolist(), rests):
+        flat[a + k + 1 : a + k + 1 + len(rest)] = rest
     return [
         TailSequence(flat[a : a + m - 1], deficit=flat[a + m - 1], cap_reached=flat[a + m - 2] > tail_tol)
         for a, m in zip(start.tolist(), size.tolist())
     ]
 
 
-def _lone_orbit(params: LsvParams, n_cap: int, tail_tol: float) -> TailSequence:
-    """``_lsv_tails`` of one parameter, step for step on Python floats.  Both
-    powers of an iterate come from one numpy array pow, whose bits are the
-    batch's (Python's ``**`` differs from it in the last bit now and then)."""
+def _lone_steps(params: LsvParams, y: float, k: int, n_cap: int, tail_tol: float) -> list:
+    """The rest c_{k+1}, ..., c_N, deficit of one ``_lsv_tails`` orbit from
+    y = c_k, step for step on Python floats.  Both powers of an iterate come
+    from one numpy array pow, whose bits are the batch's (Python's ``**``
+    differs from it in the last bit now and then)."""
     kappa, slope = params.kappa, params.kappa * (params.alpha + 1.0)
     exponents, powers = np.array([params.alpha, params.alpha + 1.0]), np.empty(2)
-    y = params.c
-    values = [1.0, y]  # 1, c_1, ..., c_k
+    rest = []
     while True:
-        stop = y <= tail_tol or len(values) > n_cap  # the next value is the deficit
+        stop = y <= tail_tol or k + len(rest) >= n_cap  # the next value is the deficit
         target = y
         for _ in range(_NEWTON_MAX_ITER):
             y_alpha, y_power = np.power(y, exponents, powers).tolist()
@@ -318,9 +319,9 @@ def _lone_orbit(params: LsvParams, n_cap: int, tail_tol: float) -> TailSequence:
             raise RootFindError(f"Newton's method did not reach relative tolerance "
                                 f"{_ORBIT_REL_TOL} within {_NEWTON_MAX_ITER} iterations")
         y -= max(step, 0.0)
+        rest.append(y)
         if stop:
-            return TailSequence(np.array(values), deficit=y, cap_reached=values[-1] > tail_tol)
-        values.append(y)
+            return rest
 
 
 def lsv_cn_sequence(params: LsvParams, count: int) -> np.ndarray:

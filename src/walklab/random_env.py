@@ -243,7 +243,7 @@ def sample_environment(
     _check_truncation(n_cap, tail_tol)
     cache: dict = {}  # noise values or Markov states, from range to range
     tails: dict = {}  # parameter value -> its tail
-    thetas: list = []  # the parameters of every materialized site
+    trace: list = []  # the parameters of sites 0..x_max
     descriptor = {"family": model.family, "random": model.descriptor(), "n_cap": n_cap,
                   "tail_tol": tail_tol, "beta_diag": [], "capped_sites": []}
 
@@ -259,14 +259,15 @@ def sample_environment(
             tails.update((t, tail(t, n_cap, tail_tol)) for t in new)
             beta = theta if model.family == "powerlaw" else [model.beta_diag] * len(theta)
         sites = [tails[t] for t in theta]
-        thetas.extend(theta)
+        if start == 0:  # the first range
+            trace.extend(theta)
         descriptor["x_max"] = stop - 1
         descriptor["beta_diag"] += [float(b) for b in beta]
         descriptor["capped_sites"] += [x for x, s in enumerate(sites, start) if s.cap_reached]
         return sites
 
     env = Environment(grow(0, x_max + 1), model=descriptor, factory=grow)
-    return QuenchedSample(environment=env, parameter_trace=np.array(thetas), model=model,
+    return QuenchedSample(environment=env, parameter_trace=np.array(trace), model=model,
                           seed=model.seed)
 
 

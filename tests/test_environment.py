@@ -136,11 +136,13 @@ def test_root_finder_iteration_cap(monkeypatch):
     import walklab.environment as env_mod
     monkeypatch.setattr(env_mod, "_NEWTON_MAX_ITER", 3)
     monkeypatch.setattr(env_mod, "_ORBIT_REL_TOL", -1.0)
-    params = [wl.LsvParams.from_alpha_c(a, 0.5) for a in (0.2, 0.33)]
-    with pytest.raises(wl.RootFindError, match="within 3 iterations"):
-        env_mod._lsv_tails(params, 100, 1e-6)  # the batch loop
+    params = [wl.LsvParams.from_alpha_c(float(a), 0.5)
+              for a in np.linspace(0.2, 0.4, env_mod._LONE_ORBITS)]
     with pytest.raises(wl.RootFindError, match="within 3 iterations"):
         wl.lsv_tail_sequence(params[0], 100, 1e-6)  # the lone orbit
+    monkeypatch.setattr(env_mod, "_lone_steps", lambda *args: pytest.fail("lone loop reached"))
+    with pytest.raises(wl.RootFindError, match="within 3 iterations"):
+        env_mod._lsv_tails(params, 100, 1e-6)  # the batch loop, before any orbit leaves it
 
 
 def test_root_find_failure_carries_site_index(monkeypatch):

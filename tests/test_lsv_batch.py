@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import walklab as wl
-from walklab.environment import _LONE_ORBITS, _ORBIT_REL_TOL, _lone_orbit, _lsv_tails
+import walklab.environment as env_mod
+from walklab.environment import _LONE_ORBITS, _ORBIT_REL_TOL, _lsv_tails
 
 
 def scalar_tail(params, n_cap, tail_tol):
@@ -60,12 +61,21 @@ def test_lsv_tail_sequence_equals_its_batch_lane(n_cap, tail_tol):
         assert_same_bits(wl.lsv_tail_sequence(p, n_cap, tail_tol), tail)
 
 
-@pytest.mark.parametrize("count", [_LONE_ORBITS - 1, _LONE_ORBITS])
-def test_lone_orbits_and_batch_agree_at_the_threshold(count):
-    # below the threshold _lsv_tails steps each orbit alone, at it as one batch
+@pytest.mark.parametrize("count", [_LONE_ORBITS - 1, _LONE_ORBITS + 1])
+def test_last_live_orbits_continue_alone(count, monkeypatch):
+    # fewer than _LONE_ORBITS orbits are stepped alone from c_1; a larger call
+    # hands its last live orbits to the lone loop mid-orbit, once two have
+    # stopped, and every tail keeps the bits of an orbit stepped alone
+    starts = []
+    lone = env_mod._lone_steps
+    monkeypatch.setattr(env_mod, "_lone_steps",
+                        lambda p, y, k, *rest: starts.append(k) or lone(p, y, k, *rest))
     params = [wl.LsvParams.from_alpha_c(float(a), 0.5) for a in np.linspace(0.2, 0.4, count)]
-    for p, tail in zip(params, _lsv_tails(params, 100_000, 1e-7)):
-        assert_same_bits(tail, _lone_orbit(p, 100_000, 1e-7))
+    tails = _lsv_tails(params, 100_000, 1e-7)
+    assert len(starts) == _LONE_ORBITS - 1
+    assert all(k == 1 for k in starts) if count < _LONE_ORBITS else min(starts) > 1
+    for p, tail in zip(params, tails):
+        assert_same_bits(tail, wl.lsv_tail_sequence(p, 100_000, 1e-7))
 
 
 @pytest.mark.parametrize("n_cap, tail_tol", [(100_000, 1e-10), (25, 1e-10), (1, 0.5)])
