@@ -22,7 +22,6 @@ from .environment import (
     env_json_text,
     geometric_tail_sequence,
     load_env_file,
-    lsv_cn_sequence,
     lsv_tail_sequence,
     powerlaw_tail_sequence,
     window_fluctuation,
@@ -63,7 +62,6 @@ from .limits import (
     fit_limit_params,
     hitting_density_sup_gap,
     kolmogorov_distance_to_normal,
-    llt_error_decomposition,
     llt_predictor,
     llt_report,
     llt_report_json,

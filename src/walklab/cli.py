@@ -44,6 +44,7 @@ from .limits import (
 from .walk import (
     DEFAULT_TRUNC_TOL,
     McConfig,
+    _check_times,
     mc_tv_tolerance,
     position_distribution,
     simulate_paths,
@@ -241,11 +242,10 @@ def _cmd_mc(args) -> int:
 
 def _cmd_dynsys(args) -> int:
     env = load_env_file(args.env)
-    times = _parse_list(args.times, int) if args.times else [args.n]
     cfg = TrajectoryConfig(paths=args.paths, horizon=args.n, seed=args.seed)
+    times = _check_times(_parse_list(args.times, int) if args.times else [args.n], args.n)
     # exact laws first, so a bad --trunc-tol or budget ends it before simulating
-    exact = {t: position_distribution(env, t, args.trunc_tol)
-             for t in sorted(set(times)) if 0 <= t <= args.n}
+    exact = {t: position_distribution(env, t, args.trunc_tol) for t in np.unique(times).tolist()}
     sample = simulate_trajectories(env, cfg, times=times, levels=True)
     # one 2-D block per time, its rows the CSV columns
     hist = [np.empty((4, 0), dtype=np.int64)]

@@ -22,7 +22,7 @@ import numpy as np
 from .environment import Environment
 from .errors import ValidationError
 from .streams import CHUNK, Guide, stream
-from .walk import _state_counts
+from .walk import _check_times, _state_counts
 
 __all__ = ["TrajectoryConfig", "TrajectorySample", "simulate_trajectories"]
 
@@ -35,15 +35,15 @@ def _branch_batch(size: int, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _slopes(ext: np.ndarray) -> np.ndarray:
-    """Branch slopes by level, (ext[y-1] - ext[y]) / (ext[y] - ext[y+1]) in ext's
-    dtype; 0 at level 0, which has its own image, and at empty levels."""
+    """Branch slopes by level, (ext[y-1] - ext[y]) / (ext[y] - ext[y+1]);
+    0 at level 0, which has its own image, and at empty levels."""
     slope = np.zeros_like(ext[1:])
     np.divide(ext[:-2] - ext[1:-1], ext[1:-1] - ext[2:], out=slope[1:], where=ext[1:-1] > ext[2:])
     return slope
 
 
 def _apply_local(ext: np.ndarray, slope: np.ndarray, f: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Affine branch images; ext is the extended tail in f's dtype, slope its
+    """Affine branch images; ext is the extended tail, slope its
     ``_slopes`` and y valid levels.  Level y >= 1 maps onto level y-1, level 0
     onto [1, 2) by its own formula, computed for its points only."""
     out = ext.take(y) + slope.take(y) * (f - ext[1:].take(y))
@@ -54,24 +54,17 @@ def _apply_local(ext: np.ndarray, slope: np.ndarray, f: np.ndarray, y: np.ndarra
 
 @dataclass(frozen=True)
 class TrajectoryConfig:
-    """Path count, horizon, seed, and float precision for trajectory runs.
-
-    ``precision`` is "double" or "extended" (long-double accumulation for
-    endpoint-sensitive experiments).
-    """
+    """Path count, horizon and seed for trajectory runs."""
 
     paths: int
     horizon: int
     seed: int
-    precision: str = "double"
 
     def __post_init__(self):
         if self.paths < 1:
             raise ValidationError(f"paths must be >= 1, got {self.paths}")
         if self.horizon < 0:
             raise ValidationError(f"horizon must be >= 0, got {self.horizon}")
-        if self.precision not in ("double", "extended"):
-            raise ValidationError(f"unknown precision mode {self.precision!r}")
 
 
 @dataclass(eq=False)
@@ -111,19 +104,16 @@ def simulate_trajectories(
     """
     if times is None:
         times = [cfg.horizon]
-    times = np.asarray(sorted({int(t) for t in times}), dtype=np.int64)
-    if times.size == 0 or times[0] < 0 or times[-1] > cfg.horizon:
-        raise ValidationError("times must be non-empty and lie in [0, horizon]")
+    times = np.unique(_check_times(times, cfg.horizon))
     keep_at = set() if keep_positions_at is None else {int(t) for t in keep_positions_at}
     if not keep_at <= set(times.tolist()):
         raise ValidationError("keep_positions_at must be a subset of times")
     env.ensure(cfg.horizon)
 
-    dtype = np.float64 if cfg.precision == "double" else np.longdouble
-    # each tail's extended values in dtype, slope table and ascending guide, once per call
+    # each tail's extended values, slope table and ascending guide, once per call
     levels_of = {}
     for k in np.unique(env.tail_index[: cfg.horizon + 1]).tolist():
-        ext = env.tails[k].extended().astype(dtype)
+        ext = env.tails[k].extended()
         levels_of[k] = ext, _slopes(ext), Guide(ext[::-1].copy())
     width = max(ext.size for ext, _, _ in levels_of.values()) - 1  # levels y < width
     sample = TrajectorySample(paths=cfg.paths, seed=cfg.seed, times=times)
@@ -132,22 +122,13 @@ def simulate_trajectories(
 
     for index, start in enumerate(range(0, cfg.paths, CHUNK)):
         size = min(CHUNK, cfg.paths - start)
-        rng = stream(cfg.seed, "dynsys-mc", index)
-        if dtype is np.float64:
-            u = rng.random(size)
-        else:
-            # two draws per path so the extended mantissa actually carries
-            # entropy; with 53-bit starts, exactly dyadic slopes would deplete
-            # the fractional bits just as fast as in double precision
-            u = rng.random(size).astype(dtype)
-            u += rng.random(size).astype(dtype) * np.longdouble(2.0) ** -53
-            u = np.minimum(u, np.nextafter(dtype(1.0), dtype(0.0)))
+        u = stream(cfg.seed, "dynsys-mc", index).random(size)
         alive = np.ones(size, dtype=bool)
         for t in range(cfg.horizon + 1):
             if t > 0 and alive.any():  # a chunk with every path flagged stops stepping
                 u, alive = _step_batch(env, levels_of, u, alive)
             if t in lvl_keys:
-                live = u[alive].astype(np.float64)
+                live = u[alive]
                 sample.contributing[t] = sample.contributing.get(t, 0) + live.size
                 sample.cell_counts[t] = sample.cell_counts.get(t, 0) + np.bincount(
                     np.floor(live).astype(np.int64), minlength=cfg.horizon + 2)
@@ -168,8 +149,7 @@ def simulate_trajectories(
 def _step_batch(env: Environment, levels_of: dict, u: np.ndarray, alive: np.ndarray):
     """Advance a chunk of paths one step, one group per distinct tail.  Every
     path is stepped; a flagged point keeps its value and flag, and a live one
-    that falls below its site's tail is flagged.  Arithmetic stays in u's
-    dtype so the extended-precision mode is effective."""
+    that falls below its site's tail is flagged."""
     x = np.floor(u)
     f = u - x
     image, below = np.empty_like(u), np.empty(u.size, dtype=bool)

@@ -71,7 +71,6 @@ __all__ = [
     "geometric_tail_sequence",
     "powerlaw_tail_sequence",
     "lsv_tail_sequence",
-    "lsv_cn_sequence",
     "env_geometric",
     "env_from_powerlaw",
     "env_from_lsv",
@@ -322,16 +321,6 @@ def _lone_steps(params: LsvParams, y: float, k: int, n_cap: int, tail_tol: float
         rest.append(y)
         if stop:
             return rest
-
-
-def lsv_cn_sequence(params: LsvParams, count: int) -> np.ndarray:
-    """Backward orbit c_1..c_count of 1 under the slow branch: branch(c_{n+1}) = c_n.
-
-    c_1 equals params.c exactly since branch(c) = 1 by the parameter constraint.
-    """
-    if count < 1:
-        raise ValidationError(f"count must be >= 1, got {count}")
-    return _lsv_tails([params], count, 0.0)[0].values[1:].copy()
 
 
 def lsv_tail_sequence(
@@ -628,7 +617,7 @@ def diagnostics(env: Environment, beta) -> EnvDiagnostics:
         np.array(column)[inverse.ravel()] for column in zip(*rows))
     m, m2 = _sojourn_moments(env, 0, xs.size)
 
-    s2 = m2 - m**2
+    s2 = m2 - m * m
     mu = np.concatenate(([0.0], np.cumsum(m)))
     # The true per-site mean lies in [m, m + m_tail_bound]; the generalized
     # inverse M is taken on the upper end so analytic lattice crossings
@@ -659,9 +648,8 @@ def cumulative_hitting_moments(env: Environment, x: int) -> tuple[float, float]:
     if x <= 0:
         return 0.0, 0.0
     m, m2 = _sojourn_moments(env, 0, x)
-    # float_power is libm pow, as Python's ** (m**2 is m*m, which differs now and then in
-    # the last bit); np.cumsum adds sequentially, so this equals a per-site loop bit for bit
-    return float(np.cumsum(m)[-1]), float(np.cumsum(m2 - np.float_power(m, 2))[-1])
+    # np.cumsum adds sequentially, as diagnostics does, so these are its mu[x] and sigma2[x]
+    return float(np.cumsum(m)[-1]), float(np.cumsum(m2 - m * m)[-1])
 
 
 def window_fluctuation(env: Environment, x: int, u: float, mu: float) -> float:

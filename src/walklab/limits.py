@@ -44,7 +44,6 @@ __all__ = [
     "LimitFit",
     "LltReport",
     "PredictorInterval",
-    "DecompositionTable",
     "CltReport",
     "SllnReport",
     "normal_density",
@@ -52,7 +51,6 @@ __all__ = [
     "llt_predictor",
     "llt_report",
     "llt_report_json",
-    "llt_error_decomposition",
     "hitting_density_sup_gap",
     "clt_report",
     "slln_report",
@@ -222,25 +220,10 @@ def llt_predictor(
     return PredictorInterval(n=n, x=x_values, lo=lo, hi=hi)
 
 
-@dataclass(frozen=True, eq=False)
-class DecompositionTable:
-    """Per-x rows of the three-term hitting-side error split at a fixed n.
-
-    Rows at x = 0 are NaN (the hitting moments degenerate there).  The
-    telescoping identity e1 + e2 + e3 = p_hit - mu^{-1} h_n(x) holds to
-    floating-point roundoff.
-    """
-
-    n: int
-    x: np.ndarray
-    p_hit: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
-    e3: np.ndarray
-    predictor_term: np.ndarray
-
-
 def _decomposition_rows(params, diag, n, xs, p_hit):
+    """E1, E2, E3 at time n for sites xs, from P(T_x = n) in p_hit; NaN at
+    x = 0, where the hitting moments degenerate.  e1 + e2 + e3 telescopes to
+    p_hit - mu^{-1} h_n(x) up to roundoff."""
     M = _require_levels(diag, n)
     xs = np.asarray(xs, dtype=np.int64)
     if int(xs.max()) >= diag.mu.size:
@@ -249,7 +232,7 @@ def _decomposition_rows(params, diag, n, xs, p_hit):
             f"needs site {int(xs.max())}"
         )
     p_hit = np.asarray(p_hit, dtype=np.float64)
-    e1, e2, e3, h_term = (np.full(xs.size, math.nan) for _ in range(4))
+    e1, e2, e3 = (np.full(xs.size, math.nan) for _ in range(3))
     rows = np.flatnonzero(xs >= 1)
     x = xs[rows]
     mu_x, sig2_x = diag.mu[x], diag.sigma2[x]
@@ -258,34 +241,12 @@ def _decomposition_rows(params, diag, n, xs, p_hit):
         raise HypothesisError(f"sigma_x^2 = {sig2_x[bad]} at x = {x[bad]}; cannot standardize")
     f = normal_density(mu_x, sig2_x, float(n))
     g = normal_density(mu_x, n * params.sigma2 / params.mu, float(n))
-    h = normal_density(float(M[n]), n * params.sigma_tilde2, x.astype(np.float64))
-    h_term[rows] = (1.0 / params.mu) * h
+    h = (1.0 / params.mu) * normal_density(float(M[n]), n * params.sigma_tilde2,
+                                           x.astype(np.float64))
     e1[rows] = p_hit[rows] - f
     e2[rows] = f - g
-    e3[rows] = g - h_term[rows]
-    return DecompositionTable(n=n, x=xs, p_hit=p_hit, e1=e1, e2=e2, e3=e3,
-                              predictor_term=h_term)
-
-
-def llt_error_decomposition(
-    env: Environment,
-    params: LimitParams,
-    diag: EnvDiagnostics,
-    n: int,
-    x_range,
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
-) -> DecompositionTable:
-    """E1/E2/E3 rows at time n for the requested sites."""
-    xs = np.asarray(list(x_range), dtype=np.int64)
-    if xs.size == 0:
-        raise ValidationError("x_range is empty")
-    p_hit = np.zeros(xs.size)
-    x_max = int(xs.max())
-    wanted = {int(x): i for i, x in enumerate(xs)}
-    for x, dist in hitting_time_scan(env, x_max, trunc_tol, horizon=n):
-        if x in wanted:
-            p_hit[wanted[x]] = dist.prob_at(n)
-    return _decomposition_rows(params, diag, n, xs, p_hit)
+    e3[rows] = g - h
+    return e1, e2, e3
 
 
 def hitting_density_sup_gap(
@@ -343,12 +304,12 @@ def llt_report(
     """
     scan = position_scan(env, n, trunc_tol, deficit_budget)
     pred = llt_predictor(env, params, diag, n, x_values=scan.x)
-    decomp = _decomposition_rows(params, diag, n, scan.x, scan.hitting_at_n)
+    e1, e2, e3 = _decomposition_rows(params, diag, n, scan.x, scan.hitting_at_n)
     err = np.abs(scan.prob - pred.mid)
     return LltReport(
         n=n, x=scan.x, exact=scan.prob,
         pred_lo=pred.lo, pred_hi=pred.hi,
-        e1=decomp.e1, e2=decomp.e2, e3=decomp.e3,
+        e1=e1, e2=e2, e3=e3,
         sup_err_scaled=float(math.sqrt(n) * err.max()),
         max_halfwidth_scaled=float(math.sqrt(n) * pred.halfwidth.max()),
         exact_deficit=scan.deficit,

@@ -376,8 +376,8 @@ def hitting_time_scan(
     With a ``horizon`` n each law keeps only its atoms up to n and carries
     P(T_x > n) in ``beyond``.  This is exact for every atom up to n: a
     sojourn lasts at least one step, so no atom above n ever comes back
-    below it.  ``deficit_budget`` applies to the deficit alone (truncation,
-    the underflow floor and FFT roundoff), not to ``beyond``.
+    below it.  ``deficit_budget``, at least 0, applies to the deficit alone
+    (truncation, the underflow floor and FFT roundoff), not to ``beyond``.
     ``trunc_tol``, the mass one trim may drop, must lie in [0, 1).  ``_raw``
     yields the raw blocks of ``_step`` instead, so no law is built per site.
     """
@@ -385,6 +385,8 @@ def hitting_time_scan(
         raise ValidationError(f"x_stop must be >= 0, got {x_stop}")
     if not 0.0 <= trunc_tol < 1.0:
         raise ValidationError(f"trunc_tol must lie in [0, 1), got {trunc_tol}")
+    if not deficit_budget >= 0.0:  # NaN too: no deficit would ever exceed it
+        raise ValidationError(f"deficit_budget must be >= 0, got {deficit_budget}")
     law = (0, np.ones(1), 1.0, 0.0, 0.0)
     yield 0, law if _raw else DiscreteDistribution._of(*law)
     sojourn_of = lru_cache(_RECENT_TAILS)(lambda k: sojourn_pmf(env.tails[k]))
@@ -559,6 +561,15 @@ def _state_counts(keys: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray,
     return uniq // width, uniq % width, counts
 
 
+def _check_times(times, horizon: int) -> np.ndarray:
+    """Recorded times as a sorted int64 array, repeats kept; refuses an empty
+    list and times outside [0, horizon]."""
+    times = np.asarray(sorted(int(t) for t in times), dtype=np.int64)
+    if times.size == 0 or times[0] < 0 or times[-1] > horizon:
+        raise ValidationError("times must be non-empty and lie in [0, horizon]")
+    return times
+
+
 def simulate_paths(
     env: Environment,
     cfg: McConfig,
@@ -587,9 +598,7 @@ def simulate_paths(
         raise ValidationError(f"{cfg.record} record of {cells} cells exceeds "
                               f"{_MAX_RECORD_CELLS}; lower paths or horizon")
     if times is not None:
-        times = np.asarray(sorted(int(t) for t in times), dtype=np.int64)
-        if times.size == 0 or times[0] < 0 or times[-1] > cfg.horizon:
-            raise ValidationError("times must be non-empty and lie in [0, horizon]")
+        times = _check_times(times, cfg.horizon)
 
     # fail early and deterministically if the environment cannot cover the run
     # (a path visits at most one site per step, so horizon sites always suffice)

@@ -149,14 +149,13 @@ def chain_chunk_per_site(env, cfg, rng, size, times):
 
 def branch_batch_per_site(site, f):
     ext = site.extended()
-    ascending = ext[::-1].astype(f.dtype, copy=False)
-    pos = np.searchsorted(ascending, f, side="right")
+    pos = np.searchsorted(ext[::-1], f, side="right")
     y = ext.size - 1 - pos
     return y, y > site.last_index
 
 
 def apply_local_per_site(site, f, y):
-    ext = site.extended().astype(f.dtype)
+    ext = site.extended()
     out = np.empty_like(f)
     top = y == 0
     if np.any(top):
@@ -175,7 +174,7 @@ def step_batch_per_site(env, u, alive):
         return u, alive
     x = np.floor(u[live_idx]).astype(np.int64)
     f = u[live_idx] - x
-    out = np.empty(live_idx.size, dtype=u.dtype)
+    out = np.empty(live_idx.size)
     dead_local = np.zeros(live_idx.size, dtype=bool)
     for site_idx in np.unique(x):
         in_site = np.flatnonzero(x == site_idx)
@@ -185,7 +184,7 @@ def step_batch_per_site(env, u, alive):
             dead_local[in_site[below]] = True
             in_site = in_site[~below]
             y = y[~below]
-        out[in_site] = site_idx + apply_local_per_site(site, f[in_site], y).astype(u.dtype)
+        out[in_site] = site_idx + apply_local_per_site(site, f[in_site], y)
     keep = ~dead_local
     u[live_idx[keep]] = out[keep]
     alive[live_idx[dead_local]] = False

@@ -181,9 +181,10 @@ def test_criterion_05_llt_grid(geo, geo_diag):
 def test_criterion_06_llt_error_decomposition(geo, geo_diag):
     env, params = geo
     for n in (40, 120):
-        table = wl.llt_error_decomposition(env, params, geo_diag, n, range(1, n + 1),
-                                           trunc_tol=1e-14)
-        resid = table.e1 + table.e2 + table.e3 - (table.p_hit - table.predictor_term)
+        rep = wl.llt_report(env, params, geo_diag, n, trunc_tol=1e-14)
+        p_hit = wl.position_scan(env, n, trunc_tol=1e-14).hitting_at_n
+        h_term = (1 / params.mu) * wl.normal_density(geo_diag.M[n], n * params.sigma_tilde2, rep.x)
+        resid = rep.e1 + rep.e2 + rep.e3 - (p_hit - h_term)
         assert np.nanmax(np.abs(resid)) <= 1e-15
 
     gaps = [
@@ -219,7 +220,7 @@ def test_criterion_08_lsv_bounds():
     for alpha in (0.25, 0.33, 0.45):
         params = wl.LsvParams.from_alpha_c(alpha, 0.5)
         c = params.c
-        cn = wl.lsv_cn_sequence(params, 400)
+        cn = wl.lsv_tail_sequence(params, n_cap=400, tail_tol=1e-300).values[1:]
         n = np.arange(1, cn.size + 1, dtype=np.float64)
         level_bound = c + c * (c / (1 - c)) ** (1 / alpha) * 2 ** (1 / alpha + 1 / alpha**2)
         assert np.all(n ** (1 / alpha) * cn <= level_bound)

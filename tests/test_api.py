@@ -1,9 +1,16 @@
 """The public API is the names ``walklab`` exports; a name added or removed
 shows up as a diff of this list."""
 
+import importlib
+import pkgutil
 import types
 
+import pytest
+
 import walklab
+
+MODULES = [importlib.import_module(f"walklab.{info.name}")
+           for info in pkgutil.iter_modules(walklab.__path__)]
 
 PUBLIC = [
     "CltReport",
@@ -44,12 +51,10 @@ PUBLIC = [
     "hitting_density_sup_gap",
     "hitting_time_distribution",
     "kolmogorov_distance_to_normal",
-    "llt_error_decomposition",
     "llt_predictor",
     "llt_report",
     "llt_report_json",
     "load_env_file",
-    "lsv_cn_sequence",
     "lsv_tail_sequence",
     "mc_tv_tolerance",
     "moment_report",
@@ -72,5 +77,12 @@ PUBLIC = [
 def test_exported_names():
     exported = sorted(name for name, value in vars(walklab).items()
                       if not name.startswith("_") and not isinstance(value, types.ModuleType))
-    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 60
+    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 58
     assert exported == PUBLIC
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if hasattr(m, "__all__")],
+                         ids=lambda module: module.__name__)
+def test_module_all_names_exist(module):
+    # a stale entry breaks ``from module import *``
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

@@ -394,6 +394,20 @@ def test_dynsys_checks_trunc_tol_before_simulating(tmp_path, geo_env_file, monke
     assert not any(p.exists() for p in outputs)
 
 
+def test_dynsys_refuses_out_of_range_times_before_any_exact_law(tmp_path, geo_env_file,
+                                                                monkeypatch, capsys):
+    def exact(*args, **kwargs):
+        raise AssertionError("position_distribution ran")
+
+    monkeypatch.setattr(cli, "position_distribution", exact)
+    outputs = [tmp_path / n for n in ("h.csv", "l.csv", "s.json")]
+    assert run("dynsys", "--env", geo_env_file, "--paths", "50", "--n", "5", "--seed", "1",
+               "--times", "3,99", "--out-hist", outputs[0], "--out-levels", outputs[1],
+               "--out-summary", outputs[2]) == 2
+    assert "times must be non-empty and lie in [0, horizon]" in capsys.readouterr().err
+    assert not any(p.exists() for p in outputs)
+
+
 def test_dynsys_with_every_path_flagged_exits_3(tmp_path, geo_env_file, capsys):
     # slope-2 branches use up a double's 53 fraction bits, so by n = 60 every
     # path has fallen below the stored tail

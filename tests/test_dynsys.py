@@ -146,15 +146,8 @@ def test_flagged_paths_reported_not_continued():
     assert sample.cell_counts[6].sum() == sample.contributing[6]
 
 
-def test_extended_precision_mode(geometric_env):
-    cfg = wl.TrajectoryConfig(paths=2000, horizon=50, seed=57, precision="extended")
-    sample = wl.simulate_trajectories(geometric_env, cfg, times=[50])
-    # dyadic digit depletion is pushed past this horizon
-    assert sample.flagged <= 1
-
-
 def test_trajectory_config_validation():
     with pytest.raises(ValidationError):
         wl.TrajectoryConfig(paths=0, horizon=5, seed=1)
     with pytest.raises(ValidationError):
-        wl.TrajectoryConfig(paths=1, horizon=5, seed=1, precision="quad")
+        wl.TrajectoryConfig(paths=1, horizon=-1, seed=1)

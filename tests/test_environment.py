@@ -84,15 +84,20 @@ def test_lsv_params_validation():
         wl.LsvParams.from_alpha_c(0.5, 1.2)
 
 
+def cn_sequence(params, count):
+    """The backward orbit c_1..c_count of 1, the lsv tail without omega_0 = 1."""
+    return wl.lsv_tail_sequence(params, n_cap=count, tail_tol=1e-300).values[1:]
+
+
 def test_cn_first_value_is_c_exactly():
     params = wl.LsvParams.from_alpha_kappa(1.0, 1.0)
-    cn = wl.lsv_cn_sequence(params, 1)
+    cn = cn_sequence(params, 1)
     assert cn[0] == params.c
 
 
 def test_cn_second_value_against_bisection_oracle():
     params = wl.LsvParams.from_alpha_kappa(1.0, 1.0)
-    cn = wl.lsv_cn_sequence(params, 2)
+    cn = cn_sequence(params, 2)
     oracle = bisect_root(lambda y: y + y * y - cn[0], 0.0, cn[0])
     assert cn[1] == pytest.approx(0.4316836, abs=1e-6)
     assert cn[1] == pytest.approx(oracle, abs=1e-9)
@@ -103,7 +108,7 @@ def test_cn_steps_against_mpmath_oracle(alpha):
     # each value solves branch(y) = previous value to double precision
     mpmath = pytest.importorskip("mpmath")
     params = wl.LsvParams.from_alpha_c(alpha, 0.5)
-    cn = wl.lsv_cn_sequence(params, 200)
+    cn = cn_sequence(params, 200)
     with mpmath.workdps(40):
         kappa, power = mpmath.mpf(params.kappa), mpmath.mpf(params.alpha) + 1
         for prev, value in zip(cn[:-1], cn[1:]):
@@ -114,7 +119,7 @@ def test_cn_steps_against_mpmath_oracle(alpha):
 
 def test_cn_strictly_decreasing():
     params = wl.LsvParams.from_alpha_c(0.33, 0.5)
-    cn = wl.lsv_cn_sequence(params, 200)
+    cn = cn_sequence(params, 200)
     assert np.all(np.diff(cn) < 0)
 
 
@@ -122,7 +127,7 @@ def test_cn_strictly_decreasing():
 def test_cn_printed_bounds(alpha):
     params = wl.LsvParams.from_alpha_c(alpha, 0.5)
     c = params.c
-    cn = wl.lsv_cn_sequence(params, 300)
+    cn = cn_sequence(params, 300)
     n = np.arange(1, cn.size + 1, dtype=np.float64)
     level_bound = c + c * (c / (1 - c)) ** (1 / alpha) * 2 ** (1 / alpha + 1 / alpha**2)
     assert np.all(n ** (1 / alpha) * cn <= level_bound)
@@ -159,7 +164,7 @@ def test_root_find_failure_carries_site_index(monkeypatch):
 def test_env_sites_match_cn_sequence(lsv_env):
     params = wl.LsvParams.from_alpha_c(0.33, 0.5)
     site = lsv_env.site(0)
-    cn = wl.lsv_cn_sequence(params, site.last_index)
+    cn = cn_sequence(params, site.last_index)
     np.testing.assert_allclose(site.values[1:], cn, rtol=1e-12)
 
 
@@ -250,7 +255,7 @@ def cumulative_moments_per_site(env, x):
         site = env.site(w)
         m_w = site.stored_mean()
         mu_x += m_w
-        var_x += site.stored_second_moment() - m_w**2
+        var_x += site.stored_second_moment() - m_w * m_w
     return mu_x, var_x
 
 
@@ -264,6 +269,16 @@ def test_cumulative_hitting_moments_match_per_site_loop():
     env = wl.env_from_powerlaw(3.0, 10, tail_tol=1e-8)
     assert wl.cumulative_hitting_moments(env, 40) == cumulative_moments_per_site(env, 40)
     assert len(env) == 40
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cumulative_hitting_moments_equal_diagnostics(seed):
+    # one tail per site, so every sojourn mean is squared on its own
+    model = wl.RandomEnvModel(kind="iid", family="powerlaw", seed=seed, low=2.5, high=4.0)
+    env = wl.sample_environment(model, 400, tail_tol=1e-8).environment
+    diag = wl.diagnostics(env, 2.5)
+    for x in range(len(env) + 1):
+        assert wl.cumulative_hitting_moments(env, x) == (diag.mu[x], diag.sigma2[x])
 
 
 def test_generalized_inverse_laws(geometric_env, powerlaw_env):

@@ -133,9 +133,10 @@ def test_predictor_mass_approaches_one(geo_setup):
 def test_telescoping_identity(geo_setup):
     env, diag, params = geo_setup
     n = 60
-    table = wl.llt_error_decomposition(env, params, diag, n, range(1, 40))
-    h_term = table.predictor_term
-    resid = table.e1 + table.e2 + table.e3 - (table.p_hit - h_term)
+    rep = wl.llt_report(env, params, diag, n)
+    p_hit = wl.position_scan(env, n).hitting_at_n
+    h_term = (1 / params.mu) * wl.normal_density(diag.M[n], n * params.sigma_tilde2, rep.x)
+    resid = rep.e1 + rep.e2 + rep.e3 - (p_hit - h_term)
     assert np.nanmax(np.abs(resid)) < 1e-15
 
 

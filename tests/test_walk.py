@@ -165,6 +165,13 @@ def test_deficit_budget_enforced(geometric_env):
                                      deficit_budget=1e-6)
 
 
+@pytest.mark.parametrize("budget", [math.nan, -1e-6])
+def test_deficit_budget_must_be_non_negative(geometric_env, budget):
+    # NaN would switch the budget off, a negative one fail at site 1 as exceeded
+    with pytest.raises(ValidationError, match="deficit_budget must be >= 0"):
+        next(hitting_time_scan(geometric_env, 40, 1e-4, budget))
+
+
 # ---------------------------------------------------------------------------
 # position laws
 # ---------------------------------------------------------------------------
