@@ -34,7 +34,7 @@ from .walk import (
     DiscreteDistribution,
     WalkSample,
     hitting_time_distribution,
-    hitting_time_scan,
+    hitting_time_scan,  # unused here; bench/spans.py wraps limits.hitting_time_scan by name
     position_distribution,
     position_scan,
 )
@@ -261,12 +261,10 @@ def hitting_density_sup_gap(
     dist = hitting_time_distribution(env, x, trunc_tol)
     mu_x = diag.mu[x]
     sig_x = math.sqrt(diag.sigma2[x])
-    lo = min(dist.offset, int(mu_x - 10.0 * sig_x))
-    hi = max(dist.end, int(mu_x + 10.0 * sig_x))
-    ns = np.arange(max(0, lo), hi + 1)
+    lo = max(0, min(dist.offset, int(mu_x - 10.0 * sig_x)))
+    ns = np.arange(lo, max(dist.end, int(mu_x + 10.0 * sig_x)) + 1)
     pmf = np.zeros(ns.size)
-    inside = (ns >= dist.offset) & (ns <= dist.end)
-    pmf[inside] = dist.probs[ns[inside] - dist.offset]
+    pmf[dist.offset - lo : dist.end - lo + 1] = dist.probs
     dens = normal_density(mu_x, diag.sigma2[x], ns.astype(np.float64))
     return float(np.max(np.abs(pmf - dens)))
 
@@ -403,9 +401,6 @@ def clt_report(
         raise ValidationError("n_grid must contain positive times")
     st = math.sqrt(params.sigma_tilde2)
     hit_x = [max(1, round(n / params.mu)) for n in n_grid]
-    # one ladder serves every grid point: each smaller law is a prefix of it
-    hit_laws = {x: dist for x, dist in
-                hitting_time_scan(env, hit_x[-1], trunc_tol, deficit_budget) if x in hit_x}
     pos_dist = []
     hit_dist = []
     for n, x in zip(n_grid, hit_x):
@@ -416,7 +411,8 @@ def clt_report(
             raise HypothesisError(
                 f"hitting variance is zero at x = {x}; standardization undefined"
             )
-        hit_dist.append(kolmogorov_distance_to_normal(hit_laws[x], mu_x, math.sqrt(sig2_x)))
+        hit_law = hitting_time_distribution(env, x, trunc_tol, deficit_budget)
+        hit_dist.append(kolmogorov_distance_to_normal(hit_law, mu_x, math.sqrt(sig2_x)))
     return CltReport(
         n=np.array(n_grid), dist_position=np.array(pos_dist),
         hitting_x=np.array(hit_x), dist_hitting=np.array(hit_dist),

@@ -10,7 +10,9 @@ Exact computations convolve pmfs one raw ladder step at a time (``_step``).
 A ladder allowed to trim (``trunc_tol > 0``) books in an explicit deficit its
 trimmed upper tails, its floored lower tails and the roundoff bound of its FFT
 products (see ``DiscreteDistribution.convolve``); with ``trunc_tol = 0`` every
-product is direct and loss-free.  Position laws at time n come from
+product is direct and loss-free.  With ``trunc_tol > 0`` a hitting law is a
+product of powered sojourn laws (``_power``) and a position scan starts at
+the window around n/mu (``position_scan``).  Position laws come from
 
     P(X_n = x) = sum_k P(T_x = k) * omega^x_{n-k},
 
@@ -34,7 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .environment import Environment, TailSequence
+from .environment import Environment, TailSequence, _sojourn_moments
 from .errors import DeficitBudgetError, ValidationError
 from .streams import CHUNK, Guide, stream
 
@@ -340,12 +342,11 @@ def sojourn_pmf(site: TailSequence) -> DiscreteDistribution:
     return DiscreteDistribution(offset=1, probs=site.sojourn_probs(), deficit=site.deficit)
 
 
-def _draw(env: Environment, guides: dict, u: np.ndarray, sites) -> tuple[np.ndarray, np.ndarray]:
+def _draw(env: Environment, guides: dict, u: np.ndarray, sites, out=None) -> tuple:
     """Sojourns for uniforms u, row i drawn at site sites[i] by inverting the
     CDF 1 - extended() of its tail k through guides[k], capped at N+1, and the
-    mask of draws that fell in the truncated region."""
-    n = np.empty(u.shape, dtype=np.int64)
-    over = np.empty(u.shape, dtype=bool)
+    mask of draws that fell in the truncated region (into the pair ``out``)."""
+    n, over = out or (np.empty(u.shape, dtype=np.int64), np.empty(u.shape, dtype=bool))
     for k, rows in env.tail_groups(sites):
         idx = guides[k].rank(u[rows])
         last = guides[k].values.size - 1  # N+1
@@ -363,13 +364,46 @@ def _reversed_tail(site: TailSequence) -> np.ndarray:
     return site.extended()[::-1].copy()
 
 
+def _sojourn_cache(env: Environment):
+    return lru_cache(_RECENT_TAILS)(lambda k: sojourn_pmf(env.tails[k]))
+
+
+def _power(env: Environment, x: int, trunc_tol: float, horizon: int | None,
+           sojourn_of) -> tuple:
+    """Raw law of T_x, a sum of independent sojourns: over the distinct tails
+    k of sites 0..x-1, ``sojourn_of(k)`` to the power #{sites with tail k},
+    by squaring in O(log x) steps, each trimmed and clipped as a ladder step."""
+    env.ensure(x - 1)
+    law = (0, np.ones(1), 1.0, 0.0, 0.0)
+    keys, counts = np.unique(env.tail_index[:x], return_counts=True)
+    for k, count in zip(keys.tolist(), counts.tolist()):
+        base = sojourn_of(k)
+        while count:
+            if count & 1:
+                law = _step(law, base, trunc_tol, horizon)
+            count >>= 1
+            if count:
+                base = base.convolve(base, trunc_tol, horizon)
+    return law
+
+
+def _within_budget(law: tuple, deficit_budget: float, x: int) -> tuple:
+    if law[3] > deficit_budget:
+        raise DeficitBudgetError(
+            f"accumulated deficit {law[3]:.3e} exceeds budget "
+            f"{deficit_budget:.3e} at site {x}; increase N_cap, tighten "
+            f"tail_tol, or coarsen trunc_tol"
+        )
+    return law
+
+
 def hitting_time_scan(
     env: Environment,
     x_stop: int,
     trunc_tol: float = DEFAULT_TRUNC_TOL,
     deficit_budget: float = DEFAULT_DEFICIT_BUDGET,
     horizon: int | None = None,
-    *, _raw: bool = False,
+    *, _raw: bool = False, _start: tuple | None = None,
 ) -> Iterator[tuple[int, DiscreteDistribution]]:
     """Yield (x, law of T_x) for x = 0..x_stop, convolving one site at a time.
 
@@ -380,6 +414,7 @@ def hitting_time_scan(
     (truncation, the underflow floor and FFT roundoff), not to ``beyond``.
     ``trunc_tol``, the mass one trim may drop, must lie in [0, 1).  ``_raw``
     yields the raw blocks of ``_step`` instead, so no law is built per site.
+    ``_start`` = (x, raw law of T_x, ``_sojourn_cache``) starts the scan there.
     """
     if x_stop < 0:
         raise ValidationError(f"x_stop must be >= 0, got {x_stop}")
@@ -387,22 +422,16 @@ def hitting_time_scan(
         raise ValidationError(f"trunc_tol must lie in [0, 1), got {trunc_tol}")
     if not deficit_budget >= 0.0:  # NaN too: no deficit would ever exceed it
         raise ValidationError(f"deficit_budget must be >= 0, got {deficit_budget}")
-    law = (0, np.ones(1), 1.0, 0.0, 0.0)
-    yield 0, law if _raw else DiscreteDistribution._of(*law)
-    sojourn_of = lru_cache(_RECENT_TAILS)(lambda k: sojourn_pmf(env.tails[k]))
+    x_start, law, sojourn_of = _start or (0, (0, np.ones(1), 1.0, 0.0, 0.0), _sojourn_cache(env))
+    _within_budget(law, deficit_budget, x_start)
+    yield x_start, law if _raw else DiscreteDistribution._of(*law)
     tail = -1
-    for x in range(1, x_stop + 1):
+    for x in range(x_start + 1, x_stop + 1):
         env.site(x - 1)
         if env.tail_index[x - 1] != tail:  # sites often share one tail
             tail = int(env.tail_index[x - 1])
             sojourn = sojourn_of(tail)
-        law = _step(law, sojourn, trunc_tol, horizon)
-        if law[3] > deficit_budget:
-            raise DeficitBudgetError(
-                f"accumulated deficit {law[3]:.3e} exceeds budget "
-                f"{deficit_budget:.3e} at site {x}; increase N_cap, tighten "
-                f"tail_tol, or coarsen trunc_tol"
-            )
+        law = _within_budget(_step(law, sojourn, trunc_tol, horizon), deficit_budget, x)
         yield x, law if _raw else DiscreteDistribution._of(*law)
 
 
@@ -412,18 +441,23 @@ def hitting_time_distribution(
     trunc_tol: float = DEFAULT_TRUNC_TOL,
     deficit_budget: float = DEFAULT_DEFICIT_BUDGET,
 ) -> DiscreteDistribution:
-    """Law of the first-passage time of site x (point mass at 0 for x = 0)."""
-    for _, dist in hitting_time_scan(env, x, trunc_tol, deficit_budget):
-        pass
-    return dist
+    """Law of the first-passage time of site x (point mass at 0 for x = 0):
+    with ``trunc_tol > 0`` the product of powered sojourn laws (``_power``),
+    which trims O(log x) times, not x times; else the site-by-site ladder."""
+    if not (0.0 < trunc_tol < 1.0 and x > 0 and deficit_budget >= 0.0):  # T_0; bad input refused
+        for _, dist in hitting_time_scan(env, x, trunc_tol, deficit_budget):
+            pass
+        return dist
+    law = _power(env, x, trunc_tol, None, _sojourn_cache(env))
+    return DiscreteDistribution._of(*_within_budget(law, deficit_budget, x))
 
 
 @dataclass(frozen=True, eq=False)
 class PositionScan:
     """Per-site rows of the time-n position law.
 
-    ``prob[x]`` is P(X_n = x) and ``hitting_at_n[x]`` is P(T_x = n) for
-    x = 0..x_stop; sites beyond x_stop hold at most ``deficit`` mass in total.
+    ``prob[i]`` is P(X_n = x) and ``hitting_at_n[i]`` is P(T_x = n) for x =
+    ``x[i]`` = x_lo..x_stop; other sites hold at most ``deficit`` mass in total.
     """
 
     n: int
@@ -441,24 +475,42 @@ def position_scan(
 ) -> PositionScan:
     """Exact position law at time n via the hitting-time convolution ladder.
 
-    The ladder is clipped to the horizon n.  The scan over sites stops once
-    P(T_x <= n) drops below ``trunc_tol`` (the remaining sites can hold at
-    most that much mass, which is folded into the deficit).  A row uses the
-    site deficit as its weight at lag N+1, one past the stored tail, and 0 at
-    larger lags.  The deficit is at least omega^x_{N+1} and 0 is at most the
-    dropped weights, so a row is neither an upper nor a lower bound.
+    The ladder is clipped to the horizon n.  With ``trunc_tol > 0`` it starts
+    at x_lo, the largest materialized site with mu_x + 9 sigma_x <= n, from
+    the law of T_{x_lo} as a product of powered sojourn laws (``_power``),
+    if that law's exact ``beyond`` = P(X_n < x_lo) is at most ``trunc_tol``;
+    the rows below x_lo are left out and count in the deficit.  Else it
+    starts at 0.  The scan stops once P(T_x <= n) drops below ``trunc_tol``
+    (the remaining sites can hold at most that much mass, which is folded
+    into the deficit).  A row uses the site deficit as its weight at lag
+    N+1, one past the stored tail, and 0 at larger lags.  The deficit is at
+    least omega^x_{N+1} and 0 is at most the dropped weights, so a row is
+    neither an upper nor a lower bound.
 
     With ``trunc_tol > 0`` the ladder's FFT products and underflow floor put
     mass in the deficit too (see ``DiscreteDistribution.convolve``).
     """
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
+    sojourn_of = _sojourn_cache(env)
+    start = (0, (0, np.ones(1), 1.0, 0.0, 0.0), sojourn_of)
+    stop = min(len(env) - 1, n)  # x_lo is a materialized site: none is added to find it
+    if 0.0 < trunc_tol < 1.0 and stop >= 1:
+        m, m2 = _sojourn_moments(env, 0, stop)
+        reach = np.cumsum(m) + 9.0 * np.sqrt(np.maximum(np.cumsum(m2 - m * m), 0.0))
+        x_lo = int(np.count_nonzero(reach <= n))  # reach grows with x
+        # with more distinct tails below x_lo there is little to power, and
+        # the scan's cache would build their sojourn laws again
+        if x_lo and np.count_nonzero(np.bincount(env.tail_index[:x_lo])) <= _RECENT_TAILS:
+            law = _power(env, x_lo, trunc_tol, n, sojourn_of)
+            if law[4] <= trunc_tol:
+                start = (x_lo, law, sojourn_of)
     rows: list[float] = []
     hit: list[float] = []
     reversed_of = lru_cache(_RECENT_TAILS)(lambda k: _reversed_tail(env.tails[k]))
     tail = -1
     for x, (offset, probs, mass, _, _) in hitting_time_scan(
-            env, n, trunc_tol, deficit_budget, horizon=n, _raw=True):
+            env, n, trunc_tol, deficit_budget, horizon=n, _raw=True, _start=start):
         site = env.site(x)
         if env.tail_index[x] != tail:
             tail = int(env.tail_index[x])
@@ -478,7 +530,7 @@ def position_scan(
     deficit = max(0.0, 1.0 - float(prob.sum()))
     return PositionScan(
         n=n,
-        x=np.arange(prob.size),
+        x=np.arange(start[0], start[0] + prob.size),
         prob=prob,
         hitting_at_n=np.array(hit),
         deficit=deficit,
@@ -491,9 +543,9 @@ def position_distribution(
     trunc_tol: float = DEFAULT_TRUNC_TOL,
     deficit_budget: float = DEFAULT_DEFICIT_BUDGET,
 ) -> DiscreteDistribution:
-    """Law of X_n; support is contained in [0, n]."""
+    """Law of X_n; support is contained in [x_lo, n] (see ``position_scan``)."""
     scan = position_scan(env, n, trunc_tol, deficit_budget)
-    return DiscreteDistribution(offset=0, probs=scan.prob, deficit=scan.deficit)
+    return DiscreteDistribution(offset=int(scan.x[0]), probs=scan.prob, deficit=scan.deficit)
 
 
 # ---------------------------------------------------------------------------
@@ -674,11 +726,13 @@ def _sojourn_chunk(cfg, rng, size, times, draw):
     active = np.arange(size)
     truncated = 0
     site = 0
+    buffers = [np.empty(max(_BLOCK, size), dtype=t) for t in (np.float64, np.int64, bool, np.int64)]
     while active.size and site < n_sites:
         width = min(n_sites - site, max(1, _BLOCK // active.size))
-        draws, over = draw(rng.random((width, active.size)), slice(site, site + width))
+        u, draws, over, sums = (b[: width * active.size].reshape(width, -1) for b in buffers)
+        draw(rng.random(out=u), slice(site, site + width), out=(draws, over))
         before = total[active]
-        sums = np.cumsum(draws, axis=0)
+        np.cumsum(draws, axis=0, out=sums)
         sums += before
         within = np.count_nonzero(sums <= stop, axis=0)  # draws ending within the horizon
         truncated += int(np.count_nonzero(over & (np.arange(width)[:, None] <= within)))

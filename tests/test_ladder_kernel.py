@@ -5,8 +5,10 @@ law into its deficit.  On a geometric environment, whose lower tail
 P(T_x = x) = 2^-x turns subnormal past x = 1022, this must leave the position
 rows and P(T_x = n) bit for bit as the floor-free step of
 ``test_ladder_step`` (``convolve_oracle``) forms them, store no atom below the
-floor, and grow each deficit by no more than the floored atoms can hold.  With
-``trunc_tol = 0`` nothing is floored.  The FFT step's cached sojourn spectrum
+floor, and grow each deficit by no more than the floored atoms can hold.  The
+position scan starts at its window x_lo from the product law of T_{x_lo}, so
+its rows are checked against the floor-free ladder started from that law.
+With ``trunc_tol = 0`` nothing is floored.  The FFT step's cached sojourn spectrum
 must give the product a fresh transform gives.
 """
 
@@ -18,12 +20,13 @@ import walklab as wl
 from walklab import walk
 
 
-def oracle_ladder(env, x_stop, trunc_tol, horizon):
+def oracle_ladder(env, x_stop, trunc_tol, horizon, start=(0, [1.0])):
     """(offset, probs, deficit, beyond) of T_0..T_x_stop on a constant
-    environment, each formed by the floor-free step."""
+    environment, each formed by the floor-free step; from the law ``start``
+    (offset, probs, deficit, beyond) it yields x_stop steps past that law."""
     sojourn = wl.sojourn_pmf(env.site(0))
     factor = canonical_oracle(sojourn.offset, sojourn.probs, sojourn.deficit)
-    law = canonical_oracle(0, [1.0])
+    law = canonical_oracle(*start)
     yield law
     for _ in range(x_stop):
         law = convolve_oracle(law, factor, trunc_tol, horizon)
@@ -54,11 +57,8 @@ def geometric():
 def test_floored_scan_equals_floor_free_oracle(geometric, n, trunc_tol):
     scan = wl.position_scan(geometric, n, trunc_tol)
     laws = walk.hitting_time_scan(geometric, n, trunc_tol, horizon=n)
-    rows, hits, floored = [], [], 0
+    floored = 0
     for x, expected in enumerate(oracle_ladder(geometric, n, trunc_tol, n)):
-        row, hit = oracle_row(geometric, n, expected)
-        rows.append(row)
-        hits.append(hit)
         _, law = next(laws)
         # the ladder's laws store no atom below the floor, and every atom
         # they dropped on the way (at most offset - x of them) held less
@@ -69,6 +69,18 @@ def test_floored_scan_equals_floor_free_oracle(geometric, n, trunc_tol):
         if x == n or float(expected[1].sum()) < trunc_tol:
             break
     assert (floored > 0) == (x > 958)  # 2^-x is below the floor past x = 958
+    x_lo = int(scan.x[0])
+    assert x_lo > 0
+    offset, probs, _, deficit, beyond = walk._power(
+        geometric, x_lo, trunc_tol, n, walk._sojourn_cache(geometric))
+    start = (offset, probs, deficit, beyond)
+    rows, hits = [], []
+    for x, expected in enumerate(oracle_ladder(geometric, n - x_lo, trunc_tol, n, start), x_lo):
+        row, hit = oracle_row(geometric, n, expected)
+        rows.append(row)
+        hits.append(hit)
+        if x == n or float(expected[1].sum()) < trunc_tol:
+            break
     assert scan.prob.tobytes() == np.array(rows).tobytes()
     assert scan.hitting_at_n.tobytes() == np.array(hits).tobytes()
 
