@@ -34,7 +34,7 @@ from .walk import (
     DiscreteDistribution,
     WalkSample,
     hitting_time_distribution,
-    hitting_time_scan,  # unused here; bench/spans.py wraps limits.hitting_time_scan by name
+    hitting_time_scan,
     position_distribution,
     position_scan,
 )
@@ -394,13 +394,18 @@ def clt_report(
 
     X_n is standardized by (n/mu, sqrt(n) sigma_tilde); the hitting time of
     x = round(n/mu) is standardized by its exact cumulative moments
-    (mu_x, sigma_x), not by the limit constants.
+    (mu_x, sigma_x), not by the limit constants.  With 0 < ``trunc_tol`` < 1
+    each hitting law is a product (``hitting_time_distribution``); else all
+    of them come from one site-by-site ladder to the largest x.
     """
     n_grid = sorted(int(n) for n in n_grid)
     if not n_grid or n_grid[0] < 1:
         raise ValidationError("n_grid must contain positive times")
     st = math.sqrt(params.sigma_tilde2)
     hit_x = [max(1, round(n / params.mu)) for n in n_grid]
+    products = 0.0 < trunc_tol < 1.0 and deficit_budget >= 0.0
+    ladder = None if products else hitting_time_scan(env, hit_x[-1], trunc_tol, deficit_budget)
+    at = (-1, None)
     pos_dist = []
     hit_dist = []
     for n, x in zip(n_grid, hit_x):
@@ -411,7 +416,12 @@ def clt_report(
             raise HypothesisError(
                 f"hitting variance is zero at x = {x}; standardization undefined"
             )
-        hit_law = hitting_time_distribution(env, x, trunc_tol, deficit_budget)
+        if products:
+            hit_law = hitting_time_distribution(env, x, trunc_tol, deficit_budget)
+        else:
+            while at[0] < x:  # the grid is sorted, so x never decreases
+                at = next(ladder)
+            hit_law = at[1]
         hit_dist.append(kolmogorov_distance_to_normal(hit_law, mu_x, math.sqrt(sig2_x)))
     return CltReport(
         n=np.array(n_grid), dist_position=np.array(pos_dist),

@@ -11,8 +11,11 @@ A ladder allowed to trim (``trunc_tol > 0``) books in an explicit deficit its
 trimmed upper tails, its floored lower tails and the roundoff bound of its FFT
 products (see ``DiscreteDistribution.convolve``); with ``trunc_tol = 0`` every
 product is direct and loss-free.  With ``trunc_tol > 0`` a hitting law is a
-product of powered sojourn laws (``_power``) and a position scan starts at
-the window around n/mu (``position_scan``).  Position laws come from
+product of powered sojourn laws (``_power``), and a position scan starts at
+the window around n/mu and walks each run of sites of one tail in blocks of
+about sqrt(rows) sites: one ladder step per block, each row a dot product
+with tables built once per run (``position_scan``; the grouping is Paterson
+and Stockmeyer's, SIAM J. Comput. 2(1), 1973).  Position laws come from
 
     P(X_n = x) = sum_k P(T_x = k) * omega^x_{n-k},
 
@@ -68,6 +71,11 @@ _FLOOR = 2.0**-958
 # many tails it met last, so tails that alternate are built once each; more
 # would only hold memory when each site has its own tail.
 _RECENT_TAILS = 4
+# A position scan steps a run of one tail in blocks of B >= _MIN_BLOCK sites.
+# A run of R rows in blocks of B = sqrt(R) sites makes about 3 B products (B
+# baby steps, B row tables, R / B block steps) against R site steps, so runs
+# of fewer than 16 rows save a few products at most and keep the ladder's rows.
+_MIN_BLOCK = 4
 
 __all__ = [
     "DiscreteDistribution",
@@ -241,8 +249,7 @@ def _step(law: tuple, other: DiscreteDistribution, trunc_tol: float,
     deficit = deficit_a + other.deficit - deficit_a * other.deficit
     if keep <= 0:
         probs = np.zeros(1)
-    elif (trunc_tol > 0.0 and a.size * b.size >= _FFT_MIN_MACS
-            and min(a.size, b.size) >= _FFT_MIN_ATOMS):
+    elif trunc_tol > 0.0 and _by_fft(a.size, b.size):
         spectrum = other._spectrum if b.size == other.probs.size else None
         probs = _fft_product(a, b, keep, mass_a, mass_b, spectrum)
         # the atoms below the horizon hold mass_a mass_b - above in truth
@@ -267,6 +274,11 @@ def _step(law: tuple, other: DiscreteDistribution, trunc_tol: float,
         deficit += float(probs[:cut].sum())
         offset, probs = offset + cut, probs[cut:]
     return offset, probs, float(probs.sum()), deficit, beyond
+
+
+def _by_fft(size_a: int, size_b: int) -> bool:
+    """Whether a trimming ladder forms a product of these sizes by FFT."""
+    return size_a * size_b >= _FFT_MIN_MACS and min(size_a, size_b) >= _FFT_MIN_ATOMS
 
 
 def _strip_zeros(offset: int, probs: np.ndarray, beyond: float) -> tuple[int, np.ndarray]:
@@ -414,7 +426,8 @@ def hitting_time_scan(
     (truncation, the underflow floor and FFT roundoff), not to ``beyond``.
     ``trunc_tol``, the mass one trim may drop, must lie in [0, 1).  ``_raw``
     yields the raw blocks of ``_step`` instead, so no law is built per site.
-    ``_start`` = (x, raw law of T_x, ``_sojourn_cache``) starts the scan there.
+    ``_start`` = (x, raw law of T_x, advance) starts the scan there, and
+    ``advance(x)`` returns (y, law of T_y - T_x): the scan yields T_y next.
     """
     if x_stop < 0:
         raise ValidationError(f"x_stop must be >= 0, got {x_stop}")
@@ -422,16 +435,20 @@ def hitting_time_scan(
         raise ValidationError(f"trunc_tol must lie in [0, 1), got {trunc_tol}")
     if not deficit_budget >= 0.0:  # NaN too: no deficit would ever exceed it
         raise ValidationError(f"deficit_budget must be >= 0, got {deficit_budget}")
-    x_start, law, sojourn_of = _start or (0, (0, np.ones(1), 1.0, 0.0, 0.0), _sojourn_cache(env))
-    _within_budget(law, deficit_budget, x_start)
-    yield x_start, law if _raw else DiscreteDistribution._of(*law)
-    tail = -1
-    for x in range(x_start + 1, x_stop + 1):
-        env.site(x - 1)
-        if env.tail_index[x - 1] != tail:  # sites often share one tail
-            tail = int(env.tail_index[x - 1])
-            sojourn = sojourn_of(tail)
-        law = _within_budget(_step(law, sojourn, trunc_tol, horizon), deficit_budget, x)
+    if _start is None:
+        sojourn_of = _sojourn_cache(env)
+
+        def advance(x):
+            env.site(x)
+            return x + 1, sojourn_of(int(env.tail_index[x]))
+
+        _start = (0, (0, np.ones(1), 1.0, 0.0, 0.0), advance)
+    x, law, advance = _start
+    _within_budget(law, deficit_budget, x)
+    yield x, law if _raw else DiscreteDistribution._of(*law)
+    while x < x_stop:
+        x, factor = advance(x)
+        law = _within_budget(_step(law, factor, trunc_tol, horizon), deficit_budget, x)
         yield x, law if _raw else DiscreteDistribution._of(*law)
 
 
@@ -458,6 +475,9 @@ class PositionScan:
 
     ``prob[i]`` is P(X_n = x) and ``hitting_at_n[i]`` is P(T_x = n) for x =
     ``x[i]`` = x_lo..x_stop; other sites hold at most ``deficit`` mass in total.
+    Rows from block products (``position_scan``) agree with the site-by-site
+    ladder's within both deficits; with B = 1 (short runs, ``trunc_tol = 0``)
+    they are its rows bit for bit.
     """
 
     n: int
@@ -488,53 +508,138 @@ def position_scan(
     neither an upper nor a lower bound.
 
     With ``trunc_tol > 0`` the ladder's FFT products and underflow floor put
-    mass in the deficit too (see ``DiscreteDistribution.convolve``).
+    mass in the deficit too (see ``DiscreteDistribution.convolve``), and a run
+    of materialized sites that share one tail and hold at least
+    ``_MIN_BLOCK``**2 rows is scanned in blocks of B ~ sqrt(rows) sites: one
+    ladder step per block, and each row a dot product of the block's first
+    law with a table built once per run (``_baby_steps``).  So a scan of R
+    rows makes O(sqrt(R)) products instead of R.  Elsewhere, and always with
+    ``trunc_tol = 0``, B = 1: the site-by-site ladder, row for row.
     """
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
     sojourn_of = _sojourn_cache(env)
-    start = (0, (0, np.ones(1), 1.0, 0.0, 0.0), sojourn_of)
+    x_start, law = 0, (0, np.ones(1), 1.0, 0.0, 0.0)
+    x_hi = n  # T_x >= x: no site past n holds mass at time n
     stop = min(len(env) - 1, n)  # x_lo is a materialized site: none is added to find it
     if 0.0 < trunc_tol < 1.0 and stop >= 1:
         m, m2 = _sojourn_moments(env, 0, stop)
-        reach = np.cumsum(m) + 9.0 * np.sqrt(np.maximum(np.cumsum(m2 - m * m), 0.0))
-        x_lo = int(np.count_nonzero(reach <= n))  # reach grows with x
+        mean = np.cumsum(m)
+        spread = 9.0 * np.sqrt(np.maximum(np.cumsum(m2 - m * m), 0.0))
+        x_lo = int(np.count_nonzero(mean + spread <= n))  # reach grows with x
+        reached = int(np.count_nonzero(mean - spread <= n))
+        if reached < stop:  # the scan stops near the first site whose T_x lies past n
+            x_hi = reached
         # with more distinct tails below x_lo there is little to power, and
         # the scan's cache would build their sojourn laws again
         if x_lo and np.count_nonzero(np.bincount(env.tail_index[:x_lo])) <= _RECENT_TAILS:
-            law = _power(env, x_lo, trunc_tol, n, sojourn_of)
-            if law[4] <= trunc_tol:
-                start = (x_lo, law, sojourn_of)
-    rows: list[float] = []
-    hit: list[float] = []
+            product = _power(env, x_lo, trunc_tol, n, sojourn_of)
+            if product[4] <= trunc_tol:
+                x_start, law = x_lo, product
+    prob, hit = (np.array(values) for values in zip(
+        *_scan_rows(env, n, trunc_tol, deficit_budget, x_start, law, x_hi, sojourn_of)))
+    return PositionScan(
+        n=n,
+        x=np.arange(x_start, x_start + prob.size),
+        prob=prob,
+        hitting_at_n=hit,
+        deficit=max(0.0, 1.0 - float(prob.sum())),
+    )
+
+
+def _scan_rows(env: Environment, n: int, trunc_tol: float, deficit_budget: float,
+               x: int, law: tuple, x_hi: int, sojourn_of) -> Iterator[tuple[float, float]]:
+    """(P(X_n = y), P(T_y = n)) for y = x, x+1, ... from the raw law of T_x,
+    clipped to n, until ``position_scan``'s stop rule; a run of sites of one
+    tail goes in blocks of B sites, B fixed per run from the rows it can hold
+    among the materialized sites (at most x_hi)."""
     reversed_of = lru_cache(_RECENT_TAILS)(lambda k: _reversed_tail(env.tails[k]))
+    # the sites where a run of one tail starts, and the end of the known ones
+    starts, known = np.flatnonzero(np.diff(env.tail_index)) + 1, len(env)
+    steps = []  # the ladder step after a block: (site, law of its sojourns)
     tail = -1
     for x, (offset, probs, mass, _, _) in hitting_time_scan(
-            env, n, trunc_tol, deficit_budget, horizon=n, _raw=True, _start=start):
+            env, n, trunc_tol, deficit_budget, horizon=n, _raw=True,
+            _start=(x, law, lambda _: steps.pop())):
         site = env.site(x)
-        if env.tail_index[x] != tail:
+        if env.tail_index[x] != tail:  # a run starts at x
             tail = int(env.tail_index[x])
             rev = reversed_of(tail)
             j = rev.size - 1 - n
+            i = int(np.searchsorted(starts, x, side="right"))
+            # T_{x+r} >= offset + r: no row past x + n - offset holds mass
+            end = min(int(starts[i]) if i < starts.size else known, x_hi + 1,
+                      x + n - offset + 1)
+            size = math.isqrt(max(end - x, 0)) if trunc_tol > 0.0 else 1
+            if size < _MIN_BLOCK:
+                size = 1
+            else:
+                powers, table, lags, upper = _baby_steps(sojourn_of(tail), rev[::-1], size,
+                                                         trunc_tol, n - offset)
+        # the block's first row is the law of T_x itself, as the ladder forms it
         k_lo = max(offset, n - site.last_index - 1)
         k_hi = min(n, offset + probs.size - 1)
-        if k_lo > k_hi:
-            rows.append(0.0)
+        row = 0.0
+        if k_lo <= k_hi:
+            row = float(probs[k_lo - offset : k_hi - offset + 1] @ rev[k_lo + j : k_hi + j + 1])
+        block = [(row, float(probs[-1]) if k_hi == n else 0.0, mass)]  # a law ending past n is 0
+        if size > 1:
+            # column m of the table is lag m: it meets the atom at k = n - m
+            k_lo = max(offset, n - lags)
+            k_end = max(offset + probs.size, k_lo)
+            values = (table[:, n + 1 - k_end : n + 1 - k_lo]
+                      @ probs[k_lo - offset : k_end - offset][::-1]).reshape(-1, 3)
+            block += zip(values[:, 0].tolist(), values[:, 1].tolist(),
+                         (upper * mass - values[:, 2]).tolist())
+        for r, (row, at_n, below_n) in enumerate(block):
+            if r:
+                env.site(x + r)
+                if env.tail_index[x + r] != tail:
+                    break
+            yield row, at_n
+            if x + r == n or below_n < trunc_tol:  # clipped to n: P(T_x <= n)
+                return
         else:
-            weights = rev[k_lo + j : k_hi + j + 1]
-            rows.append(float(probs[k_lo - offset : k_hi - offset + 1] @ weights))
-        hit.append(float(probs[-1]) if k_hi == n else 0.0)  # a law ending past n is 0
-        if x == n or mass < trunc_tol:  # clipped to n: mass is P(T_x <= n)
-            break
-    prob = np.array(rows)
-    deficit = max(0.0, 1.0 - float(prob.sum()))
-    return PositionScan(
-        n=n,
-        x=np.arange(start[0], start[0] + prob.size),
-        prob=prob,
-        hitting_at_n=np.array(hit),
-        deficit=deficit,
-    )
+            r = size
+        steps.append((x + r, powers[r] if size > 1 else sojourn_of(tail)))
+
+
+def _baby_steps(sojourn: DiscreteDistribution, ext: np.ndarray, size: int,
+                trunc_tol: float, reach: int) -> tuple:
+    """The per-run terms of a block scan of ``size`` >= 2 sites of one tail.
+
+    ``powers[r]`` is P_r, the law of r sojourns clipped to ``reach`` (r = 1..
+    size, the first being ``sojourn`` itself).  For r = 1..size-1, rows
+    3(r-1), 3(r-1)+1, 3(r-1)+2 of ``table`` hold at column m, lag m = 0..lags:
+    G_r = P_r * ext (the row weights of the r-th site of a block), P_r (its
+    P(T = n)) and the mass of P_r above that lag (its P(T > n)); ``upper``
+    holds the mass of each P_r.  Lags stop at ``reach``, n minus the offset
+    of the run's first law, past which no dot product of the run reads.
+    """
+    powers = [None, sojourn]
+    raw = (sojourn.offset, sojourn.probs, sojourn._mass, sojourn.deficit, sojourn.beyond)
+    for _ in range(size - 1):
+        raw = _step(raw, sojourn, trunc_tol, reach)
+        powers.append(DiscreteDistribution._of(*raw))
+    lags = min(reach, max(p.end for p in powers[1:size]) + ext.size - 1)
+    table = np.zeros((size - 1, 3, lags + 1))
+    upper = np.empty(size - 1)
+    weights, l1 = ext[: lags + 1], float(ext.sum())
+    for r, p in enumerate(powers[1:size]):
+        above = np.cumsum(p.probs[::-1])[::-1]  # above[i]: mass at lags >= offset + i
+        table[r, 2, : p.offset] = upper[r] = above[0]
+        keep = lags + 1 - p.offset
+        if keep <= 0:  # P_r lies past every lag read
+            continue
+        a = p.probs[:keep]
+        if _by_fft(a.size, weights.size):
+            g = _fft_product(a, weights, keep, p._mass, l1)
+        else:
+            g = np.convolve(a, weights)[:keep]
+        table[r, 0, p.offset : p.offset + g.size] = g
+        table[r, 1, p.offset : p.offset + a.size] = a
+        table[r, 2, p.offset : p.offset + a.size] = np.append(above[1:], 0.0)[: a.size]
+    return powers, table.reshape(3 * (size - 1), lags + 1), lags, upper
 
 
 def position_distribution(

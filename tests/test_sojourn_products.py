@@ -6,7 +6,9 @@ product of each distinct tail's sojourn law powered to its site count.  With
 ``trunc_tol > 0`` ``hitting_time_distribution`` returns that product, and
 ``position_scan`` starts its ladder from it at x_lo, the first site that can
 hold more than ``trunc_tol``.  The site-by-site ladder is the oracle: the two
-laws must agree atom by atom within the sum of their deficits.
+laws must agree atom by atom within the sum of their deficits.  ``clt_report``
+takes its hitting laws from products, or with ``trunc_tol = 0`` from one
+shared ladder.
 """
 
 import numpy as np
@@ -80,15 +82,28 @@ def test_geometric_scan_starts_at_the_window():
     assert law.offset >= x_lo and law.probs.tobytes() == scan.prob[law.offset - x_lo :].tobytes()
 
 
-def test_failed_window_falls_back_to_the_full_ladder():
-    # on a power-law environment P(T_x > n) at mu_x + 9 sigma_x = n exceeds trunc_tol
+def test_failed_window_falls_back_to_the_full_ladder(monkeypatch):
+    # on a power-law environment P(T_x > n) at mu_x + 9 sigma_x = n exceeds
+    # trunc_tol; the scan then runs from 0, in blocks of one tail
     env = wl.env_from_powerlaw(3.0, 1300, tail_tol=1e-10)
     prob, hit, deficit = position_scan_oracle(env, 1000, 1e-14)
+    sizes = []
+    baby_steps = walk._baby_steps
+
+    def counted(sojourn, ext, size, *args):
+        sizes.append(size)
+        return baby_steps(sojourn, ext, size, *args)
+
+    monkeypatch.setattr(walk, "_baby_steps", counted)
     scan = wl.position_scan(env, 1000, 1e-14)
     assert scan.x[0] == 0
-    assert scan.prob.tobytes() == prob.tobytes()
-    assert scan.hitting_at_n.tobytes() == hit.tobytes()
-    assert scan.deficit == deficit
+    assert sizes and min(sizes) > 1
+    slack = scan.deficit + deficit
+    rows, hits = np.zeros((2, max(prob.size, scan.prob.size)))
+    rows[: scan.prob.size], hits[: scan.prob.size] = scan.prob, scan.hitting_at_n
+    assert np.abs(rows[: prob.size] - prob).max() <= slack
+    assert np.abs(hits[: hit.size] - hit).max() <= slack
+    assert rows[prob.size :].sum() <= slack
 
 
 @pytest.mark.parametrize("x_max, grown", [(100, 2244), (2500, 2501)])
@@ -104,19 +119,23 @@ def test_window_grows_no_site(x_max, grown):
 def test_clt_report_takes_hitting_laws_from_products(monkeypatch):
     env = wl.env_geometric(0.5, 400, tail_tol=1e-14)
     params = wl.LimitParams(mu=2.0, sigma2=2.0)
-    scans = []
     scan = walk.hitting_time_scan
+    # one ladder per position law; the hitting laws are products, or with
+    # trunc_tol = 0 all come from one ladder to the largest x
+    for trunc_tol, ladders in ((walk.DEFAULT_TRUNC_TOL, [100, 200, 400]),
+                               (0.0, [100, 200, 200, 400])):
+        scans = []
 
-    def counted(*args, **kwargs):
-        scans.append(args[1])
-        return scan(*args, **kwargs)
+        def counted(*args, **kwargs):
+            scans.append(args[1])
+            return scan(*args, **kwargs)
 
-    monkeypatch.setattr(walk, "hitting_time_scan", counted)
-    monkeypatch.setattr(limits, "hitting_time_scan", counted)
-    report = limits.clt_report(env, params, [100, 400])
-    # one ladder per position law, none for the hitting laws
-    assert scans == [100, 400]
-    for x, distance in zip(report.hitting_x, report.dist_hitting):
-        law = wl.hitting_time_distribution(env, int(x))
-        mu_x, sig2_x = wl.cumulative_hitting_moments(env, int(x))
-        assert distance == limits.kolmogorov_distance_to_normal(law, mu_x, np.sqrt(sig2_x))
+        monkeypatch.setattr(walk, "hitting_time_scan", counted)
+        monkeypatch.setattr(limits, "hitting_time_scan", counted)
+        report = limits.clt_report(env, params, [100, 200, 400], trunc_tol=trunc_tol)
+        monkeypatch.undo()
+        assert sorted(scans) == ladders
+        for x, distance in zip(report.hitting_x, report.dist_hitting):
+            law = wl.hitting_time_distribution(env, int(x), trunc_tol)
+            mu_x, sig2_x = wl.cumulative_hitting_moments(env, int(x))
+            assert distance == limits.kolmogorov_distance_to_normal(law, mu_x, np.sqrt(sig2_x))
