@@ -148,6 +148,12 @@ def fit_limit_params(diag: EnvDiagnostics) -> LimitFit:
 # local limit predictor
 # ---------------------------------------------------------------------------
 
+_PREDICTOR_CHUNK = 1 << 15  # most density terms the predictor forms at once
+# e^-746 < 2^-1076 rounds to +0, which numpy's exp returns by a slow path
+# (20-150 ns against about 1 ns per term): such terms are set to +0 instead.
+_EXP_ZERO = -746.0
+
+
 def _require_levels(diag: EnvDiagnostics, n: int) -> np.ndarray:
     if diag.M.size <= n:
         raise ValidationError(
@@ -211,9 +217,18 @@ def llt_predictor(
         two_var, scale = _normal_terms(ells * st2)
         mean, weights = M[ells], site.values[n - ells]
         idx = rows[sel]
-        for i, x in zip(idx.tolist(), x_values[sel].tolist()):
-            h = np.exp(-((float(x) - mean) ** 2) / two_var) / scale
-            lo[i] = mu_inv * float(h @ weights)
+        chunk = max(1, _PREDICTOR_CHUNK // ells.size)
+        for start in range(0, idx.size, chunk):
+            part = idx[start : start + chunk]
+            # -((x - mean) ** 2) / two_var in place, M_l being integers; a
+            # quotient rounds the same with the sign moved to the divisor
+            z = x_values[part, None].astype(np.float64) - mean
+            np.square(z, out=z)
+            z /= -two_var
+            h = np.exp(z, out=np.zeros_like(z), where=z >= _EXP_ZERO)
+            h /= scale
+            for i, row in zip(part.tolist(), h):
+                lo[i] = mu_inv * float(row @ weights)
         hi[idx] = lo[idx]
         if n - site.last_index >= 2 and site.deficit > 0.0:
             hi[idx] += mu_inv * site.deficit * density_sum_bound

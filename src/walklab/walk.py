@@ -47,6 +47,11 @@ DEFAULT_TRUNC_TOL = 1e-14
 DEFAULT_DEFICIT_BUDGET = 1e-6
 # largest block of uniforms the sojourn simulator draws at once
 _BLOCK = 1 << 16
+# The sojourn simulator sums blocks of at most this many sites row by row,
+# wider ones by a cumsum.  Per 2^16 draws on a 2-vCPU Xeon, numpy 2.4, rows
+# against cumsum: 0.10-0.15 vs 0.4-0.8 ms at width 2-8, 0.18-0.28 vs 0.43-0.56
+# at 32, 0.27 vs 0.41-0.45 at 64, 0.34-0.44 vs 0.25 at 80, 0.5-0.6 vs 0.43 at 128.
+_ROW_SUMS_WIDTH = 64
 _MAX_RECORD_CELLS = 50_000_000  # paths x (horizon + 1) of a full-path or hitting-times record
 # A product of at least _FFT_MIN_MACS multiply-adds, both factors at least
 # _FFT_MIN_ATOMS long, goes through the FFT when the ladder may trim.  Direct
@@ -536,7 +541,7 @@ def position_scan(
             product = _power(env, x_lo, trunc_tol, n, sojourn_of)
             if product[4] <= trunc_tol:
                 x_start, law = x_lo, product
-    prob, hit = (np.array(values) for values in zip(
+    prob, hit = (np.concatenate(parts) for parts in zip(
         *_scan_rows(env, n, trunc_tol, deficit_budget, x_start, law, x_hi, sojourn_of)))
     return PositionScan(
         n=n,
@@ -548,11 +553,12 @@ def position_scan(
 
 
 def _scan_rows(env: Environment, n: int, trunc_tol: float, deficit_budget: float,
-               x: int, law: tuple, x_hi: int, sojourn_of) -> Iterator[tuple[float, float]]:
+               x: int, law: tuple, x_hi: int, sojourn_of) -> Iterator[tuple]:
     """(P(X_n = y), P(T_y = n)) for y = x, x+1, ... from the raw law of T_x,
     clipped to n, until ``position_scan``'s stop rule; a run of sites of one
     tail goes in blocks of B sites, B fixed per run from the rows it can hold
-    among the materialized sites (at most x_hi)."""
+    among the materialized sites (at most x_hi).  Rows come in pairs of
+    arrays, a block's at once if all its sites are built, else one by one."""
     reversed_of = lru_cache(_RECENT_TAILS)(lambda k: _reversed_tail(env.tails[k]))
     # the sites where a run of one tail starts, and the end of the known ones
     starts, known = np.flatnonzero(np.diff(env.tail_index)) + 1, len(env)
@@ -589,14 +595,26 @@ def _scan_rows(env: Environment, n: int, trunc_tol: float, deficit_budget: float
             k_end = max(offset + probs.size, k_lo)
             values = (table[:, n + 1 - k_end : n + 1 - k_lo]
                       @ probs[k_lo - offset : k_end - offset][::-1]).reshape(-1, 3)
-            block += zip(values[:, 0].tolist(), values[:, 1].tolist(),
-                         (upper * mass - values[:, 2]).tolist())
+            values[:, 2] = upper * mass - values[:, 2]
+            block = np.concatenate((block, values))
+            if x + size <= len(env):  # every site of the block is built: rows as arrays
+                change = np.flatnonzero(env.tail_index[x + 1 : x + size] != tail)
+                r = int(change[0]) + 1 if change.size else size  # the rows of this run
+                below_n = block[:r, 2]  # clipped to n: P(T_y <= n)
+                stop = np.flatnonzero((below_n < trunc_tol) | (np.arange(x, x + r) == n))
+                rows = block[: int(stop[0]) + 1 if stop.size else r]
+                yield rows[:, 0], rows[:, 1]
+                if stop.size:
+                    return
+                steps.append((x + r, powers[r]))
+                continue
+            block = block.tolist()
         for r, (row, at_n, below_n) in enumerate(block):
             if r:
                 env.site(x + r)
                 if env.tail_index[x + r] != tail:
                     break
-            yield row, at_n
+            yield (row,), (at_n,)
             if x + r == n or below_n < trunc_tol:  # clipped to n: P(T_x <= n)
                 return
         else:
@@ -625,6 +643,7 @@ def _baby_steps(sojourn: DiscreteDistribution, ext: np.ndarray, size: int,
     table = np.zeros((size - 1, 3, lags + 1))
     upper = np.empty(size - 1)
     weights, l1 = ext[: lags + 1], float(ext.sum())
+    spectrum = lru_cache(None)(lambda m: (np.fft.rfft(weights, m), _norm2(weights)))
     for r, p in enumerate(powers[1:size]):
         above = np.cumsum(p.probs[::-1])[::-1]  # above[i]: mass at lags >= offset + i
         table[r, 2, : p.offset] = upper[r] = above[0]
@@ -633,7 +652,7 @@ def _baby_steps(sojourn: DiscreteDistribution, ext: np.ndarray, size: int,
             continue
         a = p.probs[:keep]
         if _by_fft(a.size, weights.size):
-            g = _fft_product(a, weights, keep, p._mass, l1)
+            g = _fft_product(a, weights, keep, p._mass, l1, spectrum)
         else:
             g = np.convolve(a, weights)[:keep]
         table[r, 0, p.offset : p.offset + g.size] = g
@@ -837,9 +856,14 @@ def _sojourn_chunk(cfg, rng, size, times, draw):
         u, draws, over, sums = (b[: width * active.size].reshape(width, -1) for b in buffers)
         draw(rng.random(out=u), slice(site, site + width), out=(draws, over))
         before = total[active]
-        np.cumsum(draws, axis=0, out=sums)
-        sums += before
-        within = np.count_nonzero(sums <= stop, axis=0)  # draws ending within the horizon
+        if width <= _ROW_SUMS_WIDTH:  # draws ending within the horizon, row by row
+            within = np.zeros(active.size, dtype=np.intp)
+            for j, previous in enumerate([before, *sums[:-1]]):
+                within += np.add(previous, draws[j], out=sums[j]) <= stop
+        else:
+            np.cumsum(draws, axis=0, out=sums)
+            sums += before
+            within = np.count_nonzero(sums <= stop, axis=0)
         truncated += int(np.count_nonzero(over & (np.arange(width)[:, None] <= within)))
         if hitting_mode:
             hitting[:, site + 1 : site + width + 1] = sums.T

@@ -11,15 +11,19 @@
   (``chain_chunk_per_site``, ``step_batch_per_site``,
   ``level_states_per_site``), with the per-site branch lookup and images
   they use.  The grouped simulators must match them bit for bit.
+* The block scan's row loop (``scan_rows_per_row``), each block's rows
+  handed out one at a time as before blocks came as arrays; the scan must
+  match it bit for bit.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from walklab import dynsys
+from walklab import dynsys, walk
 from walklab.errors import TailTruncationError, ValidationError
 
 
@@ -200,3 +204,57 @@ def level_states_per_site(env, u):
         y, below = branch_batch_per_site(env.site(int(site_idx)), f[in_site])
         ys[in_site] = np.minimum(y, env.site(int(site_idx)).last_index)
     return np.stack([x, ys], axis=1)
+
+
+# ---------------------------------------------------------------------------
+# the position scan's rows, one at a time
+# ---------------------------------------------------------------------------
+
+def scan_rows_per_row(env, n, trunc_tol, deficit_budget, x, law, x_hi, sojourn_of):
+    """``walk._scan_rows`` with every row of a block yielded on its own, each
+    site built and its tail checked as its row is reached."""
+    reversed_of = lru_cache(walk._RECENT_TAILS)(lambda k: walk._reversed_tail(env.tails[k]))
+    starts, known = np.flatnonzero(np.diff(env.tail_index)) + 1, len(env)
+    steps = []
+    tail = -1
+    for x, (offset, probs, mass, _, _) in walk.hitting_time_scan(
+            env, n, trunc_tol, deficit_budget, horizon=n, _raw=True,
+            _start=(x, law, lambda _: steps.pop())):
+        site = env.site(x)
+        if env.tail_index[x] != tail:
+            tail = int(env.tail_index[x])
+            rev = reversed_of(tail)
+            j = rev.size - 1 - n
+            i = int(np.searchsorted(starts, x, side="right"))
+            end = min(int(starts[i]) if i < starts.size else known, x_hi + 1,
+                      x + n - offset + 1)
+            size = math.isqrt(max(end - x, 0)) if trunc_tol > 0.0 else 1
+            if size < walk._MIN_BLOCK:
+                size = 1
+            else:
+                powers, table, lags, upper = walk._baby_steps(
+                    sojourn_of(tail), rev[::-1], size, trunc_tol, n - offset)
+        k_lo = max(offset, n - site.last_index - 1)
+        k_hi = min(n, offset + probs.size - 1)
+        row = 0.0
+        if k_lo <= k_hi:
+            row = float(probs[k_lo - offset : k_hi - offset + 1] @ rev[k_lo + j : k_hi + j + 1])
+        block = [(row, float(probs[-1]) if k_hi == n else 0.0, mass)]
+        if size > 1:
+            k_lo = max(offset, n - lags)
+            k_end = max(offset + probs.size, k_lo)
+            values = (table[:, n + 1 - k_end : n + 1 - k_lo]
+                      @ probs[k_lo - offset : k_end - offset][::-1]).reshape(-1, 3)
+            block += zip(values[:, 0].tolist(), values[:, 1].tolist(),
+                         (upper * mass - values[:, 2]).tolist())
+        for r, (row, at_n, below_n) in enumerate(block):
+            if r:
+                env.site(x + r)
+                if env.tail_index[x + r] != tail:
+                    break
+            yield (row,), (at_n,)
+            if x + r == n or below_n < trunc_tol:
+                return
+        else:
+            r = size
+        steps.append((x + r, powers[r] if size > 1 else sojourn_of(tail)))

@@ -7,13 +7,16 @@ product of the block's first law with a table built once per run
 bit, so they must agree with that ladder (``position_scan_oracle``) within
 the sum of both deficits, and rows plus deficit must hold unit mass.  On
 runs too short for blocks, and with ``trunc_tol = 0``, the scan is that
-ladder row for row.  A scan of R rows makes O(sqrt(R)) ladder steps.
+ladder row for row.  A scan of R rows makes O(sqrt(R)) ladder steps.  A
+block of built sites hands its rows over as arrays; they are the rows of the
+row-at-a-time loop (``oracles.scan_rows_per_row``) bit for bit.
 """
 
 import math
 
 import numpy as np
 import pytest
+from oracles import scan_rows_per_row
 from test_scan_tails import position_scan_oracle
 
 import walklab as wl
@@ -94,6 +97,29 @@ def test_block_rows_agree_with_the_ladder(case, blocks):
     assert max(len(powers) - 1 for powers in blocks["tables"]) >= walk._MIN_BLOCK
     if case == "markov":
         assert blocks["closed"] > 0
+
+
+GROWN = {  # environments that the scan builds on past the sites made up front
+    "markov-700": (lambda: markov_geometric(700), 1500),
+    "geometric-100": (lambda: wl.env_geometric(0.5, 100, tail_tol=1e-14), 4000),
+}
+
+
+@pytest.mark.parametrize("case", ["markov", "powerlaw-1000", "geometric-4000", *GROWN])
+def test_block_rows_are_the_per_row_rows(case, blocks, monkeypatch):
+    build, n = GROWN[case] if case in GROWN else CASES[case]
+    env = build()
+    scan = wl.position_scan(env, n, TRUNC_TOL)
+    if case in GROWN:  # no site is built before its row
+        assert len(env) <= scan.x[-1] + 1
+    if case.startswith("markov"):
+        assert blocks["closed"] > 0  # a run of one tail ends inside a block
+    monkeypatch.setattr(walk, "_scan_rows", scan_rows_per_row)
+    per_row = wl.position_scan(build(), n, TRUNC_TOL)
+    assert scan.x.tobytes() == per_row.x.tobytes()
+    assert scan.prob.tobytes() == per_row.prob.tobytes()
+    assert scan.hitting_at_n.tobytes() == per_row.hitting_at_n.tobytes()
+    assert scan.deficit == per_row.deficit
 
 
 def test_short_runs_scan_site_by_site(blocks):

@@ -4,6 +4,7 @@ walk and extended map must reproduce them bit for bit, and no simulator may
 read an environment past the sites a run needs."""
 
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -194,3 +195,50 @@ def test_finite_environment_read_only_up_to_the_horizon(method, record, sites):
         wl.simulate_paths(env, cfg, method=method,
                           times=[10, horizon] if record == "endpoint-only" else None)
     assert env.reach == sites - 1
+
+
+def sample_digest(sample):
+    h = hashlib.sha256()
+    for key in ("x_final", "y_final", "x_at_times", "hitting"):
+        value = getattr(sample, key)
+        if value is not None:
+            h.update(key.encode() + value.astype(np.int64).tobytes())
+    h.update(str(sample.truncated_draws).encode())
+    return h.hexdigest()
+
+
+# sha256 of the sojourn method's records, recorded before the simulator summed
+# narrow blocks row by row; 3000 and 2000 paths start in blocks of 21 and 32
+# sites, 200 and 150 paths in blocks of 327 and 200 (``walk._ROW_SUMS_WIDTH``)
+SOJOURN_DIGESTS = {
+    (3, "endpoint", 3000):
+        "3db1cd2a8b77e8be35bb66eee85c81657bcc9bd5e461e4ce234eb68dc1dee495",
+    (3, "endpoint", 200):
+        "f4a5863c7c9910f066b97c1dd983b3a369f5ac8e46189ab3742b43e0119aa450",
+    (3, "hitting", 2000):
+        "efe44fa626fbbaa4b081cb54d64d562717b7243ceb0959f7159c3e9192fb981a",
+    (3, "hitting", 150):
+        "40f50c5957af97f062090e7ff3ef2332b87487e264887a743df8cf3f4272fba6",
+    (11, "endpoint", 3000):
+        "13037d79e8c6db47c4175d516d90a02e78d88302dc04076655df00918704de91",
+    (11, "endpoint", 200):
+        "fc088b345065580f226f6e681e9f8cca257addb6c8f0035ee1ba8d8ca625a8bb",
+    (11, "hitting", 2000):
+        "3479ac818d8269c33d35ccc25926c5acfae7479b7caa79df655325505cf71c92",
+    (11, "hitting", 150):
+        "48749ff31123ff4c22fcc5ad42525fa99c3968f4c01816c24c0f90b856660f5f",
+}
+
+
+@pytest.mark.parametrize("seed,record,paths", list(SOJOURN_DIGESTS))
+def test_sojourn_records_keep_their_bytes(seed, record, paths):
+    if record == "endpoint":  # checkpoints, endpoints and levels
+        env = two_point_env(201)
+        cfg = wl.McConfig(paths=paths, horizon=150, seed=seed)
+        times = [10, 60, 150]
+    else:  # the lossy tails put truncated draws in the digest
+        env = alternating_lossy_env(201)
+        cfg = wl.McConfig(paths=paths, horizon=200, seed=seed, record="hitting-times")
+        times = None
+    sample = wl.simulate_paths(env, cfg, method="sojourn", times=times)
+    assert sample_digest(sample) == SOJOURN_DIGESTS[seed, record, paths]

@@ -120,6 +120,33 @@ def test_predictor_matches_per_site_loop(n):
         wl.llt_predictor(env, params, diag, n, x_values=[2, -1])
 
 
+def three_tail_setup():
+    model = wl.RandomEnvModel(kind="iid", family="powerlaw", seed=5, choices=(2.5, 3.0, 4.0))
+    env = wl.sample_environment(model, 400, tail_tol=1e-4).environment
+    return env, wl.diagnostics(env, 2.5), wl.LimitParams(mu=1.6, sigma2=0.9), 300
+
+
+def powerlaw_setup():
+    env = wl.env_from_powerlaw(3.0, 1300, tail_tol=1e-10)
+    diag = wl.diagnostics(env, 3.0)
+    return env, diag, wl.fit_limit_params(diag).params, 1000
+
+
+@pytest.mark.parametrize("setup", [three_tail_setup, powerlaw_setup])
+def test_predictor_matches_per_site_loop_over_scan_rows(setup):
+    env, diag, params, n = setup()
+    xs = wl.position_scan(env, n, deficit_budget=1.0).x  # coarse tails: a wide budget
+    pred = wl.llt_predictor(env, params, diag, n, x_values=xs)
+    lo, hi = predictor_per_site(env, params, diag, n, xs)
+    assert pred.lo.tobytes() == lo.tobytes() and pred.hi.tobytes() == hi.tobytes()
+    if setup is powerlaw_setup:
+        # the rows split into chunks, and some terms are taken as +0
+        ells = np.arange(max(1, n - env.site(0).last_index), n + 1)
+        assert xs.size * ells.size > 8 * limits._PREDICTOR_CHUNK
+        z = -((xs[:, None] - diag.M[ells]) ** 2) / (2.0 * ells * params.sigma_tilde2)
+        assert 0.1 < np.mean(z < limits._EXP_ZERO) < 0.5
+
+
 def test_predictor_mass_approaches_one(geo_setup):
     env, diag, params = geo_setup
     masses = []
