@@ -50,10 +50,16 @@ class Guide:
         inside = np.bincount(bucket[scaled != bucket], minlength=m + 1) > 0
         self._table = np.where(inside, -1, np.cumsum(np.bincount(bucket, minlength=m + 1)))
 
-    def rank(self, keys: np.ndarray) -> np.ndarray:
+    def rank(self, keys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Ranks of ``keys`` (left unchanged), into the intp array ``out`` of
+        their shape if given."""
+        ranks = np.empty(keys.shape, dtype=np.intp) if out is None else out
         if keys.size < _GUIDED_MIN_KEYS:
-            return self.values.searchsorted(keys, side="right")
-        ranks = self._table.take((keys * self._m).astype(np.intp))
+            ranks[...] = self.values.searchsorted(keys, side="right")
+            return ranks
+        # the cast to intp truncates u m as astype does; every bucket is in [0, m]
+        np.multiply(keys, self._m, out=ranks, casting="unsafe")
+        self._table.take(ranks, out=ranks, mode="clip")
         ambiguous = np.flatnonzero(ranks < 0)
         if ambiguous.size:
             ranks.flat[ambiguous] = self.values.searchsorted(keys.flat[ambiguous], side="right")

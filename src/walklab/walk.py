@@ -362,12 +362,20 @@ def sojourn_pmf(site: TailSequence) -> DiscreteDistribution:
 def _draw(env: Environment, guides: dict, u: np.ndarray, sites, out=None) -> tuple:
     """Sojourns for uniforms u, row i drawn at site sites[i] by inverting the
     CDF 1 - extended() of its tail k through guides[k], capped at N+1, and the
-    mask of draws that fell in the truncated region (into the pair ``out``)."""
+    mask of draws that fell in the truncated region (into the pair ``out``).
+    A block of one tail is ranked in place in the draws; several tails each
+    rank their gathered rows."""
     n, over = out or (np.empty(u.shape, dtype=np.int64), np.empty(u.shape, dtype=bool))
     for k, rows in env.tail_groups(sites):
-        idx = guides[k].rank(u[rows])
         last = guides[k].values.size - 1  # N+1
-        n[rows], over[rows] = np.minimum(idx, last), idx > last
+        if isinstance(rows, slice):
+            idx = guides[k].rank(u, out=n)
+            np.greater(idx, last, out=over)
+            np.minimum(idx, last, out=n)
+            continue
+        idx = guides[k].rank(u[rows])
+        over[rows] = idx > last
+        n[rows] = np.minimum(idx, last, out=idx)
     return n, over
 
 
@@ -842,10 +850,9 @@ def _sojourn_chunk(cfg, rng, size, times, draw):
     hitting_mode = cfg.record == "hitting-times"
     horizon = cfg.horizon
     n_sites, stop = (horizon, np.iinfo(np.int64).max) if hitting_mode else (horizon + 1, horizon)
-    record_times = times if times is not None else np.array([horizon], dtype=np.int64)
     hitting = np.zeros((size, horizon + 1), dtype=np.int64) if hitting_mode else None
-    x_at = np.zeros((size, record_times.size), dtype=np.int64)
-    final_total = np.zeros(size, dtype=np.int64)
+    x_at = None if times is None else np.zeros((size, times.size), dtype=np.int64)
+    x_final, final_total = np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
     total = np.zeros(size, dtype=np.int64)
     active = np.arange(size)
     truncated = 0
@@ -867,23 +874,20 @@ def _sojourn_chunk(cfg, rng, size, times, draw):
         truncated += int(np.count_nonzero(over & (np.arange(width)[:, None] <= within)))
         if hitting_mode:
             hitting[:, site + 1 : site + width + 1] = sums.T
-        else:  # X_t = site + #{block sums <= t} for the paths whose block passes t
-            for i in np.flatnonzero((record_times >= before.min())
-                                    & (record_times < sums[-1].max())):
-                count = np.count_nonzero(sums <= record_times[i], axis=0)
-                passes = (before <= record_times[i]) & (count < width)
+        elif times is not None:  # X_t = site + #{block sums <= t} where the block passes t
+            for i in np.flatnonzero((times >= before.min()) & (times < sums[-1].max())):
+                count = np.count_nonzero(sums <= times[i], axis=0)
+                passes = (before <= times[i]) & (count < width)
                 x_at[active[passes], i] = site + count[passes]
-        done = within < width
+        done = within < width  # these paths pass the horizon in this block, X = site + within
+        x_final[active[done]] = site + within[done]
         final_total[active[done]] = sums[within[done], done]
         total[active] = sums[-1]
         active = active[~done]
         site += width
     if hitting_mode:
         return {"hitting": hitting, "truncated": truncated}
-    ends_at_horizon = record_times[-1] == horizon
-    return {"x_final": x_at[:, -1] if ends_at_horizon else None,
-            "y_final": final_total - 1 - horizon if ends_at_horizon else None,
-            "x_at_times": x_at if times is not None else None,
+    return {"x_final": x_final, "y_final": final_total - 1 - horizon, "x_at_times": x_at,
             "truncated": truncated}
 
 

@@ -146,6 +146,15 @@ def test_step_batch_freezes_flagged_points():
     assert np.count_nonzero(alive & ~grouped[1]) > 0  # some live points were flagged
 
 
+def plain_rank(self, keys, out=None):
+    """Guide.rank by searchsorted on every key, into ``out`` if given."""
+    ranks = np.searchsorted(self.values, keys, side="right")
+    if out is None:
+        return ranks
+    out[...] = ranks
+    return out
+
+
 @pytest.mark.parametrize("make_env", [alternating_lossy_env, powerlaw_env])
 @pytest.mark.parametrize("method,record,times", [
     ("sojourn", "endpoint-only", None),
@@ -163,12 +172,11 @@ def test_guide_tables_match_searchsorted(monkeypatch, make_env, method, record, 
     cfg = wl.McConfig(paths=CHUNK + 900, horizon=horizon, seed=37, record=record)
     batches = []
     rank = streams.Guide.rank
-    monkeypatch.setattr(streams.Guide, "rank",
-                        lambda self, keys: batches.append(keys.size) or rank(self, keys))
+    monkeypatch.setattr(streams.Guide, "rank", lambda self, keys, out=None:
+                        batches.append(keys.size) or rank(self, keys, out=out))
     guided = wl.simulate_paths(env, cfg, method=method, times=times)
     assert max(batches) >= streams._GUIDED_MIN_KEYS  # the tables answered
-    monkeypatch.setattr(streams.Guide, "rank",
-                        lambda self, keys: np.searchsorted(self.values, keys, side="right"))
+    monkeypatch.setattr(streams.Guide, "rank", plain_rank)
     plain = wl.simulate_paths(env, cfg, method=method, times=times)
     assert_identical(guided, plain)
     if make_env is alternating_lossy_env:

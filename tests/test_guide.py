@@ -1,7 +1,7 @@
-"""Guide-table lookups: Guide(values).rank(keys) must equal
-np.searchsorted(values, keys, side="right") bit for bit, with ties, with values
-and keys exactly on bucket edges j/m or next to them, in float64 and in long
-double."""
+"""Guide-table lookups: Guide(values).rank(keys), with or without an ``out``
+buffer, must equal np.searchsorted(values, keys, side="right") bit for bit,
+with ties, with values and keys exactly on bucket edges j/m or next to them, in
+float64 and in long double."""
 
 import numpy as np
 import pytest
@@ -28,12 +28,20 @@ def lookup_keys(values, extra=()):
 
 
 def assert_ranks_match(values, keys):
+    """rank(keys) and rank(keys, out=...) on batches above and below
+    _GUIDED_MIN_KEYS: searchsorted's ranks, in ``out`` itself, keys unchanged."""
     guide = Guide(values)
-    for shaped in (keys, keys[: keys.size // 2 * 2].reshape(2, -1), keys[:7]):
+    for shaped in (keys, keys[: keys.size // 2 * 2].reshape(2, -1), keys[:7],
+                   keys[: _GUIDED_MIN_KEYS - 1], keys[:_GUIDED_MIN_KEYS]):
+        before = shaped.tobytes()
         got = guide.rank(shaped)
         want = np.searchsorted(values, shaped, side="right")
         assert got.dtype == want.dtype and got.shape == want.shape
         np.testing.assert_array_equal(got, want)
+        out = np.full(shaped.shape, -5, dtype=np.intp)
+        assert guide.rank(shaped, out=out) is out
+        np.testing.assert_array_equal(out, want)
+        assert shaped.tobytes() == before
 
 
 @st.composite

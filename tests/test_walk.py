@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 import walklab as wl
 from walklab.errors import DeficitBudgetError, ValidationError
-from walklab.walk import _state_counts, hitting_time_scan
+from walklab.streams import CHUNK
+from walklab.walk import _BLOCK, _state_counts, hitting_time_scan
 from oracles import sample_sojourn
 
 
@@ -341,6 +343,36 @@ def test_checkpoint_records(geometric_env):
         exact = wl.position_distribution(geometric_env, t)
         tv = wl.tv_distance(exact, np.bincount(sample.x_at_times[:, i]), cfg.paths)
         assert tv <= wl.mc_tv_tolerance(exact.probs.size, cfg.paths)
+
+
+@pytest.mark.parametrize("method", ["sojourn", "chain"])
+def test_endpoints_recorded_when_times_leave_out_the_horizon(geometric_env, method):
+    # every path runs to the horizon, so X and Y there are recorded whatever
+    # the times, and equal those of a run without times
+    cfg = wl.McConfig(paths=CHUNK + 500, horizon=12, seed=67)
+    sample = wl.simulate_paths(geometric_env, cfg, method=method, times=[2, 3])
+    plain = wl.simulate_paths(geometric_env, cfg, method=method)
+    assert sample.x_at_times.shape == (cfg.paths, 2)
+    assert sample.endpoint_counts().sum() == cfg.paths
+    for key in ("x_final", "y_final"):
+        got, want = getattr(sample, key), getattr(plain, key)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_sojourn_draws_allocate_no_block_temporaries():
+    # a chunk's memory is its four block buffers (uniforms, draws, mask, sums:
+    # 25 bytes a key) and a few path-length int64 arrays; ranking each block's
+    # draws outside its buffers holds 512 KB temporaries on top
+    env = wl.env_from_powerlaw(3.0, 200, tail_tol=1e-10)
+    cfg = wl.McConfig(paths=CHUNK, horizon=200, seed=7)
+    tracemalloc.start()
+    try:
+        sample = wl.simulate_paths(env, cfg, method="sojourn")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sample.x_final.size == CHUNK
+    assert peak <= _BLOCK * (8 + 8 + 1 + 8) + 12 * CHUNK * 8
 
 
 def test_truncated_draws_counted():
