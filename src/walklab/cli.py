@@ -3,7 +3,8 @@
 Subcommands: env, exact, mc, dynsys, llt, clt, slln.  Every stochastic
 command requires an explicit --seed, all randomness derives from it through
 component-keyed streams, and output files are never overwritten without
---force.  Exit codes: 0 success, 2 validation, 3 numeric budget, 4 I/O.
+--force.  Exit codes: 0 success, 2 validation, 3 numeric budget or an
+environment file whose tails do not rebuild, 4 I/O.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .environment import (
     Environment,
     LsvParams,
     _all_or_nothing,
-    _format17,
     _refuse_overwrite,
     _write_text,
     diagnostics,
@@ -32,7 +32,7 @@ from .environment import (
     load_env_file,
     write_env_file,
 )
-from .errors import DeficitBudgetError, TailTruncationError, ValidationError
+from .errors import DeficitBudgetError, RebuildError, TailTruncationError, ValidationError
 from .limits import (
     LimitParams,
     clt_report,
@@ -62,15 +62,12 @@ def _out_path(path: str) -> str:
 
 
 def _cells(column) -> list[str]:
-    """The cells of one CSV column: a float column through ``_format17``
-    (a NaN cell empty), any other through ``str`` (a None cell empty)."""
+    """The cells of one CSV column: a float column as format(x, ".17g") (a
+    NaN cell empty), any other through ``str`` (a None cell empty)."""
     values = np.asarray(column)
     if values.dtype.kind != "f":
         return ["" if v is None else str(v) for v in values.tolist()]
-    cells = _format17(values).split(", ") if values.size else []
-    for j in np.flatnonzero(np.isnan(values)).tolist():
-        cells[j] = ""
-    return cells
+    return ["" if v != v else format(v, ".17g") for v in values.tolist()]
 
 
 def _write_csv(path: str, columns: dict, force: bool) -> None:
@@ -443,6 +440,9 @@ def main(argv=None) -> int:
     except (DeficitBudgetError, TailTruncationError) as exc:
         # each message names its own remedy; no one hint fits both errors
         print(f"numeric budget exceeded: {exc}", file=sys.stderr)
+        return 3
+    except RebuildError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -29,17 +29,20 @@ and its residuals theta_1, theta_2 live in ``limits.fit_limit_params``.
 
 Work scales with distinct tails, not with sites: a constant environment holds
 one tail object at every site, ``diagnostics`` computes one row per shared
-tail and beta, and the environment file prints a shared tail once and refers
+tail and beta, and a file of values prints a shared tail once and refers
 back to it by site index.  ``Environment`` keeps the sharing as a tail table
 (its distinct tails and a site -> tail index) that every consumer reads.
+
+An environment a builder made is filed as its builder descriptor and a
+sha256 of its tails, not as values: loading builds it again and refuses
+tails that hash otherwise.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-import fractions
-import functools
+import hashlib
 import json
 import math
 import os
@@ -48,7 +51,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import RootFindError, ValidationError
+from .errors import RebuildError, RootFindError, ValidationError
 
 DEFAULT_N_CAP = 100_000
 DEFAULT_TAIL_TOL = 1e-12
@@ -60,6 +63,7 @@ _NEWTON_MAX_ITER = 200  # guards pathological tolerances only
 # go on alone (bench env-files' last ones; no timed workload makes a smaller call)
 _LONE_ORBITS = 12
 _WRITE_SLICE = 1 << 20  # characters an output file is written in at a time
+_FAMILIES = ("powerlaw", "geometric", "lsv")  # the tail families the builders make
 
 __all__ = [
     "DEFAULT_N_CAP",
@@ -180,6 +184,13 @@ def powerlaw_tail_sequence(
         deficit=float(n_last + 2.0) ** (-beta),
         cap_reached=n_needed > n_cap,
     )
+
+
+def _check_x_max(x_max: int) -> None:
+    if isinstance(x_max, bool) or not isinstance(x_max, (int, np.integer)):
+        raise ValidationError(f"x_max must be an integer, got {x_max!r}")
+    if x_max < 0:
+        raise ValidationError(f"x_max must be >= 0, got {x_max}")
 
 
 def _check_truncation(n_cap: int, tail_tol: float) -> None:
@@ -442,8 +453,7 @@ def _constant_env(tail, param, x_max: int, n_cap: int, tail_tol: float,
     """Sites 0..x_max, and every site the factory adds later, share one tail.
     One range function builds sites 0..x_max and is the factory; it sets
     ``x_max`` in ``model`` (``capped_sites``, "all" or [], holds as it grows)."""
-    if x_max < 0:
-        raise ValidationError(f"x_max must be >= 0, got {x_max}")
+    _check_x_max(x_max)
     try:
         shared = tail(param, n_cap, tail_tol)
     except RootFindError as exc:
@@ -677,187 +687,43 @@ def window_fluctuation(env: Environment, x: int, u: float, mu: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# float printing
-# ---------------------------------------------------------------------------
-
-# values printed per block: the printer's temporaries take ~460 bytes a
-# value, most of it the index array np.compress builds
-_PRINT_BLOCK = 1 << 13
-# decimal exponents printed without ``format``; 10**(16 - e) and its split
-# halves stay normal and finite over this range
-_FAST_EXP = 290
-# layout kinds: %g prints exponents -4..16 in fixed point (kinds 0..20),
-# others as d.ddde+xx (kind 21) or d.ddde+xxx (kind 22)
-_KINDS = 23
-# One row holds every byte any layout can print: the sign, "0.000", the 17
-# digits with a "." slot after each of the first 16, "e", the exponent's sign
-# and 3 digits, ", ".  A layout is a mask over it.
-_ROW = np.frombuffer(b"-0.000" + b"0." * 16 + b"0e+000, ", dtype=np.uint8)
-_DIGIT = 6  # column of the first digit; digit j (from 1) sits at 4 + 2j
-_WIDTH = 26  # bytes of the longest value, "-2.2250738585072014e-308", and ", "
-
-
-@functools.cache
-def _print_tables():
-    """The printer's tables, built on first use.
-
-    For each exponent e in [-_FAST_EXP, _FAST_EXP]: 10**(16 - e) as the
-    unevaluated sum hi + lo, each correctly rounded, with hi split into two
-    halves of 26 bits for Dekker's exact product.  The 4-digit ASCII table,
-    one uint32 per entry.  For each (sign, layout kind, significant digits)
-    the mask of ``_ROW`` columns printed, and its count.
-    """
-    hi, hi1, hi2, lo = (np.empty(2 * _FAST_EXP + 1) for _ in range(4))
-    for i, e in enumerate(range(-_FAST_EXP, _FAST_EXP + 1)):
-        exact = fractions.Fraction(10) ** (16 - e)
-        hi[i] = float(exact)
-        lo[i] = float(exact - fractions.Fraction(hi[i]))
-        mant, scale = math.frexp(hi[i])
-        split = mant * 134217729.0  # 2**27 + 1
-        head = split - (split - mant)
-        hi1[i], hi2[i] = math.ldexp(head, scale), math.ldexp(mant - head, scale)
-    digits4 = np.frombuffer("".join(map("{:04d}".format, range(10000))).encode(),
-                            dtype=np.uint32)
-    masks = np.zeros((2, _KINDS, 17, _ROW.size), dtype=bool)
-    digit = _DIGIT + 2 * np.arange(17)  # digit j + 1 is at digit[j]
-    for neg in range(2):
-        for kind in range(_KINDS):
-            for sig in range(1, 18):
-                mask = masks[neg, kind, sig - 1]
-                mask[0] = neg
-                mask[-2:] = True
-                x = kind - 4
-                if kind < 4:  # 0.0001234 for x in -4..-1
-                    mask[1 : 2 - x] = True
-                    mask[digit[:sig]] = True
-                elif kind <= 20:  # 1234.5678 for x in 0..16
-                    mask[digit[: max(sig, x + 1)]] = True
-                    mask[digit[x] + 1] = sig > x + 1
-                else:  # 1.2345e-05 or 1.2345e-100
-                    mask[digit[:sig]] = True
-                    mask[digit[0] + 1] = sig > 1
-                    mask[[-7, -6, -4, -3]] = True  # e, sign, 2 digits
-                    mask[-5] = kind == 22
-    return hi, hi1, hi2, lo, digits4, masks.reshape(-1, _ROW.size), masks.sum(axis=-1).ravel()
-
-
-def _print_block(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the ASCII bytes of format(x, ".17g") + ", " for each x of ``v``,
-    back to back, to the start of ``out``; return each value's byte count.
-
-    A finite nonzero |x| with decimal exponent e, |e| <= _FAST_EXP, is scaled
-    to s = |x| * 10**(16 - e) in double-double arithmetic (Dekker, Numer.
-    Math. 1971), accurate to ~1e-14 absolute, and rounded to the 17-digit
-    integer n.  ``format`` prints every value whose s has a fraction within
-    1e-9 of 1/2 (format rounds ties to even), whose floor lies outside
-    [10**16, 10**17) (e misjudged) or which rounds up to 10**17 (the exponent
-    moves), and every value outside that range other than +-0.
-    """
-    hi, hi1, hi2, lo, digits4, masks, counts = _print_tables()
-    a = np.abs(v)
-    zero = a == 0.0
-    fast = (a >= 10.0 ** -_FAST_EXP) & (a < 10.0 ** _FAST_EXP)
-    a = np.where(fast, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.intp)
-    i = e + _FAST_EXP
-    p = a * hi[i]
-    split = a * 134217729.0
-    a1 = split - (split - a)
-    a2 = a - a1
-    # a * hi = p + err exactly, so s = p + tail to ~1e-14
-    err = ((a1 * hi1[i] - p) + a1 * hi2[i] + a2 * hi1[i]) + a2 * hi2[i]
-    whole = p.astype(np.int64)
-    tail = (p - whole) + (err + a * lo[i])
-    step = np.floor(tail)
-    frac = tail - step
-    floor = whole + step.astype(np.int64)
-    n = floor + (frac > 0.5)
-    ok = fast & (floor >= 10**16) & (n < 10**17) & (np.abs(frac - 0.5) > 1e-9)
-    n[~ok] = 0
-
-    rows = np.empty((v.size, _ROW.size), dtype=np.uint8)
-    rows[:] = _ROW
-    lead, rest = np.divmod(n, 10**16)
-    rows[:, _DIGIT] += lead.astype(np.uint8)
-    high, low = np.divmod(rest, 10**8)
-    for j, part in enumerate((high // 10**4, high % 10**4, low // 10**4, low % 10**4)):
-        start = _DIGIT + 2 + 8 * j
-        rows[:, start : start + 8 : 2] = digits4[part].view(np.uint8).reshape(-1, 4)
-    rows[e < 0, -6] = ord("-")
-    rows[:, -5:-2] = digits4[np.abs(e)].view(np.uint8).reshape(-1, 4)[:, 1:]
-    # significant digits: 17 less the trailing zeros; a zero prints one
-    sig = 17 - np.argmax(rows[:, _DIGIT + 32 : _DIGIT - 1 : -2] != ord("0"), axis=1)
-    sig[zero] = 1
-    kind = np.where((e >= -4) & (e <= 16), e + 4, np.where(np.abs(e) < 100, _KINDS - 2, _KINDS - 1))
-    layout = (np.signbit(v) * _KINDS + kind) * 17 + sig - 1
-    keep = masks[layout]
-    count = counts[layout]
-    for j in np.flatnonzero(~(ok | zero)).tolist():
-        text = np.frombuffer((format(v[j], ".17g") + ", ").encode(), dtype=np.uint8)
-        rows[j, : text.size] = text
-        keep[j] = np.arange(_ROW.size) < text.size
-        count[j] = text.size
-    np.compress(keep.ravel(), rows.ravel(), out=out[: count.sum()])
-    return count
-
-
-def _print(values) -> tuple[memoryview, np.ndarray]:
-    """The ASCII bytes of format(x, ".17g") + ", " for every x of ``values``,
-    back to back, and the offset of each value's bytes (then the total).
-
-    The bytes go to one buffer sized for the longest value, allocated before
-    any block is printed, so a long stream is one allocation that is handed
-    back whole when it is freed, not a trail of pieces among the printer's
-    temporaries.
-    """
-    values = np.asarray(values, dtype=np.float64).ravel()
-    out = np.empty(values.size * _WIDTH, dtype=np.uint8)
-    offsets = np.zeros(values.size + 1, dtype=np.intp)
-    for b in range(0, values.size, _PRINT_BLOCK):
-        count = _print_block(values[b : b + _PRINT_BLOCK], out[offsets[b] :])
-        offsets[b + 1 : b + 1 + count.size] = offsets[b] + np.cumsum(count)
-    return memoryview(out)[: offsets[-1]], offsets
-
-
-def _format17(values) -> str:
-    """", ".join(format(x, ".17g") for x in values), byte for byte, at numpy speed."""
-    stream, _ = _print(values)
-    return str(stream[:-2], "ascii")
-
-
-# ---------------------------------------------------------------------------
 # file format
 # ---------------------------------------------------------------------------
 
 def env_json_text(env: Environment) -> str:
-    """Serialize to the environment file schema with full-precision decimals.
+    """The text of ``env`` as a file of values, the form ``write_env_file``
+    gives an environment that no builder made.
 
     Every omega and deficit is written as format(x, ".17g"), which reads back
-    to the same float64: the distinct tails are printed by ``_print`` as one
-    stream, and each tail's omega and deficit are sliced out of it.  A site
-    holding the same tail object as an earlier site is written as that
-    earlier site's index, so a shared tail is printed once.
+    to the same float64.  A site holding the same tail object as an earlier
+    site is written as that earlier site's index, so a shared tail is
+    printed once.
     """
-    arrays = [a for tail in env.tails for a in (tail.values, [tail.deficit])]
-    stream, offsets = _print(np.concatenate(arrays))
-    bounds = offsets[np.cumsum([0] + [len(a) for a in arrays])].tolist()
-    # each array's values, without the ", " after its last one
-    printed = iter([stream[a : b - 2] for a, b in zip(bounds[:-1], bounds[1:])])
-    # one join over every piece, so the text is copied once
-    pieces = [('{"model": ' + json.dumps(env.model, sort_keys=True) + ', "sites": [\n').encode()]
+    pieces = ['{"model": ' + json.dumps(env.model, sort_keys=True) + ', "sites": [\n']
     # tails are numbered in order of first appearance, so first[k] is tail k's first site
     _, first = np.unique(env.tail_index, return_index=True)
     for x, k in enumerate(env.tail_index.tolist()):
         if x:
-            pieces.append(b",\n")
+            pieces.append(",\n")
         if first[k] < x:
-            pieces.append(b"%d" % first[k])
-        else:
-            pieces += [b'{"omega": [', next(printed), b'], "deficit": ', next(printed), b"}"]
-    pieces.append(b"\n]}\n")
-    text = b"".join(pieces)
-    del pieces, printed, stream  # the stream's buffer goes before the text is decoded
-    return text.decode("ascii")
+            pieces.append(str(first[k]))
+            continue
+        tail = env.tails[k]
+        omegas = ", ".join([format(v, ".17g") for v in tail.values.tolist()])
+        pieces.append('{"omega": [' + omegas + '], "deficit": ' + format(tail.deficit, ".17g") + "}")
+    pieces.append("\n]}\n")
+    return "".join(pieces)
+
+
+def _tails_sha256(env: Environment) -> str:
+    """sha256 over each distinct tail's float64 values and deficit bytes, in
+    order of first appearance, then the site -> tail index as int64."""
+    digest = hashlib.sha256()
+    for tail in env.tails:
+        digest.update(tail.values)
+        digest.update(np.float64(tail.deficit).tobytes())
+    digest.update(env.tail_index.astype(np.int64).tobytes())
+    return digest.hexdigest()
 
 
 def _refuse_overwrite(paths, force: bool) -> None:
@@ -919,7 +785,16 @@ def _write_text(path: str, text: str, force: bool) -> None:
 
 
 def write_env_file(env: Environment, path: str, force: bool = False) -> None:
-    _write_text(path, env_json_text(env), force)
+    """Write ``env`` as an environment file.  An environment a builder made
+    (it has the builder's factory and descriptor) is written as its
+    descriptor and the sha256 of its tails, from which ``load_env_file``
+    rebuilds it; any other is written value by value (``env_json_text``)."""
+    if env._factory is not None and env.model.get("family") in _FAMILIES:
+        text = json.dumps({"model": env.model, "tails_sha256": _tails_sha256(env)},
+                          sort_keys=True) + "\n"
+    else:
+        text = env_json_text(env)
+    _write_text(path, text, force)
 
 
 def _site_arrays(obj: dict) -> dict:
@@ -938,19 +813,24 @@ def _site_arrays(obj: dict) -> dict:
 def load_env_file(path: str) -> Environment:
     """Read an environment file; the result has no generator for extension.
 
-    An integer site entry refers back to an earlier site, whose tail object
-    the site then shares.
+    A file of a descriptor and a digest is rebuilt by its builder.  In a file
+    of values, an integer site entry refers back to an earlier site, whose
+    tail object the site then shares.
     """
     with open(path) as fh:
         try:
             payload = json.load(fh, object_hook=_site_arrays)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or not isinstance(payload.get("sites"), list):
+    if not isinstance(payload, dict):
         raise ValidationError(f"{path} is not an environment file")
     model = payload.get("model", {})
     if not isinstance(model, dict):
         raise ValidationError(f"{path} has a model entry that is not an object")
+    if "tails_sha256" in payload:
+        return _rebuild(path, model, payload["tails_sha256"])
+    if not isinstance(payload.get("sites"), list):
+        raise ValidationError(f"{path} is not an environment file")
     sites: list[TailSequence] = []
     for x, entry in enumerate(payload["sites"]):
         if isinstance(entry, int) and not isinstance(entry, bool):
@@ -965,3 +845,36 @@ def load_env_file(path: str) -> Environment:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"{path} has a malformed site entry: {exc}") from exc
     return Environment(sites, model=model, factory=None)
+
+
+def _rebuild(path: str, model: dict, digest) -> Environment:
+    """The environment of a descriptor file, built again by the builder its
+    model names.  Its tails must hash to ``digest`` and its descriptor must
+    equal ``model``, or RebuildError; like a file of values, it does not grow."""
+    from . import random_env  # here, as random_env imports this module
+    try:
+        x_max, n_cap, tail_tol = model["x_max"], model["n_cap"], model["tail_tol"]
+        if "random" in model:
+            spec = random_env.RandomEnvModel.from_descriptor(model["random"])
+            env = random_env.sample_environment(spec, x_max, n_cap, tail_tol).environment
+        elif model["family"] == "geometric":
+            env = env_geometric(model["r"], x_max, n_cap, tail_tol)
+            env.model["beta_diag"] = model["beta_diag"]  # `walklab env --beta-diag`
+        elif model["family"] == "powerlaw":
+            env = env_from_powerlaw(model["beta"], x_max, n_cap, tail_tol)
+        elif model["family"] == "lsv":
+            env = env_from_lsv(LsvParams(**model["params"]), x_max, n_cap, tail_tol)
+        else:
+            raise ValidationError(f"unknown family {model['family']!r}")
+    except KeyError as exc:
+        raise ValidationError(f"{path}: the model descriptor has no {exc} entry") from exc
+    except (TypeError, AttributeError, ValidationError) as exc:
+        raise ValidationError(f"{path} has a malformed model descriptor: {exc}") from exc
+    if _tails_sha256(env) != digest:
+        raise RebuildError(f"{path}: the tails its model descriptor builds here do not "
+                           "match its tails_sha256 digest")
+    if env.model != model:
+        raise RebuildError(f"{path}: its model descriptor differs from the one its "
+                           "builder records")
+    env._factory = None
+    return env

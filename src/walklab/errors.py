@@ -23,3 +23,7 @@ class TailTruncationError(RuntimeError):
 
 class DeficitBudgetError(RuntimeError):
     """Accumulated truncation deficit exceeded the configured budget."""
+
+
+class RebuildError(RuntimeError):
+    """An environment file's builder rebuilt other tails than the file records."""

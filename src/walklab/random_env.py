@@ -26,7 +26,9 @@ from .environment import (
     Environment,
     EnvDiagnostics,
     LsvParams,
+    _FAMILIES,
     _check_truncation,
+    _check_x_max,
     _lsv_tails,
     diagnostics,
     geometric_tail_sequence,
@@ -45,7 +47,6 @@ __all__ = [
     "moment_report",
 ]
 
-_FAMILIES = ("powerlaw", "geometric", "lsv")
 _KINDS = ("iid", "m-dependent", "markov")
 
 # parameter sanity windows per family: (low limit, high limit), both exclusive
@@ -121,6 +122,8 @@ class RandomEnvModel:
     beta_diag: float = 3.0
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
         if self.kind not in _KINDS:
             raise ValidationError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if self.family not in _FAMILIES:
@@ -151,6 +154,16 @@ class RandomEnvModel:
             raise ValidationError(f"lsv_c must lie in (0, 1), got {self.lsv_c}")
         if not 1.0 < self.beta_diag < math.inf:
             raise ValidationError(f"beta_diag must be finite and exceed 1, got {self.beta_diag}")
+
+    @classmethod
+    def from_descriptor(cls, d: dict) -> "RandomEnvModel":
+        """The model whose ``descriptor()`` is ``d`` (``mixing`` is derived)."""
+        chain = d.get("chain")
+        return cls(kind=d["kind"], family=d["family"], seed=d["seed"], window=d["window"],
+                   lsv_c=d["lsv_c"], beta_diag=d["beta_diag"], choices=d.get("choices"),
+                   low=d.get("low", math.nan), high=d.get("high", math.nan),
+                   chain=None if chain is None else MarkovChainSpec(chain["states"],
+                                                                    chain["transition"]))
 
     # -- noise and parameter generation ------------------------------------
 
@@ -238,8 +251,7 @@ def sample_environment(
     ``beta_diag`` values, capped sites and ``x_max`` in the descriptor, so an
     extended environment equals, descriptor included, a larger sample.
     """
-    if x_max < 0:
-        raise ValidationError(f"x_max must be >= 0, got {x_max}")
+    _check_x_max(x_max)
     _check_truncation(n_cap, tail_tol)
     cache: dict = {}  # noise values or Markov states, from range to range
     tails: dict = {}  # parameter value -> its tail

@@ -38,8 +38,10 @@ def geo_big_env_file(tmp_path):
 def test_env_geometric_outputs(tmp_path, geo_env_file):
     assert geo_env_file.exists()
     payload = json.loads(geo_env_file.read_text())
-    assert len(payload["sites"]) == 101
-    assert payload["sites"][0]["omega"][1] == 0.5
+    assert "sites" not in payload and payload["model"]["x_max"] == 100
+    loaded = load_env_file(str(geo_env_file))
+    assert len(loaded) == 101
+    assert loaded.site(0).values[1] == 0.5
     diag_path = tmp_path / "geo-diagnostics.csv"
     lines = diag_path.read_text().splitlines()
     assert lines[0] == "x,A,A_prime,K,m,s2,mu,sigma2"

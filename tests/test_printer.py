@@ -1,8 +1,8 @@
-"""The vectorised float printer: _format17(a) must equal
-", ".join(format(x, ".17g") for x in a) byte for byte, on arbitrary float64
-values, on powers of ten and their neighbours (where the decimal exponent is
-easiest to misjudge) and on exact 17-digit ties (where format rounds half to
-even); and the files and CSVs written through it must keep their bytes."""
+"""Float cells and files of values keep their bytes: a CSV float cell is
+format(x, ".17g") on arbitrary float64 values, on powers of ten and their
+neighbours (where the decimal exponent is easiest to misjudge) and on exact
+17-digit ties (where format rounds half to even), and a file of values is
+written value by value."""
 
 import decimal
 import math
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import walklab as wl
 from walklab import cli
-from walklab.environment import _FAST_EXP, _PRINT_BLOCK, _format17, _print
 
 POWERS = 10.0 ** np.arange(-325, 309)
 
@@ -25,7 +24,7 @@ def joined(values) -> str:
 
 def assert_prints(values):
     values = np.asarray(values, dtype=np.float64)
-    assert _format17(values) == joined(values)
+    assert ", ".join(cli._cells(values)) == joined(values)
 
 
 def ties(draw_k, draw_m):
@@ -80,43 +79,16 @@ def test_every_power_of_ten_and_neighbour():
     assert_prints(-values)
 
 
-def test_special_values_and_range_edges():
-    edge = 10.0 ** _FAST_EXP
-    assert_prints([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                   1.7976931348623157e308, np.inf, -np.inf, np.nan,
-                   edge, np.nextafter(edge, 0), 1 / edge, np.nextafter(1 / edge, 0)])
-    assert _format17([]) == ""
-    assert _format17(np.empty(0)) == ""
-    assert _format17([1.0]) == "1"
-    assert _format17([-0.0]) == "-0"
-
-
 def test_dense_random_blocks():
     rng = np.random.default_rng(17)
     bits = rng.integers(0, 2**64, 30000, dtype=np.uint64, endpoint=False)
     values = bits.view(np.float64)
     assert_prints(values[np.isfinite(values)])
-    assert_prints(rng.random(30000))  # the env-file range, over several blocks
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(finite, max_size=40))
-def test_offsets_delimit_each_value(xs):
-    stream, offsets = _print(xs)
-    assert offsets[0] == 0 and offsets[-1] == len(stream)
-    for i, x in enumerate(xs):
-        assert str(stream[offsets[i] : offsets[i + 1]], "ascii") == format(x, ".17g") + ", "
-
-
-def test_offsets_across_blocks():
-    values = np.random.default_rng(3).random(2 * _PRINT_BLOCK + 5) ** 7
-    stream, offsets = _print(values)
-    cells = [str(stream[a:b], "ascii") for a, b in zip(offsets[:-1], offsets[1:])]
-    assert cells == [format(x, ".17g") + ", " for x in values.tolist()]
+    assert_prints(rng.random(30000))  # the range of tail values
 
 
 def old_env_json_text(env) -> str:
-    """The per-value writer the printer replaced, kept as the oracle."""
+    """The per-value writer, kept as the oracle."""
     import json
     pieces = ['{"model": ' + json.dumps(env.model, sort_keys=True) + ', "sites": [\n']
     _, first = np.unique(env.tail_index, return_index=True)
