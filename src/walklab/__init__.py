@@ -60,7 +60,6 @@ from .limits import (
     SllnReport,
     clt_report,
     fit_limit_params,
-    hitting_density_sup_gap,
     kolmogorov_distance_to_normal,
     llt_predictor,
     llt_report,
@@ -70,10 +69,8 @@ from .limits import (
 )
 from .random_env import (
     MarkovChainSpec,
-    MomentReport,
     QuenchedSample,
     RandomEnvModel,
-    moment_report,
     sample_environment,
 )
 from .streams import stream

@@ -34,7 +34,7 @@ from .walk import (
     DiscreteDistribution,
     WalkSample,
     hitting_time_distribution,
-    hitting_time_scan,
+    hitting_time_scan,  # unused here; wrapped by bench/spans.py by name
     position_distribution,
     position_scan,
 )
@@ -51,7 +51,6 @@ __all__ = [
     "llt_predictor",
     "llt_report",
     "llt_report_json",
-    "hitting_density_sup_gap",
     "clt_report",
     "slln_report",
     "kolmogorov_distance_to_normal",
@@ -264,26 +263,6 @@ def _decomposition_rows(params, diag, n, xs, p_hit):
     return e1, e2, e3
 
 
-def hitting_density_sup_gap(
-    env: Environment,
-    diag: EnvDiagnostics,
-    x: int,
-    trunc_tol: float = DEFAULT_TRUNC_TOL,
-) -> float:
-    """sup over n of |P(T_x = n) - f_x(n)| with f_x the matched normal density."""
-    if x < 1:
-        raise ValidationError(f"x must be >= 1, got {x}")
-    dist = hitting_time_distribution(env, x, trunc_tol)
-    mu_x = diag.mu[x]
-    sig_x = math.sqrt(diag.sigma2[x])
-    lo = max(0, min(dist.offset, int(mu_x - 10.0 * sig_x)))
-    ns = np.arange(lo, max(dist.end, int(mu_x + 10.0 * sig_x)) + 1)
-    pmf = np.zeros(ns.size)
-    pmf[dist.offset - lo : dist.end - lo + 1] = dist.probs
-    dens = normal_density(mu_x, diag.sigma2[x], ns.astype(np.float64))
-    return float(np.max(np.abs(pmf - dens)))
-
-
 @dataclass(frozen=True, eq=False)
 class LltReport:
     """Exact-versus-predicted position law at one time, with error split."""
@@ -409,18 +388,14 @@ def clt_report(
 
     X_n is standardized by (n/mu, sqrt(n) sigma_tilde); the hitting time of
     x = round(n/mu) is standardized by its exact cumulative moments
-    (mu_x, sigma_x), not by the limit constants.  With 0 < ``trunc_tol`` < 1
-    each hitting law is a product (``hitting_time_distribution``); else all
-    of them come from one site-by-site ladder to the largest x.
+    (mu_x, sigma_x), not by the limit constants.  Each hitting law is a
+    product of powered sojourn laws (``hitting_time_distribution``).
     """
     n_grid = sorted(int(n) for n in n_grid)
     if not n_grid or n_grid[0] < 1:
         raise ValidationError("n_grid must contain positive times")
     st = math.sqrt(params.sigma_tilde2)
     hit_x = [max(1, round(n / params.mu)) for n in n_grid]
-    products = 0.0 < trunc_tol < 1.0 and deficit_budget >= 0.0
-    ladder = None if products else hitting_time_scan(env, hit_x[-1], trunc_tol, deficit_budget)
-    at = (-1, None)
     pos_dist = []
     hit_dist = []
     for n, x in zip(n_grid, hit_x):
@@ -431,12 +406,7 @@ def clt_report(
             raise HypothesisError(
                 f"hitting variance is zero at x = {x}; standardization undefined"
             )
-        if products:
-            hit_law = hitting_time_distribution(env, x, trunc_tol, deficit_budget)
-        else:
-            while at[0] < x:  # the grid is sorted, so x never decreases
-                at = next(ladder)
-            hit_law = at[1]
+        hit_law = hitting_time_distribution(env, x, trunc_tol, deficit_budget)
         hit_dist.append(kolmogorov_distance_to_normal(hit_law, mu_x, math.sqrt(sig2_x)))
     return CltReport(
         n=np.array(n_grid), dist_position=np.array(pos_dist),

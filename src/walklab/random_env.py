@@ -24,15 +24,14 @@ from .environment import (
     DEFAULT_N_CAP,
     DEFAULT_TAIL_TOL,
     Environment,
-    EnvDiagnostics,
     LsvParams,
     _FAMILIES,
     _check_truncation,
     _check_x_max,
     _lsv_tails,
-    diagnostics,
+    diagnostics,  # unused here; wrapped by bench/spans.py by name
     geometric_tail_sequence,
-    lsv_tail_sequence,  # unused here; bench/spans.py wraps random_env.lsv_tail_sequence by name
+    lsv_tail_sequence,  # unused here; wrapped by bench/spans.py by name
     powerlaw_tail_sequence,
 )
 from .errors import ValidationError
@@ -42,9 +41,7 @@ __all__ = [
     "MarkovChainSpec",
     "RandomEnvModel",
     "QuenchedSample",
-    "MomentReport",
     "sample_environment",
-    "moment_report",
 ]
 
 _KINDS = ("iid", "m-dependent", "markov")
@@ -281,53 +278,3 @@ def sample_environment(
     env = Environment(grow(0, x_max + 1), model=descriptor, factory=grow)
     return QuenchedSample(environment=env, parameter_trace=np.array(trace), model=model,
                           seed=model.seed)
-
-
-@dataclass(frozen=True, eq=False)
-class MomentReport:
-    """Empirical moment and mixing summary for a quenched sample.
-
-    ``b_moment`` uses A'_x when beta_star <= 3 and A_x otherwise (the heavier
-    requirement applies in the slowly decaying regime).  ``mixing_ok`` states
-    whether the declared rate is O(k^-v) for the v = 2q/(q-8) demanded by q;
-    every kind here mixes at a finite-range or geometric rate, so it holds
-    exactly when q > 8.
-    """
-
-    q: float
-    a_moment: float
-    a_prime_moment: float
-    b_moment: float
-    b_kind: str
-    k_mean: float
-    beta_star: float
-    q_above_8: bool
-    required_v: float | None
-    mixing_ok: bool
-    mixing: dict
-
-
-def moment_report(sample: QuenchedSample, q: float) -> MomentReport:
-    """Empirical q-th moments of the envelope statistics over sampled sites."""
-    if q <= 0:
-        raise ValidationError(f"q must be positive, got {q}")
-    diag = diagnostics(sample.environment, sample.environment.model["beta_diag"])
-    b_kind = "A" if diag.beta_star > 3.0 else "A_prime"
-    b_values = diag.A if b_kind == "A" else diag.A_prime
-    q_above_8 = q > 8.0
-    required_v = 2.0 * q / (q - 8.0) if q_above_8 else None
-    # finite-range and geometric mixing beat any polynomial rate O(k^-v)
-    mixing_ok = q_above_8
-    return MomentReport(
-        q=q,
-        a_moment=float(np.mean(diag.A**q)),
-        a_prime_moment=float(np.mean(diag.A_prime**q)),
-        b_moment=float(np.mean(b_values**q)),
-        b_kind=b_kind,
-        k_mean=float(np.mean(diag.K)),
-        beta_star=diag.beta_star,
-        q_above_8=q_above_8,
-        required_v=required_v,
-        mixing_ok=mixing_ok,
-        mixing=sample.model.mixing_descriptor(),
-    )

@@ -10,8 +10,8 @@ Exact computations convolve pmfs one raw ladder step at a time (``_step``).
 A ladder allowed to trim (``trunc_tol > 0``) books in an explicit deficit its
 trimmed upper tails, its floored lower tails and the roundoff bound of its FFT
 products (see ``DiscreteDistribution.convolve``); with ``trunc_tol = 0`` every
-product is direct and loss-free.  With ``trunc_tol > 0`` a hitting law is a
-product of powered sojourn laws (``_power``), and a position scan starts at
+product is direct and loss-free.  A hitting law is a product of powered
+sojourn laws (``_power``); with ``trunc_tol > 0`` a position scan starts at
 the window around n/mu and walks each run of sites of one tail in blocks of
 about sqrt(rows) sites: one ladder step per block, each row a dot product
 with tables built once per run (``position_scan``; the grouping is Paterson
@@ -412,6 +412,17 @@ def _power(env: Environment, x: int, trunc_tol: float, horizon: int | None,
     return law
 
 
+def _check_ladder(name: str, x: int, trunc_tol: float, deficit_budget: float) -> None:
+    """Refuses a site ``name`` = x below 0, a ``trunc_tol`` outside [0, 1) and a
+    ``deficit_budget`` below 0 or NaN (no deficit would ever exceed NaN)."""
+    if x < 0:
+        raise ValidationError(f"{name} must be >= 0, got {x}")
+    if not 0.0 <= trunc_tol < 1.0:
+        raise ValidationError(f"trunc_tol must lie in [0, 1), got {trunc_tol}")
+    if not deficit_budget >= 0.0:
+        raise ValidationError(f"deficit_budget must be >= 0, got {deficit_budget}")
+
+
 def _within_budget(law: tuple, deficit_budget: float, x: int) -> tuple:
     if law[3] > deficit_budget:
         raise DeficitBudgetError(
@@ -442,12 +453,7 @@ def hitting_time_scan(
     ``_start`` = (x, raw law of T_x, advance) starts the scan there, and
     ``advance(x)`` returns (y, law of T_y - T_x): the scan yields T_y next.
     """
-    if x_stop < 0:
-        raise ValidationError(f"x_stop must be >= 0, got {x_stop}")
-    if not 0.0 <= trunc_tol < 1.0:
-        raise ValidationError(f"trunc_tol must lie in [0, 1), got {trunc_tol}")
-    if not deficit_budget >= 0.0:  # NaN too: no deficit would ever exceed it
-        raise ValidationError(f"deficit_budget must be >= 0, got {deficit_budget}")
+    _check_ladder("x_stop", x_stop, trunc_tol, deficit_budget)
     if _start is None:
         sojourn_of = _sojourn_cache(env)
 
@@ -472,12 +478,10 @@ def hitting_time_distribution(
     deficit_budget: float = DEFAULT_DEFICIT_BUDGET,
 ) -> DiscreteDistribution:
     """Law of the first-passage time of site x (point mass at 0 for x = 0):
-    with ``trunc_tol > 0`` the product of powered sojourn laws (``_power``),
-    which trims O(log x) times, not x times; else the site-by-site ladder."""
-    if not (0.0 < trunc_tol < 1.0 and x > 0 and deficit_budget >= 0.0):  # T_0; bad input refused
-        for _, dist in hitting_time_scan(env, x, trunc_tol, deficit_budget):
-            pass
-        return dist
+    the product of powered sojourn laws (``_power``), which trims O(log x)
+    times, not x times; with ``trunc_tol = 0`` every product is direct and
+    loss-free, so only the stored tails' deficits remain."""
+    _check_ladder("x", x, trunc_tol, deficit_budget)
     law = _power(env, x, trunc_tol, None, _sojourn_cache(env))
     return DiscreteDistribution._of(*_within_budget(law, deficit_budget, x))
 

@@ -14,6 +14,8 @@
 * The block scan's row loop (``scan_rows_per_row``), each block's rows
   handed out one at a time as before blocks came as arrays; the scan must
   match it bit for bit.
+* The sup gap between a hitting law and its matched normal density
+  (``hitting_density_sup_gap``), the E1 term of the local error.
 """
 
 import math
@@ -23,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from walklab import dynsys, walk
+from walklab import dynsys, limits, walk
 from walklab.errors import TailTruncationError, ValidationError
 
 
@@ -258,3 +260,22 @@ def scan_rows_per_row(env, n, trunc_tol, deficit_budget, x, law, x_hi, sojourn_o
         else:
             r = size
         steps.append((x + r, powers[r] if size > 1 else sojourn_of(tail)))
+
+
+# ---------------------------------------------------------------------------
+# the hitting side of the local error
+# ---------------------------------------------------------------------------
+
+def hitting_density_sup_gap(env, diag, x, trunc_tol=walk.DEFAULT_TRUNC_TOL):
+    """sup over n of |P(T_x = n) - f_x(n)| with f_x the matched normal density."""
+    if x < 1:
+        raise ValidationError(f"x must be >= 1, got {x}")
+    dist = walk.hitting_time_distribution(env, x, trunc_tol)
+    mu_x = diag.mu[x]
+    sig_x = math.sqrt(diag.sigma2[x])
+    lo = max(0, min(dist.offset, int(mu_x - 10.0 * sig_x)))
+    ns = np.arange(lo, max(dist.end, int(mu_x + 10.0 * sig_x)) + 1)
+    pmf = np.zeros(ns.size)
+    pmf[dist.offset - lo : dist.end - lo + 1] = dist.probs
+    dens = limits.normal_density(mu_x, diag.sigma2[x], ns.astype(np.float64))
+    return float(np.max(np.abs(pmf - dens)))

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import hitting_density_sup_gap
 
 import walklab as wl
 from walklab.cli import main
@@ -188,7 +189,7 @@ def test_criterion_06_llt_error_decomposition(geo, geo_diag):
         assert np.nanmax(np.abs(resid)) <= 1e-15
 
     gaps = [
-        math.sqrt(x) * wl.hitting_density_sup_gap(env, geo_diag, x, trunc_tol=1e-14)
+        math.sqrt(x) * hitting_density_sup_gap(env, geo_diag, x, trunc_tol=1e-14)
         for x in (50, 200, 800)
     ]
     assert gaps[0] > gaps[1] > gaps[2]

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from oracles import hitting_density_sup_gap
 
 import walklab as wl
 from walklab import limits
@@ -177,7 +178,7 @@ def test_e3_centering_bound_constant_env(geo_setup):
 
 def test_e1_gap_shrinks_along_sites(geo_setup):
     env, diag, params = geo_setup
-    gaps = [math.sqrt(x) * wl.hitting_density_sup_gap(env, diag, x) for x in (25, 100)]
+    gaps = [math.sqrt(x) * hitting_density_sup_gap(env, diag, x) for x in (25, 100)]
     assert gaps[1] < gaps[0]
 
 

@@ -248,38 +248,6 @@ def test_markov_spec_validation():
                            transition=np.array([[1.0, 0.0], [0.3, 0.7]]))
 
 
-def test_moment_report_constant_model():
-    model = wl.RandomEnvModel(kind="iid", family="powerlaw", seed=2, choices=(3.0,))
-    sample = wl.sample_environment(model, 200, tail_tol=1e-10)
-    rep = wl.moment_report(sample, q=9.0)
-    diag = wl.diagnostics(sample.environment, 3.0)
-    assert rep.a_moment == pytest.approx(float(diag.A[0] ** 9.0), rel=1e-12)
-    assert rep.q_above_8 and rep.mixing_ok
-    assert rep.b_kind == "A_prime"  # beta_star = 3 is in the heavy regime
-    assert rep.required_v == pytest.approx(18.0)
-
-
-def test_moment_report_bounded_model_passes_any_q():
-    sample = wl.sample_environment(iid_powerlaw_model(seed=4, choices=(3.2, 3.8)),
-                                   300, tail_tol=1e-10)
-    rep = wl.moment_report(sample, q=12.0)
-    assert np.isfinite(rep.a_moment) and np.isfinite(rep.b_moment)
-    assert rep.b_kind == "A"  # beta_star > 3
-    assert np.isfinite(rep.k_mean)
-    assert rep.mixing_ok
-
-
-def test_moment_report_mdependent_mixing():
-    model = wl.RandomEnvModel(kind="m-dependent", family="powerlaw", seed=6,
-                              low=2.5, high=3.5, window=3)
-    sample = wl.sample_environment(model, 150, tail_tol=1e-8)
-    rep = wl.moment_report(sample, q=9.0)
-    assert rep.mixing ==  {"type": "zero-beyond-lag", "lag": 3}
-    assert rep.mixing_ok
-    low_q = wl.moment_report(sample, q=4.0)
-    assert not low_q.q_above_8 and not low_q.mixing_ok
-
-
 def test_mdependent_unit_noise_is_bates():
     # the mean of m+1 uniforms has variance 1/(12(m+1)): uniform only at m = 0
     for m in (0, 3):

@@ -2,13 +2,15 @@
 the window.
 
 T_x is a sum of independent sojourns, so ``walk._power`` forms its law as the
-product of each distinct tail's sojourn law powered to its site count.  With
-``trunc_tol > 0`` ``hitting_time_distribution`` returns that product, and
+product of each distinct tail's sojourn law powered to its site count.
+``hitting_time_distribution`` returns that product, and with ``trunc_tol > 0``
 ``position_scan`` starts its ladder from it at x_lo, the first site that can
 hold more than ``trunc_tol``.  The site-by-site ladder is the oracle: the two
-laws must agree atom by atom within the sum of their deficits.  ``clt_report``
-takes its hitting laws from products, or with ``trunc_tol = 0`` from one
-shared ladder.
+laws must agree atom by atom within the sum of their deficits.  With
+``trunc_tol = 0`` every product is direct, so they differ by roundoff only: by
+1e-15 per atom and in the deficit, and by x ulps of 1 in ``beyond``, a sum
+near 1 that each of x ladder steps rounds.  ``clt_report`` takes its hitting
+laws from products.
 """
 
 import numpy as np
@@ -45,23 +47,27 @@ def atoms(law, lo, hi):
     return out
 
 
-@pytest.mark.parametrize("horizon", [None, 400])
-@pytest.mark.parametrize("name", list(ENVIRONMENTS))
-def test_product_agrees_with_ladder(name, horizon):
+@pytest.mark.parametrize("name, horizon, trunc_tol", [
+    pytest.param(name, horizon, trunc_tol,
+                 id=f"{name}-{horizon}" + ("" if trunc_tol else "-direct"))
+    for trunc_tol in (TRUNC_TOL, 0.0) for horizon in (None, 400) for name in ENVIRONMENTS])
+def test_product_agrees_with_ladder(name, horizon, trunc_tol):
     env = ENVIRONMENTS[name]()
-    ladder = [law for _, law in walk.hitting_time_scan(env, 300, TRUNC_TOL, 1.0, horizon)]
+    ladder = [law for _, law in walk.hitting_time_scan(env, 300, trunc_tol, 1.0, horizon)]
     for x in (1, 37, 300):
         law = ladder[x]
         if horizon is None:
-            product = wl.hitting_time_distribution(env, x, TRUNC_TOL, deficit_budget=1.0)
+            product = wl.hitting_time_distribution(env, x, trunc_tol, deficit_budget=1.0)
         else:
-            raw = walk._power(env, x, TRUNC_TOL, horizon, walk._sojourn_cache(env))
+            raw = walk._power(env, x, trunc_tol, horizon, walk._sojourn_cache(env))
             product = wl.DiscreteDistribution._of(*raw)
         assert product.mass() + product.beyond + product.deficit == pytest.approx(1.0, abs=1e-12)
-        slack = law.deficit + product.deficit
+        slack = law.deficit + product.deficit if trunc_tol else 1e-15
+        if not trunc_tol:
+            assert abs(law.deficit - product.deficit) <= slack
         lo, hi = min(law.offset, product.offset), max(law.end, product.end)
         assert np.abs(atoms(law, lo, hi) - atoms(product, lo, hi)).max() <= slack, (name, x)
-        assert abs(law.beyond - product.beyond) <= slack
+        assert abs(law.beyond - product.beyond) <= max(slack, x * 2.0**-52)
 
 
 def test_geometric_scan_starts_at_the_window():
@@ -120,10 +126,8 @@ def test_clt_report_takes_hitting_laws_from_products(monkeypatch):
     env = wl.env_geometric(0.5, 400, tail_tol=1e-14)
     params = wl.LimitParams(mu=2.0, sigma2=2.0)
     scan = walk.hitting_time_scan
-    # one ladder per position law; the hitting laws are products, or with
-    # trunc_tol = 0 all come from one ladder to the largest x
-    for trunc_tol, ladders in ((walk.DEFAULT_TRUNC_TOL, [100, 200, 400]),
-                               (0.0, [100, 200, 200, 400])):
+    # one ladder per position law; the hitting laws are products
+    for trunc_tol in (walk.DEFAULT_TRUNC_TOL, 0.0):
         scans = []
 
         def counted(*args, **kwargs):
@@ -134,7 +138,7 @@ def test_clt_report_takes_hitting_laws_from_products(monkeypatch):
         monkeypatch.setattr(limits, "hitting_time_scan", counted)
         report = limits.clt_report(env, params, [100, 200, 400], trunc_tol=trunc_tol)
         monkeypatch.undo()
-        assert sorted(scans) == ladders
+        assert sorted(scans) == [100, 200, 400]
         for x, distance in zip(report.hitting_x, report.dist_hitting):
             law = wl.hitting_time_distribution(env, int(x), trunc_tol)
             mu_x, sig2_x = wl.cumulative_hitting_moments(env, int(x))

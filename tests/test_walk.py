@@ -118,8 +118,10 @@ def test_sample_sojourn_matches_pmf(geometric_env):
 # ---------------------------------------------------------------------------
 
 def test_hitting_time_x0_is_point_mass(geometric_env):
-    d = wl.hitting_time_distribution(geometric_env, 0)
-    assert d.offset == 0 and d.probs.size == 1 and d.probs[0] == 1.0
+    for trunc_tol in (wl.walk.DEFAULT_TRUNC_TOL, 0.0):
+        d = wl.hitting_time_distribution(geometric_env, 0, trunc_tol)
+        assert d.offset == 0 and d.probs.size == 1 and d.probs[0] == 1.0
+        assert d.deficit == d.beyond == 0.0
 
 
 def test_hitting_time_geometric_closed_form(geometric_env):
@@ -172,6 +174,24 @@ def test_deficit_budget_must_be_non_negative(geometric_env, budget):
     # NaN would switch the budget off, a negative one fail at site 1 as exceeded
     with pytest.raises(ValidationError, match="deficit_budget must be >= 0"):
         next(hitting_time_scan(geometric_env, 40, 1e-4, budget))
+
+
+@pytest.mark.parametrize("x, trunc_tol, budget, message", [
+    (-1, 1e-4, 1e-6, "x must be >= 0"),
+    (40, 2.0, 1e-6, "trunc_tol must lie in"),
+    (40, -1.0, 1e-6, "trunc_tol must lie in"),
+    (40, math.nan, 1e-6, "trunc_tol must lie in"),
+    (40, 1e-4, math.nan, "deficit_budget must be >= 0"),
+    (40, 1e-4, -1e-6, "deficit_budget must be >= 0"),
+])
+def test_hitting_laws_refuse_bad_input(geometric_env, x, trunc_tol, budget, message):
+    with pytest.raises(ValidationError, match=message):
+        wl.hitting_time_distribution(geometric_env, x, trunc_tol, budget)
+    # clt_report's sites are max(1, round(n / mu)): only a time below 1 gives x < 1
+    params = wl.LimitParams(mu=2.0, sigma2=2.0)
+    n_grid, message = ([-2], "positive times") if x < 0 else ([2 * x], message)
+    with pytest.raises(ValidationError, match=message):
+        wl.clt_report(geometric_env, params, n_grid, trunc_tol, budget)
 
 
 # ---------------------------------------------------------------------------
