@@ -72,7 +72,10 @@ def _cells(column) -> list[str]:
     values = np.asarray(column)
     if values.dtype.kind != "f":
         return ["" if v is None else str(v) for v in values.tolist()]
-    return ["" if v != v else format(v, ".17g") for v in values.tolist()]
+    # each distinct value is formatted once; by its bits, so 0.0 and -0.0 stay apart
+    bits, inverse = np.unique(values.astype(np.float64).view(np.int64), return_inverse=True)
+    cells = ["" if v != v else format(v, ".17g") for v in bits.view(np.float64).tolist()]
+    return [cells[k] for k in inverse.tolist()]
 
 
 def _write_csv(path: str, columns: dict, force: bool) -> None:

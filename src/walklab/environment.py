@@ -619,10 +619,13 @@ def diagnostics(env: Environment, beta) -> EnvDiagnostics:
     if not np.all((betas > 1.0) & np.isfinite(betas)):
         raise ValidationError("beta(x) must be finite and exceed 1 at every site")
 
-    # one row per distinct (tail, beta) pair, spread over its sites
-    pairs, inverse = np.unique(np.column_stack((env.tail_index, betas)), axis=0,
+    # one row per distinct (tail, beta) pair, keyed tail * n_beta + beta's code,
+    # spread over its sites
+    beta_values, beta_code = np.unique(betas, return_inverse=True)
+    pairs, inverse = np.unique(env.tail_index * beta_values.size + beta_code,
                                return_inverse=True)
-    rows = [_diagnostic_row(env.tails[int(k)], b) for k, b in pairs]
+    rows = [_diagnostic_row(env.tails[k], beta_values[b])
+            for k, b in zip(*np.divmod(pairs, beta_values.size))]
     A, A_flag, A_prime, Ap_flag, K, m_tail, s2_tail, capped = (
         np.array(column)[inverse.ravel()] for column in zip(*rows))
     m, m2 = _sojourn_moments(env, 0, xs.size)

@@ -10,7 +10,8 @@ process kinds whose strong-mixing rates are known exactly by construction:
   stationary law (geometric rate).
 
 Noise is keyed per site, so sampling is independent of materialization order
-and extending the site range never disturbs earlier sites.
+and extending the site range never disturbs earlier sites; a sampled range
+draws the noise of all its sites at once.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .environment import (
     powerlaw_tail_sequence,
 )
 from .errors import ValidationError
-from .streams import stream
+from .streams import _first_uniforms, stream
 
 __all__ = [
     "MarkovChainSpec",
@@ -257,6 +258,9 @@ def sample_environment(
                   "tail_tol": tail_tol, "beta_diag": [], "capped_sites": []}
 
     def grow(start: int, stop: int) -> list:
+        if model.kind != "markov":  # the noise of the range and its window, in one call
+            unseen = range(len(cache), stop + model.window)
+            cache.update(zip(unseen, _first_uniforms(model.seed, "env-noise", unseen)))
         theta = [model.site_parameter(x, cache) for x in range(start, stop)]
         new = [t for t in dict.fromkeys(theta) if t not in tails]
         if model.family == "lsv":

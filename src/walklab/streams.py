@@ -32,14 +32,31 @@ def stream(seed: int, component: str, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _first_uniforms(seed: int, component: str, indices) -> list[float]:
+    """``[stream(seed, component, i).random() for i in indices]`` bit for bit.
+    One Philox is re-keyed per index, its counter at 0 and its buffer empty
+    as in a new one, so no index pays for the seed entropy ``Philox(key=)``
+    draws and ignores."""
+    bitgen = stream(seed, component).bit_generator  # stream checks the seed
+    state = bitgen.state
+    out = []
+    for i in indices:
+        digest = hashlib.blake2b(f"{component}:{i}".encode(), digest_size=8).digest()
+        state["state"]["key"] = np.array([int(seed), int.from_bytes(digest, "little")],
+                                         dtype=np.uint64)
+        bitgen.state = state
+        out.append((bitgen.random_raw() >> 11) * 2.0**-53)  # Generator.random's double
+    return out
+
+
 class Guide:
     """Guide table (Chen & Asau 1974) over ``values``, non-decreasing in
     [0, 1]: ``rank(keys)`` is ``np.searchsorted(values, keys, side="right")``
     for keys in [0, 1], bit for bit.  Key u falls in bucket floor(u m) of
-    m = 2^k > 2 values.size; u m and the edges j/m are exact in float64 and
-    long double.  A bucket with no value strictly inside (j/m, (j+1)/m) stores
-    #{v < (j+1)/m}, the rank of all its keys; the others store -1, and their
-    keys (0.15-0.8% on the benchmark tails) go to searchsorted.
+    m = 2^k > 2 values.size; u m and the edges j/m are exact in float64.  A
+    bucket with no value strictly inside (j/m, (j+1)/m) stores #{v < (j+1)/m},
+    the rank of all its keys; the others store -1, and their keys (0.15-0.8%
+    on the benchmark tails) go to searchsorted.
     """
 
     def __init__(self, values: np.ndarray):

@@ -318,6 +318,24 @@ def test_diagnostics_validation(geometric_env):
             wl.diagnostics(geometric_env, beta)
 
 
+def test_diagnostics_rows_group_by_tail_and_beta():
+    """Tail a meets betas 1.5 and 2.5, tails a and b share beta 2.5, tail b
+    also meets 4.0: every column equals the per-site row bit for bit."""
+    a = wl.powerlaw_tail_sequence(2.5, tail_tol=1e-6)
+    b = wl.geometric_tail_sequence(0.6, n_cap=8, tail_tol=1e-14)
+    env = wl.Environment([a, b, a, b, a, b, b])
+    betas = np.array([1.5, 2.5, 2.5, 2.5, 1.5, 4.0, 2.5])
+    diag = wl.diagnostics(env, betas)
+    rows = [environment._diagnostic_row(env.site(x), betas[x]) for x in range(len(env))]
+    names = ["A", "A_truncation_flagged", "A_prime", "A_prime_truncation_flagged", "K",
+             "m_tail_bound", "s2_tail_bound", "cap_reached"]
+    for name, column in zip(names, zip(*rows)):
+        got = getattr(diag, name)
+        assert got.tobytes() == np.array(column).tobytes(), name
+    assert diag.beta.tobytes() == betas.tobytes()
+    assert np.isinf(diag.s2_tail_bound[0]) and diag.cap_reached[1]  # both kinds of row occur
+
+
 def test_variance_tail_divergence_flagged():
     env = wl.env_from_powerlaw(1.5, 50, tail_tol=1e-8)
     diag = wl.diagnostics(env, 1.5)

@@ -132,3 +132,25 @@ def test_csv_integer_and_object_columns_keep_str():
     assert cli._cells(np.array([0, 7, -3, 2**40])) == ["0", "7", "-3", str(2**40)]
     assert cli._cells([1, None, 2]) == ["1", "", "2"]
     assert cli._cells(np.empty(0)) == []
+
+
+def nan_with_payload(payload: int) -> float:
+    return float(np.array([0x7FF8000000000000 | payload], dtype=np.int64).view(np.float64)[0])
+
+
+@pytest.mark.parametrize("xs", [
+    [0.0, -0.0, 0.0, -0.0, -0.0, 0.0],
+    [nan_with_payload(1), math.nan, nan_with_payload(12345), 1.0, nan_with_payload(1)],
+    [math.inf, -math.inf, 1.0, math.inf, -math.inf],
+    [5e-324, -5e-324, 5e-324, 1e308, -1e308, 1e308, 1.7976931348623157e308],
+    [0.1] * 1000,
+    [0.1] * 500 + [-0.0] + [0.1] * 499,
+    [2.5],
+    [-0.0],
+    [],
+], ids=["signed-zeros", "nan-payloads", "infinities", "extremes", "one-value-1000-times",
+        "one-value-and-a-zero", "one-element", "negative-zero", "empty"])
+def test_csv_float_cells_keep_their_bytes_on_awkward_columns(xs):
+    column = np.array(xs, dtype=np.float64)
+    want = ["" if math.isnan(x) else format(x, ".17g") for x in column.tolist()]
+    assert cli._cells(column) == want

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 import walklab as wl
-from walklab import cli, random_env
+from walklab import cli, environment, random_env
 from walklab.errors import ValidationError
 
 
@@ -169,16 +169,19 @@ def test_mdependent_noise_drawn_once(monkeypatch):
     model = wl.RandomEnvModel(kind="m-dependent", family="powerlaw", seed=5,
                               low=2.2, high=3.8, window=3)
     drawn = []
-    noise = wl.RandomEnvModel._noise
-    monkeypatch.setattr(wl.RandomEnvModel, "_noise",
-                        lambda self, x: drawn.append(x) or noise(self, x))
+    batch = random_env._first_uniforms
+    monkeypatch.setattr(random_env, "_first_uniforms",
+                        lambda seed, component, xs: drawn.append(list(xs)) or batch(seed, component, xs))
     sample = wl.sample_environment(model, 60, tail_tol=1e-6)
-    assert sorted(drawn) == list(range(64))  # sites 0..60 plus the window beyond
+    assert drawn == [list(range(64))]  # sites 0..60 plus the window beyond, in one batch
+    noise = wl.RandomEnvModel._noise
     # the per-site formula at every site, the factory extension included
     for x in range(71):
         theta = model._from_unit(sum(noise(model, x + j) for j in range(4)) / 4.0)
         tail = wl.powerlaw_tail_sequence(theta, tail_tol=1e-6)
         assert sample.environment.site(x).values.tobytes() == tail.values.tobytes()
+    # each site of the extension (one range per site here) drew only the noise it lacked
+    assert drawn[0] == list(range(64)) and sum(drawn, []) == list(range(74))
 
 
 def test_iid_two_point_mean_matches_series_oracle():
@@ -255,3 +258,35 @@ def test_mdependent_unit_noise_is_bates():
                                   low=2.0, high=4.0, window=m)
         unit = (np.array([model.site_parameter(x) for x in range(4000)]) - 2.0) / 2.0
         assert unit.var() == pytest.approx(1.0 / (12.0 * (m + 1)), rel=0.1)
+
+
+# sha256 of the tails (environment._tails_sha256) of sites 0..50 at tail_tol 1e-6,
+# recorded when every site's noise came from its own stream(seed, "env-noise", x)
+TWO_STATE = np.array([[0.8, 0.2], [0.3, 0.7]])
+GOLDEN_MODELS = {
+    "iid-powerlaw": (dict(kind="iid", family="powerlaw", seed=3, low=2.2, high=3.8),
+                     "dd409d737c1264274f5c465abd584b38a90d9571a983f417a3a57c45b8ceaab0"),
+    "iid-lsv": (dict(kind="iid", family="lsv", seed=4, low=0.2, high=0.35),
+                "fd59bb0d784a97025bac53f1e0710bea5c0302c50e799cd9f846d6a4c54471ad"),
+    "m-dependent-geometric": (
+        dict(kind="m-dependent", family="geometric", seed=5, low=0.3, high=0.6, window=2),
+        "131a401c040abc6abef0143705f3620c625f5344346dd4c9c3d38bc0cef96100"),
+    "m-dependent-lsv": (
+        dict(kind="m-dependent", family="lsv", seed=6, low=0.2, high=0.35, window=3),
+        "74fc63671438edeb1937e8410451bee968cb26cbe4da50b30c87599101808aed"),
+    "markov-powerlaw": (
+        dict(kind="markov", family="powerlaw", seed=7,
+             chain=wl.MarkovChainSpec(states=(2.5, 3.5), transition=TWO_STATE)),
+        "06c009ac248d3d64350f183a3e0ee30abec05f560efbb0503e43250acd31316a"),
+    "markov-geometric": (
+        dict(kind="markov", family="geometric", seed=8,
+             chain=wl.MarkovChainSpec(states=(0.3, 0.6), transition=TWO_STATE)),
+        "87d9cd014fb0a5b9dd4a6944428342ab9e18803efd2048b10a52d5e38111e63b"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_MODELS))
+def test_sampled_tails_keep_their_golden_digest(name):
+    kwargs, digest = GOLDEN_MODELS[name]
+    env = wl.sample_environment(wl.RandomEnvModel(**kwargs), 50, tail_tol=1e-6).environment
+    assert environment._tails_sha256(env) == digest
