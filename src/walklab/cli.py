@@ -10,6 +10,7 @@ environment file whose tails do not rebuild, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -70,6 +71,8 @@ def _cells(column) -> list[str]:
     """The cells of one CSV column: a float column as format(x, ".17g") (a
     NaN cell empty), any other through ``str`` (a None cell empty)."""
     values = np.asarray(column)
+    if values.dtype.kind in "biu":
+        return list(map(str, values.tolist()))
     if values.dtype.kind != "f":
         return ["" if v is None else str(v) for v in values.tolist()]
     # each distinct value is formatted once; by its bits, so 0.0 and -0.0 stay apart
@@ -435,9 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: built on the first call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # all or nothing: refuse before any work if an output exists
         _refuse_overwrite([_out_path(p) for p in args.outputs(args)], args.force)

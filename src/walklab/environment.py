@@ -107,14 +107,14 @@ class TailSequence:
     cap_reached: bool = False
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64).copy()
+        arr = np.array(self.values, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError("tail sequence must be a non-empty 1-D array")
         if arr[0] != 1.0:
             raise ValidationError(f"tail sequence must start at 1.0, got {arr[0]!r}")
         if arr[-1] <= 0.0:
             raise ValidationError("tail values must be positive")
-        if arr.size > 1 and not np.all(np.diff(arr) < 0):
+        if not (arr[1:] < arr[:-1]).all():  # NaN and inf fail it too
             raise ValidationError("tail values must be strictly decreasing")
         d = float(self.deficit)
         if not 0.0 <= d <= arr[-1]:
@@ -178,7 +178,7 @@ def powerlaw_tail_sequence(
     _check_truncation(n_cap, tail_tol)
     n_needed = max(1, math.ceil(tail_tol ** (-1.0 / beta)) - 1)
     n_last = min(n_cap, n_needed)
-    values = (np.arange(n_last + 1, dtype=np.float64) + 1.0) ** (-beta)
+    values = np.arange(1.0, n_last + 2.0) ** (-beta)
     return TailSequence(
         values,
         deficit=float(n_last + 2.0) ** (-beta),
@@ -563,22 +563,17 @@ def _diagnostic_row(site: TailSequence, b) -> tuple:
     """One site's (A, A flag, A', A' flag, K, m tail, s2 tail, capped)."""
     v = site.values
     n_last = site.last_index
-    diffs = -np.diff(site.extended())  # P(tau = n), n = 1..N+1
+    diffs = site.sojourn_probs()  # P(tau = n), n = 1..N+1
+    n_idx = np.arange(1.0, n_last + 2.0)  # n = 1..N+1; its first N entries for A
 
-    if n_last >= 1:
-        n_idx = np.arange(1, n_last + 1, dtype=np.float64)
-        sup_a = float(np.max(n_idx ** b * v[1:]))
-    else:
-        sup_a = 0.0
-    A = max(sup_a, 1.0)
+    A = max((n_idx[:n_last] ** b * v[1:]).max(), 1.0) if n_last >= 1 else 1.0
     A_flag = (n_last + 1.0) ** b * site.deficit > A
 
-    n_idx = np.arange(1, n_last + 2, dtype=np.float64)
-    A_prime = max(float(np.max(n_idx ** (b + 1.0) * diffs)), 1.0)
+    A_prime = max((n_idx ** (b + 1.0) * diffs).max(), 1.0)
     Ap_flag = (n_last + 2.0) ** (b + 1.0) * site.deficit > A_prime
 
     if n_last >= 1 and diffs[1] > 0.0:
-        high = float(np.max(diffs[2:] / diffs[1])) if n_last >= 2 else 0.0
+        high = (diffs[2:] / diffs[1]).max() if n_last >= 2 else 0.0
         K = high + diffs[1] / (1.0 - v[1])
     else:
         K = math.nan

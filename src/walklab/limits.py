@@ -314,16 +314,10 @@ def llt_report_json(report: LltReport) -> dict:
         return None if math.isnan(v) else v
 
     rows = [
-        {
-            "x": int(report.x[i]),
-            "exact": float(report.exact[i]),
-            "pred_lo": float(report.pred_lo[i]),
-            "pred_hi": float(report.pred_hi[i]),
-            "E1": cell(float(report.e1[i])),
-            "E2": cell(float(report.e2[i])),
-            "E3": cell(float(report.e3[i])),
-        }
-        for i in range(report.x.size)
+        {"x": x, "exact": exact, "pred_lo": lo, "pred_hi": hi,
+         "E1": cell(e1), "E2": cell(e2), "E3": cell(e3)}
+        for x, exact, lo, hi, e1, e2, e3 in zip(*(column.tolist() for column in (
+            report.x, report.exact, report.pred_lo, report.pred_hi, report.e1, report.e2, report.e3)))
     ]
     return {
         "n": report.n,

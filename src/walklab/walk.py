@@ -121,7 +121,7 @@ class DiscreteDistribution:
     beyond: float = 0.0
 
     def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=np.float64).copy()
+        arr = np.array(self.probs, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError("probs must be a non-empty 1-D array")
         if (arr < 0.0).any():
@@ -138,7 +138,7 @@ class DiscreteDistribution:
 
     def _store(self, offset, probs, mass, deficit, beyond):
         total = mass + beyond + deficit
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # NaN fails it too
             raise ValidationError(
                 f"mass + beyond + deficit = {total!r}, expected 1 within 1e-9")
         probs.setflags(write=False)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -448,3 +449,94 @@ def test_round_trip_diagnostics_stable(tmp_path, geo_env_file):
     assert run("env", "--family", "geometric", "--r", "0.5", "--xmax", "100",
                "--tail-tol", "1e-14", "--out", out2) == 0
     assert (tmp_path / "geo2-diagnostics.csv").read_bytes() == d1
+
+
+# walklab env on three environments at smoke size, then exact (n = 20) and llt
+# (n = 10, 40) read back from each file: the sha256 of every output, recorded
+# while cli.main still built a parser per call and the tail checks and diagnostic
+# rows still formed their temporary arrays
+GOLDEN_ENVS = {
+    "mdep": ("--random", "mdep-powerlaw", "--range", "2.5,3.5", "--window", "3",
+             "--seed", "1", "--xmax", "100", "--tail-tol", "1e-9"),
+    "lsv": ("--random", "iid-lsv", "--range", "0.3,0.4", "--seed", "1",
+            "--xmax", "100", "--tail-tol", "1e-8"),
+    "geometric": ("--family", "geometric", "--r", "0.5", "--xmax", "300", "--tail-tol", "1e-14"),
+}
+GOLDEN_SHA256 = {
+    "mdep": {
+        ".json": "92f06da9e154af8f2a57c6eaa77d66c715e6951c734b151d2d86ca2aa931a76a",
+        "-diagnostics.csv": "130631b49264eab8b8cfc5fa7c8c2a28e3d59ad05176af1b32e617be28304774",
+        "-mtable.csv": "4d4d82f6080fbb12721f3d619040a06cdf907e607ead403a41435cf931dda51f",
+        "-exact.csv": "7c8bcf39c8b63698d7d49fbce6fb8a23335aee6cbf9c58f0efddff0f943c3514",
+        "-llt.json": "49fe1c43afa159546229300d71eb2eb1c33d3dc73d299d5d8e4459988e831d83",
+    },
+    "lsv": {
+        ".json": "4c39b05a0f8ebb800dd7ccdb9ad3163b236163e40b6190452343d6e99e0f9d39",
+        "-diagnostics.csv": "673898a50bd2851059eee62dce23f5768e4e6b9fc0838c725aab1f1395762e33",
+        "-mtable.csv": "b2b959a2de90e7c5a360c3d15a16f33c220076c4f1435b26b8cfe319dd779c3f",
+        "-exact.csv": "9b9f403af107892adb2ec0a746fb753795d1b4b49b33c8d968dcc46d5a37b94a",
+        "-llt.json": "0232b32f6d0c9109eec8493770a24d7af38872d3d129b92b8a917e0dfbae5748",
+    },
+    "geometric": {
+        ".json": "c4b5d8419fc5e7c3d36708d52513de2bb5674cbe68373730e1e86069748f8fb6",
+        "-diagnostics.csv": "88997d67a8c435f4f2f0f79ac94ad1ab416b14cb33b8a4ab1302395cf96f3185",
+        "-mtable.csv": "7f2c60dc01e7965113e395a69459789c96555a95ba996ae0322375f887e1b4f0",
+        "-exact.csv": "8821bf0a64a61f8886cc63d332ae5adb401208feecd47cb4f43bd78f80d143d0",
+        "-llt.json": "57776d1da37dab11096880eb8dffd22aa975042aad731ab926d454c782451ffe",
+    },
+}
+
+
+@pytest.mark.parametrize("label", list(GOLDEN_ENVS))
+def test_env_file_commands_keep_their_golden_bytes(tmp_path, label):
+    path = tmp_path / f"{label}.json"
+    assert run("env", *GOLDEN_ENVS[label], "--out", path) == 0
+    assert run("exact", "--env", path, "--n", "20", "--out", tmp_path / f"{label}-exact.csv") == 0
+    assert run("llt", "--env", path, "--n-grid", "10,40", "--out", tmp_path / f"{label}-llt.json") == 0
+    have = {suffix: hashlib.sha256((tmp_path / f"{label}{suffix}").read_bytes()).hexdigest()
+            for suffix in GOLDEN_SHA256[label]}
+    assert have == GOLDEN_SHA256[label]
+
+
+def run_session(directory, monkeypatch, capsys):
+    """env, exact, llt, a call argparse refuses, ``env -h`` and env again, in one
+    process from ``directory``: each call's exit code, stdout and stderr, and the
+    bytes of every file written."""
+    monkeypatch.chdir(directory)
+    calls = [("env", *GOLDEN_ENVS["geometric"], "--out", "geo.json"),
+             ("exact", "--env", "geo.json", "--n", "20", "--out", "exact.csv"),
+             ("llt", "--env", "geo.json", "--n-grid", "10,40", "--out", "llt.json"),
+             ("exact", "--env", "geo.json", "--n", "20"),  # no --out
+             ("env", "-h"),
+             ("env", *GOLDEN_ENVS["mdep"], "--out", "mdep.json")]
+    seen = []
+    for argv in calls:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        seen.append((code, *capsys.readouterr()))
+    files = {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+    return seen, files
+
+
+def test_one_parser_serves_many_commands(tmp_path, monkeypatch, capsys):
+    (tmp_path / "fresh").mkdir()
+    (tmp_path / "shared").mkdir()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli.build_parser)  # a new parser for every call
+        fresh = run_session(tmp_path / "fresh", m, capsys)
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        shared = run_session(tmp_path / "shared", monkeypatch, capsys)
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    codes = [call[0] for call in shared[0]]
+    assert codes == [0, 0, 0, ("SystemExit", 2), ("SystemExit", 0), 0]
+    assert "required: --out" in shared[0][3][2] and "--xmax" in shared[0][4][1]
+    assert shared == fresh
+    assert len(shared[1]) == 8

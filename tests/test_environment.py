@@ -31,6 +31,41 @@ def test_tail_sequence_invariants():
         wl.TailSequence(np.array([1.0, -0.1]))
 
 
+@pytest.mark.parametrize("values, deficit", [
+    ([], 0.0),                                # empty
+    ([[1.0, 0.5], [0.4, 0.3]], 0.0),          # 2-D
+    ([0.9, 0.5], 0.0),                        # first value not 1
+    ([math.nan, 0.5], 0.0),
+    ([1.0, 0.5, 0.0], 0.0),                   # last value not positive
+    ([1.0, 0.5, -0.0], 0.0),
+    ([1.0, 0.5, -math.inf], 0.0),
+    ([1.0, 0.5, 0.5, 0.25], 0.0),             # equal neighbours
+    ([1.0, 0.5, 0.6, 0.25], 0.0),             # one increase
+    ([1.0, 0.5, math.nan, 0.25], 0.0),        # NaN inside
+    ([1.0, math.nan], 0.0),
+    ([1.0, math.inf, 0.5], 0.0),              # +inf
+    ([1.0, 0.5, math.inf], 0.0),
+    ([1.0, 0.5], -1e-300),                    # deficit below 0
+    ([1.0, 0.5], 0.5000000000000001),         # deficit above the last value
+    ([1.0, 0.5], math.nan),
+    ([1.0], math.inf),
+])
+def test_tail_sequence_refusals(values, deficit):
+    with pytest.raises(ValidationError):
+        wl.TailSequence(np.array(values, dtype=np.float64), deficit=deficit)
+
+
+def test_tail_sequence_keeps_its_own_copy():
+    strided = np.array([1.0, 9.0, 0.5, 9.0, 0.25])[::2]
+    for raw in (np.array([1.0, 0.5, 0.25]), [1.0, 0.5, 0.25], strided):
+        site = wl.TailSequence(raw, deficit=0.125)
+        assert not site.values.flags.writeable
+        raw[1] = 0.75
+        assert site.values.tolist() == [1.0, 0.5, 0.25]
+    # one value, or a deficit equal to the last value, is a tail
+    assert wl.TailSequence([1.0], deficit=1.0).sojourn_probs().tolist() == [0.0]
+
+
 def test_sojourn_probs_sum_to_one_minus_deficit(geometric_env, powerlaw_env, lsv_env, exact_site):
     for env in (geometric_env, powerlaw_env, lsv_env):
         site = env.site(0)

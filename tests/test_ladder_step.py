@@ -46,7 +46,7 @@ def canonical_oracle(offset, probs, deficit=0.0, beyond=0.0):
         raise ValidationError(f"deficit must be non-negative, got {deficit}")
     deficit = max(deficit, 0.0)
     total = float(arr.sum()) + beyond + deficit
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:  # a NaN total is refused
         raise ValidationError(f"mass + beyond + deficit = {total!r}")
     return offset, arr, deficit, beyond
 
@@ -133,6 +133,9 @@ def test_canonical_form_matches_earlier_step(raw):
     (0, [0.5, 0.5], -1e-9, 0.0),
     (0, [], 0.0, 0.0),
     (0, [[0.5, 0.5]], 0.0, 0.0),
+    (0, [0.5, math.nan, 0.5], 0.0, 0.0),
+    (0, [0.5, 0.5], math.nan, 0.0),
+    (0, [0.5, 0.5], 0.0, math.nan),
 ])
 def test_invalid_laws_refused_as_before(raw):
     with pytest.raises(ValidationError):

@@ -32,6 +32,13 @@ def test_distribution_validation():
         wl.DiscreteDistribution(0, np.array([0.5, 0.4]))  # mass gap
     with pytest.raises(ValidationError):
         wl.DiscreteDistribution(0, np.array([0.0, 0.0]))
+    # a NaN atom, deficit or beyond makes the total NaN, which is refused
+    with pytest.raises(ValidationError):
+        wl.DiscreteDistribution(0, np.array([0.5, np.nan, 0.5]))
+    with pytest.raises(ValidationError):
+        wl.DiscreteDistribution(0, np.array([0.5, 0.5]), deficit=np.nan)
+    with pytest.raises(ValidationError):
+        wl.DiscreteDistribution(0, np.array([0.5, 0.5]), beyond=np.nan)
 
 
 def test_convolve_trims_contiguous_tail_into_deficit():
