@@ -24,7 +24,6 @@ from .environment import (
     load_env_file,
     lsv_tail_sequence,
     powerlaw_tail_sequence,
-    window_fluctuation,
     write_env_file,
 )
 from .errors import (

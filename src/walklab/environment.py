@@ -79,10 +79,7 @@ __all__ = [
     "env_from_powerlaw",
     "env_from_lsv",
     "diagnostics",
-    "window_fluctuation",
     "cumulative_hitting_moments",
-    "tail_mean_bound",
-    "tail_second_moment_bound",
     "env_json_text",
     "write_env_file",
     "load_env_file",
@@ -173,8 +170,8 @@ def powerlaw_tail_sequence(
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> TailSequence:
     """Tail omega_n = (n+1)**(-beta); deficit is the next value (N+2)**(-beta)."""
-    if beta <= 1.0:
-        raise ValidationError(f"power-law exponent must exceed 1, got {beta}")
+    if not beta > 1.0:  # NaN included
+        raise ValidationError(f"power-law exponent beta must exceed 1, got {beta}")
     _check_truncation(n_cap, tail_tol)
     n_needed = max(1, math.ceil(tail_tol ** (-1.0 / beta)) - 1)
     n_last = min(n_cap, n_needed)
@@ -222,10 +219,10 @@ class LsvParams:
             raise ValidationError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not 0.0 < self.c < 1.0:
             raise ValidationError(f"c must lie in (0, 1), got {self.c}")
-        if self.kappa <= 0.0:
+        if not self.kappa > 0.0:  # NaN included
             raise ValidationError(f"kappa must be positive, got {self.kappa}")
         residual = self.c + self.kappa * self.c ** (self.alpha + 1.0) - 1.0
-        if abs(residual) > 1e-12:
+        if not abs(residual) <= 1e-12:
             raise ValidationError(
                 f"parameters violate c + kappa*c^(alpha+1) = 1 (residual {residual:.3e})"
             )
@@ -238,7 +235,7 @@ class LsvParams:
 
     @classmethod
     def from_alpha_kappa(cls, alpha: float, kappa: float) -> "LsvParams":
-        if kappa <= 0.0:
+        if not kappa > 0.0:
             raise ValidationError(f"kappa must be positive, got {kappa}")
         # c + kappa*c^(alpha+1) is increasing in c, 0 at 0 and 1 + kappa at 1.
         lo, hi = 0.0, 1.0
@@ -507,7 +504,7 @@ def env_from_lsv(
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def tail_mean_bound(site: TailSequence, beta: float) -> float:
+def _tail_mean_bound(site: TailSequence, beta: float) -> float:
     """Bound on the unstored part of sum(omega_n), extrapolating the tail at
     rate n**(-beta) through the deficit point."""
     if site.deficit == 0.0:
@@ -516,7 +513,7 @@ def tail_mean_bound(site: TailSequence, beta: float) -> float:
     return site.deficit * (n_last + 1.0) ** beta * n_last ** (1.0 - beta) / (beta - 1.0)
 
 
-def tail_second_moment_bound(site: TailSequence, beta: float) -> float:
+def _tail_second_moment_bound(site: TailSequence, beta: float) -> float:
     """Bound on the unstored part of sum((2n+1) * omega_n); infinite for beta <= 2."""
     if site.deficit == 0.0:
         return 0.0
@@ -579,14 +576,14 @@ def _diagnostic_row(site: TailSequence, b) -> tuple:
         K = math.nan
 
     return (A, A_flag, A_prime, Ap_flag, K,
-            tail_mean_bound(site, b), tail_second_moment_bound(site, b), site.cap_reached)
+            _tail_mean_bound(site, b), _tail_second_moment_bound(site, b), site.cap_reached)
 
 
-def _sojourn_moments(env: Environment, start: int, stop: int) -> np.ndarray:
+def _sojourn_moments(env: Environment, stop: int) -> np.ndarray:
     """Rows m and m2: the stored sojourn mean and second moment of each site
-    start..stop-1, formed once per distinct tail and spread over its sites."""
+    0..stop-1, formed once per distinct tail and spread over its sites."""
     env.ensure(stop - 1)
-    keys, of_site = np.unique(env.tail_index[start:stop], return_inverse=True)
+    keys, of_site = np.unique(env.tail_index[:stop], return_inverse=True)
     return np.array([(env.tails[k].stored_mean(), env.tails[k].stored_second_moment())
                      for k in keys.tolist()]).T[:, of_site]
 
@@ -623,7 +620,7 @@ def diagnostics(env: Environment, beta) -> EnvDiagnostics:
             for k, b in zip(*np.divmod(pairs, beta_values.size))]
     A, A_flag, A_prime, Ap_flag, K, m_tail, s2_tail, capped = (
         np.array(column)[inverse.ravel()] for column in zip(*rows))
-    m, m2 = _sojourn_moments(env, 0, xs.size)
+    m, m2 = _sojourn_moments(env, xs.size)
 
     s2 = m2 - m * m
     mu = np.concatenate(([0.0], np.cumsum(m)))
@@ -655,33 +652,9 @@ def cumulative_hitting_moments(env: Environment, x: int) -> tuple[float, float]:
     """
     if x <= 0:
         return 0.0, 0.0
-    m, m2 = _sojourn_moments(env, 0, x)
+    m, m2 = _sojourn_moments(env, x)
     # np.cumsum adds sequentially, as diagnostics does, so these are its mu[x] and sigma2[x]
     return float(np.cumsum(m)[-1]), float(np.cumsum(m2 - m * m)[-1])
-
-
-def window_fluctuation(env: Environment, x: int, u: float, mu: float) -> float:
-    """Largest |sum over a window adjacent to x of (m_w - mu)| over window
-    lengths |l| <= u * sqrt(x log x).
-
-    Windows extend to the right ([x, x+l-1]) for l >= 0 and to the left
-    ([x+l-1, x]) for l < 0, clipped at site 0.
-    """
-    if x < 2:
-        raise ValidationError(f"x must be >= 2, got {x}")
-    if u <= 0.0:
-        raise ValidationError(f"u must be positive, got {u}")
-    span = int(math.floor(u * math.sqrt(x * math.log(x))))
-    if span == 0:
-        return 0.0
-    w_lo = max(0, x - span - 1)
-    m, _ = _sojourn_moments(env, w_lo, x + span)  # sites w_lo..x + span - 1
-    csum = np.concatenate(([0.0], np.cumsum(m - mu)))
-    # windows [x, x+l-1] and [max(0, x-l-1), x] for l = 1..span
-    ell = np.arange(1, span + 1)
-    sums = np.concatenate((csum[x - w_lo + ell] - csum[x - w_lo],
-                           csum[x - w_lo + 1] - csum[np.maximum(0, x - ell - 1) - w_lo]))
-    return float(np.abs(sums).max())
 
 
 # ---------------------------------------------------------------------------
@@ -866,7 +839,7 @@ def _rebuild(path: str, model: dict, digest) -> Environment:
             raise ValidationError(f"unknown family {model['family']!r}")
     except KeyError as exc:
         raise ValidationError(f"{path}: the model descriptor has no {exc} entry") from exc
-    except (TypeError, AttributeError, ValidationError) as exc:
+    except (TypeError, ValueError, AttributeError) as exc:  # ValidationError included
         raise ValidationError(f"{path} has a malformed model descriptor: {exc}") from exc
     if _tails_sha256(env) != digest:
         raise RebuildError(f"{path}: the tails its model descriptor builds here do not "

@@ -140,7 +140,7 @@ class RandomEnvModel:
                 raise ValidationError(f"need low < high, got [{self.low}, {self.high}]")
             values = (self.low, self.high)
         lo_lim, hi_lim = _FAMILY_RANGE[self.family]
-        if min(values) <= lo_lim or max(values) >= hi_lim:
+        if not all(lo_lim < v < hi_lim for v in values):  # NaN included
             raise ValidationError(
                 f"{self.family} parameters must lie in ({lo_lim}, {hi_lim}), got {values}"
             )
@@ -176,7 +176,7 @@ class RandomEnvModel:
 
     def site_parameter(self, x: int, _cache: dict | None = None) -> float:
         """Parameter at site x (deterministic in (seed, x) for iid/m-dependent);
-        ``_cache`` carries noise values or Markov states from site to site."""
+        ``_cache`` carries noise values or Markov state indices from site to site."""
         cache = _cache if _cache is not None else {}
         if self.kind == "markov":
             return self._markov_state(x, cache)
@@ -187,11 +187,12 @@ class RandomEnvModel:
 
     def _markov_state(self, x: int, cache: dict) -> float:
         spec = self.chain
-        for w in range(len(cache), x + 1):  # the cache holds the states of sites 0..len-1
-            law = spec.stationary() if w == 0 else spec.transition[spec.states.index(cache[w - 1])]
+        # the cache holds the state indices of sites 0..len-1: states may repeat a value
+        for w in range(len(cache), x + 1):
+            law = spec.stationary() if w == 0 else spec.transition[cache[w - 1]]
             idx = int(np.searchsorted(np.cumsum(law), self._noise(w), side="right"))
-            cache[w] = spec.states[min(idx, len(spec.states) - 1)]
-        return cache[x]
+            cache[w] = min(idx, len(spec.states) - 1)
+        return spec.states[cache[x]]
 
     # -- declared mixing ----------------------------------------------------
 
@@ -251,7 +252,7 @@ def sample_environment(
     """
     _check_x_max(x_max)
     _check_truncation(n_cap, tail_tol)
-    cache: dict = {}  # noise values or Markov states, from range to range
+    cache: dict = {}  # noise values or Markov state indices, from range to range
     tails: dict = {}  # parameter value -> its tail
     trace: list = []  # the parameters of sites 0..x_max
     descriptor = {"family": model.family, "random": model.descriptor(), "n_cap": n_cap,

@@ -540,7 +540,7 @@ def position_scan(
     x_hi = n  # T_x >= x: no site past n holds mass at time n
     stop = min(len(env) - 1, n)  # x_lo is a materialized site: none is added to find it
     if 0.0 < trunc_tol < 1.0 and stop >= 1:
-        m, m2 = _sojourn_moments(env, 0, stop)
+        m, m2 = _sojourn_moments(env, stop)
         mean = np.cumsum(m)
         spread = 9.0 * np.sqrt(np.maximum(np.cumsum(m2 - m * m), 0.0))
         x_lo = int(np.count_nonzero(mean + spread <= n))  # reach grows with x
@@ -570,7 +570,8 @@ def _scan_rows(env: Environment, n: int, trunc_tol: float, deficit_budget: float
     clipped to n, until ``position_scan``'s stop rule; a run of sites of one
     tail goes in blocks of B sites, B fixed per run from the rows it can hold
     among the materialized sites (at most x_hi).  Rows come in pairs of
-    arrays, a block's at once if all its sites are built, else one by one."""
+    arrays, a block's at once; a block ends at the last built site, and the
+    scan goes site by site (B = 1) from there."""
     reversed_of = lru_cache(_RECENT_TAILS)(lambda k: _reversed_tail(env.tails[k]))
     # the sites where a run of one tail starts, and the end of the known ones
     starts, known = np.flatnonzero(np.diff(env.tail_index)) + 1, len(env)
@@ -600,38 +601,33 @@ def _scan_rows(env: Environment, n: int, trunc_tol: float, deficit_budget: float
         row = 0.0
         if k_lo <= k_hi:
             row = float(probs[k_lo - offset : k_hi - offset + 1] @ rev[k_lo + j : k_hi + j + 1])
-        block = [(row, float(probs[-1]) if k_hi == n else 0.0, mass)]  # a law ending past n is 0
-        if size > 1:
-            # column m of the table is lag m: it meets the atom at k = n - m
-            k_lo = max(offset, n - lags)
-            k_end = max(offset + probs.size, k_lo)
-            values = (table[:, n + 1 - k_end : n + 1 - k_lo]
-                      @ probs[k_lo - offset : k_end - offset][::-1]).reshape(-1, 3)
-            values[:, 2] = upper * mass - values[:, 2]
-            block = np.concatenate((block, values))
-            if x + size <= len(env):  # every site of the block is built: rows as arrays
-                change = np.flatnonzero(env.tail_index[x + 1 : x + size] != tail)
-                r = int(change[0]) + 1 if change.size else size  # the rows of this run
-                below_n = block[:r, 2]  # clipped to n: P(T_y <= n)
-                stop = np.flatnonzero((below_n < trunc_tol) | (np.arange(x, x + r) == n))
-                rows = block[: int(stop[0]) + 1 if stop.size else r]
-                yield rows[:, 0], rows[:, 1]
-                if stop.size:
-                    return
-                steps.append((x + r, powers[r]))
-                continue
-            block = block.tolist()
-        for r, (row, at_n, below_n) in enumerate(block):
-            if r:
-                env.site(x + r)
-                if env.tail_index[x + r] != tail:
-                    break
+        at_n = float(probs[-1]) if k_hi == n else 0.0  # a law ending past n is 0
+        if size == 1:  # the ladder's row
             yield (row,), (at_n,)
-            if x + r == n or below_n < trunc_tol:  # clipped to n: P(T_x <= n)
+            if x == n or mass < trunc_tol:  # clipped to n: P(T_x <= n)
                 return
-        else:
-            r = size
-        steps.append((x + r, powers[r] if size > 1 else sojourn_of(tail)))
+            steps.append((x + 1, sojourn_of(tail)))
+            continue
+        # column m of the table is lag m: it meets the atom at k = n - m
+        k_lo = max(offset, n - lags)
+        k_end = max(offset + probs.size, k_lo)
+        values = (table[:, n + 1 - k_end : n + 1 - k_lo]
+                  @ probs[k_lo - offset : k_end - offset][::-1]).reshape(-1, 3)
+        values[:, 2] = upper * mass - values[:, 2]
+        block = np.concatenate(([(row, at_n, mass)], values))
+        r = min(size, len(env) - x)  # the rows of built sites
+        change = np.flatnonzero(env.tail_index[x + 1 : x + r] != tail)
+        if change.size:  # the run ends inside the block
+            r = int(change[0]) + 1
+        elif r < size:  # the block ends at the last built site: site by site from there
+            tail = -1
+        # the stop rule: P(T_y <= n) below trunc_tol, or y = n
+        stop = np.flatnonzero((block[:r, 2] < trunc_tol) | (np.arange(x, x + r) == n))
+        rows = block[: int(stop[0]) + 1 if stop.size else r]
+        yield rows[:, 0], rows[:, 1]
+        if stop.size:
+            return
+        steps.append((x + r, powers[r]))
 
 
 def _baby_steps(sojourn: DiscreteDistribution, ext: np.ndarray, size: int,

@@ -1,8 +1,10 @@
-"""The public API is the names ``walklab`` exports; a name added or removed
-shows up as a diff of this list.  A module imports only names it reads."""
+"""The public API is the names ``walklab`` exports and the parameters of its
+functions; a name or parameter added or removed shows up as a diff here.  A
+module imports only names it reads."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import types
 
@@ -67,7 +69,6 @@ PUBLIC = [
     "sojourn_pmf",
     "stream",
     "tv_distance",
-    "window_fluctuation",
     "write_env_file",
 ]
 
@@ -75,8 +76,50 @@ PUBLIC = [
 def test_exported_names():
     exported = sorted(name for name, value in vars(walklab).items()
                       if not name.startswith("_") and not isinstance(value, types.ModuleType))
-    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 55
+    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 54
     assert exported == PUBLIC
+
+
+# The parameters of each exported function, in order: a parameter added,
+# removed or renamed shows up as a diff of this table.
+PARAMETERS = {
+    "clt_report": ("env", "params", "n_grid", "trunc_tol", "deficit_budget"),
+    "cumulative_hitting_moments": ("env", "x"),
+    "diagnostics": ("env", "beta"),
+    "env_from_lsv": ("params", "x_max", "n_cap", "tail_tol"),
+    "env_from_powerlaw": ("beta", "x_max", "n_cap", "tail_tol"),
+    "env_geometric": ("r", "x_max", "n_cap", "tail_tol"),
+    "env_json_text": ("env",),
+    "fit_limit_params": ("diag",),
+    "geometric_tail_sequence": ("r", "n_cap", "tail_tol"),
+    "hitting_time_distribution": ("env", "x", "trunc_tol", "deficit_budget"),
+    "kolmogorov_distance_to_normal": ("dist", "center", "scale"),
+    "llt_predictor": ("env", "params", "diag", "n", "x_values"),
+    "llt_report": ("env", "params", "diag", "n", "trunc_tol", "deficit_budget"),
+    "llt_report_json": ("report",),
+    "load_env_file": ("path",),
+    "lsv_tail_sequence": ("params", "n_cap", "tail_tol"),
+    "mc_tv_tolerance": ("atoms", "paths"),
+    "normal_density": ("mean", "variance", "z"),
+    "position_distribution": ("env", "n", "trunc_tol", "deficit_budget"),
+    "position_scan": ("env", "n", "trunc_tol", "deficit_budget"),
+    "powerlaw_tail_sequence": ("beta", "n_cap", "tail_tol"),
+    "sample_environment": ("model", "x_max", "n_cap", "tail_tol"),
+    "simulate_paths": ("env", "cfg", "method", "times"),
+    "simulate_trajectories": ("env", "cfg", "times", "levels", "keep_positions_at"),
+    "slln_report": ("env", "params", "sample", "tol"),
+    "sojourn_pmf": ("site",),
+    "stream": ("seed", "component", "index"),
+    "tv_distance": ("dist", "counts", "paths"),
+    "write_env_file": ("env", "path", "force"),
+}
+
+
+def test_exported_function_parameters():
+    functions = {name: value for name, value in vars(walklab).items()
+                 if name in PUBLIC and inspect.isfunction(value)}
+    assert {name: tuple(inspect.signature(value).parameters)
+            for name, value in functions.items()} == PARAMETERS
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if hasattr(m, "__all__")],

@@ -180,6 +180,20 @@ def test_env_refuses_non_finite_beta_diag(tmp_path, capsys, beta):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["--family", "powerlaw", "--beta", "nan"], "power-law exponent beta must exceed 1"),
+    (["--random", "iid-powerlaw", "--choices", "3,nan", "--seed", "1"],
+     "powerlaw parameters must lie in (1.0, inf)"),
+    (["--random", "markov-lsv", "--choices", "nan,0.3", "--seed", "1"],
+     "lsv parameters must lie in (0.0, 0.5)"),
+    (["--family", "lsv", "--alpha", "0.3", "--kappa", "nan"], "kappa must be positive"),
+], ids=["beta", "choices", "markov-choices", "kappa"])
+def test_env_refuses_nan_parameters(tmp_path, capsys, argv, error):
+    assert run("env", *argv, "--xmax", "5", "--out", tmp_path / "e.json") == 2
+    assert f"error: {error}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("tol", ["2", "-1", "nan"])
 def test_exact_refuses_trunc_tol_out_of_range(tmp_path, geo_env_file, capsys, tol):
     out = tmp_path / "x.csv"

@@ -216,6 +216,10 @@ def drop_x_max(payload):
     del payload["model"]["x_max"]
 
 
+def chain_entry(**entries):
+    return lambda payload: payload["model"]["random"]["chain"].update(entries)
+
+
 def string_seed(payload):
     payload["model"]["random"]["seed"] = str(payload["model"]["random"]["seed"])
 
@@ -227,8 +231,12 @@ def string_seed(payload):
     ("powerlaw-capped", model_entry(family="cauchy")),
     ("iid-geometric", string_seed),
     ("geometric", lambda payload: payload.update(model=[1, 2])),
+    ("markov-powerlaw", chain_entry(transition=[[0.6, 0.4], [0.4]])),
+    ("markov-powerlaw", chain_entry(states=["a", 3.5])),
+    ("iid-geometric", lambda payload: payload["model"]["random"].update(choices=["a", 0.6])),
+    ("geometric", model_entry(r="x")),
 ], ids=["missing-x_max", "negative-x_max", "bool-x_max", "unknown-family", "string-seed",
-        "model-not-object"])
+        "model-not-object", "ragged-transition", "text-states", "text-choices", "text-r"])
 def test_malformed_descriptor_exits_2(tmp_path, capsys, name, change):
     path = env_file(tmp_path, name)
     edit(path, change)

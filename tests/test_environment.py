@@ -92,6 +92,11 @@ def test_powerlaw_tail_values():
     assert np.all(np.diff(site.values) < 0)
 
 
+def test_powerlaw_tail_refuses_nan_beta():
+    with pytest.raises(ValidationError, match="exponent beta"):
+        wl.powerlaw_tail_sequence(math.nan)
+
+
 def test_cap_reported():
     site = wl.powerlaw_tail_sequence(3.0, n_cap=5, tail_tol=1e-12)
     assert site.cap_reached
@@ -117,6 +122,10 @@ def test_lsv_params_validation():
         wl.LsvParams(alpha=0.5, c=0.5, kappa=1.0)  # constraint violated
     with pytest.raises(ValidationError):
         wl.LsvParams.from_alpha_c(0.5, 1.2)
+    with pytest.raises(ValidationError, match="kappa"):
+        wl.LsvParams(alpha=0.5, c=0.5, kappa=math.nan)
+    with pytest.raises(ValidationError, match="kappa"):
+        wl.LsvParams.from_alpha_kappa(0.5, math.nan)
 
 
 def cn_sequence(params, count):
@@ -376,49 +385,6 @@ def test_variance_tail_divergence_flagged():
     diag = wl.diagnostics(env, 1.5)
     assert not diag.variance_converged
     assert np.all(np.isinf(diag.s2_tail_bound))
-
-
-# ---------------------------------------------------------------------------
-# window fluctuation
-# ---------------------------------------------------------------------------
-
-def test_window_fluctuation_constant_env(geometric_env):
-    assert wl.window_fluctuation(geometric_env, 10, 2.0, mu=2.0) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_window_fluctuation_single_perturbed_site():
-    base = wl.geometric_tail_sequence(0.5, tail_tol=1e-14)
-    bumped = wl.geometric_tail_sequence(0.6, tail_tol=1e-14)  # m = 2.5
-    sites = [base] * 40
-    sites[12] = bumped
-    env = wl.Environment(sites)
-    delta = bumped.stored_mean() - 2.0
-    assert wl.window_fluctuation(env, 10, 1.2, mu=2.0) == pytest.approx(delta, abs=1e-9)
-
-
-def test_window_fluctuation_matches_brute_force():
-    rng = np.random.default_rng(3)
-    ratios = rng.uniform(0.3, 0.7, size=200)
-    env = wl.Environment([wl.geometric_tail_sequence(r, tail_tol=1e-14) for r in ratios])
-    mu = float(np.mean([env.site(w).stored_mean() for w in range(200)]))
-    x, u = 60, 1.5
-    span = int(math.floor(u * math.sqrt(x * math.log(x))))
-    m = np.array([env.site(w).stored_mean() for w in range(200)])
-    best = 0.0
-    for ell in range(-span, span + 1):
-        if ell >= 0:
-            window = range(x, x + ell)
-        else:
-            window = range(max(0, x + ell - 1), x + 1)
-        best = max(best, abs(sum(m[w] - mu for w in window)))
-    assert wl.window_fluctuation(env, x, u, mu=mu) == pytest.approx(best, rel=1e-12)
-
-
-def test_window_fluctuation_validation(geometric_env):
-    with pytest.raises(ValidationError):
-        wl.window_fluctuation(geometric_env, 1, 1.0, mu=2.0)
-    with pytest.raises(ValidationError):
-        wl.window_fluctuation(geometric_env, 10, 0.0, mu=2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,22 @@ def test_markov_chain_model():
     assert model.mixing_descriptor()["type"] == "geometric"
 
 
+def test_markov_states_of_one_value_follow_the_declared_chain():
+    # states 0 and 1 both hold 2.5: the next site's law is the row of the
+    # state, not of the first state holding its value (which gives 0.80 here)
+    spec = wl.MarkovChainSpec(states=(2.5, 2.5, 3.5), transition=np.array(
+        [[0.1, 0.1, 0.8], [0.1, 0.8, 0.1], [0.45, 0.45, 0.1]]))
+    model = wl.RandomEnvModel(kind="markov", family="powerlaw", seed=3, chain=spec)
+    trace = wl.sample_environment(model, 19_999, tail_tol=1e-6).parameter_trace
+    pi = spec.stationary()
+    lumped = (0.8 * pi[0] + 0.1 * pi[1]) / (pi[0] + pi[1])  # P(3.5 | 2.5) = 0.262
+    after = trace[1:][trace[:-1] == 2.5]
+    # each within 5 standard deviations of a binomial over the sites it counts
+    assert abs(np.mean(after == 3.5) - lumped) <= 5 * np.sqrt(lumped * (1 - lumped) / after.size)
+    share = np.mean(trace == 3.5)
+    assert abs(share - pi[2]) <= 5 * np.sqrt(pi[2] * (1 - pi[2]) / trace.size)
+
+
 @pytest.mark.parametrize("kind", ["iid", "markov"])
 def test_equal_parameters_share_one_tail(kind):
     states = (2.5, 3.5)
