@@ -829,8 +829,9 @@ def _rebuild(path: str, model: dict, digest) -> Environment:
             spec = random_env.RandomEnvModel.from_descriptor(model["random"])
             env = random_env.sample_environment(spec, x_max, n_cap, tail_tol).environment
         elif model["family"] == "geometric":
+            beta_diag = model["beta_diag"]  # read before a build that may take long
             env = env_geometric(model["r"], x_max, n_cap, tail_tol)
-            env.model["beta_diag"] = model["beta_diag"]  # `walklab env --beta-diag`
+            env.model["beta_diag"] = beta_diag  # `walklab env --beta-diag`
         elif model["family"] == "powerlaw":
             env = env_from_powerlaw(model["beta"], x_max, n_cap, tail_tol)
         elif model["family"] == "lsv":

@@ -10,13 +10,14 @@ process kinds whose strong-mixing rates are known exactly by construction:
   stationary law (geometric rate).
 
 Noise is keyed per site, so sampling is independent of materialization order
-and extending the site range never disturbs earlier sites; a sampled range
-draws the noise of all its sites at once.
+and extending the site range never disturbs earlier sites; every kind draws
+the noise of a sampled range in one batch.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ from .environment import (
     powerlaw_tail_sequence,
 )
 from .errors import ValidationError
-from .streams import _first_uniforms, stream
+from .streams import _first_uniforms, stream  # stream: wrapped by bench/spans.py by name
 
 __all__ = [
     "MarkovChainSpec",
@@ -163,39 +164,6 @@ class RandomEnvModel:
                    chain=None if chain is None else MarkovChainSpec(chain["states"],
                                                                     chain["transition"]))
 
-    # -- noise and parameter generation ------------------------------------
-
-    def _noise(self, x: int) -> float:
-        return float(stream(self.seed, "env-noise", x).random())
-
-    def _from_unit(self, v: float) -> float:
-        if self.choices is not None:
-            idx = min(int(v * len(self.choices)), len(self.choices) - 1)
-            return self.choices[idx]
-        return self.low + (self.high - self.low) * v
-
-    def site_parameter(self, x: int, _cache: dict | None = None) -> float:
-        """Parameter at site x (deterministic in (seed, x) for iid/m-dependent);
-        ``_cache`` carries noise values or Markov state indices from site to site."""
-        cache = _cache if _cache is not None else {}
-        if self.kind == "markov":
-            return self._markov_state(x, cache)
-        # each noise value is drawn once, and the iid window is the one site x
-        window = [cache[w] if w in cache else cache.setdefault(w, self._noise(w))
-                  for w in range(x, x + self.window + 1)]
-        return self._from_unit(sum(window) / len(window))
-
-    def _markov_state(self, x: int, cache: dict) -> float:
-        spec = self.chain
-        # the cache holds the state indices of sites 0..len-1: states may repeat a value
-        for w in range(len(cache), x + 1):
-            law = spec.stationary() if w == 0 else spec.transition[cache[w - 1]]
-            idx = int(np.searchsorted(np.cumsum(law), self._noise(w), side="right"))
-            cache[w] = min(idx, len(spec.states) - 1)
-        return spec.states[cache[x]]
-
-    # -- declared mixing ----------------------------------------------------
-
     def mixing_descriptor(self) -> dict:
         if self.kind == "iid":
             return {"type": "zero-beyond-lag", "lag": 0}
@@ -228,12 +196,10 @@ class RandomEnvModel:
 
 @dataclass(frozen=True, eq=False)
 class QuenchedSample:
-    """A sampled environment together with everything needed to regenerate it."""
+    """A sampled environment and the parameters of its sites 0..x_max."""
 
     environment: Environment
     parameter_trace: np.ndarray
-    model: RandomEnvModel
-    seed: int
 
 
 def sample_environment(
@@ -244,25 +210,44 @@ def sample_environment(
 ) -> QuenchedSample:
     """Materialize sites 0..x_max from the model; bit-reproducible in the seed.
 
-    One range function builds sites 0..x_max and is the factory.  It draws a
-    range's parameters, builds one tail per distinct value across ranges (a
-    range's new lsv values in one ``_lsv_tails`` call) and records the range's
+    One range function builds sites 0..x_max and is the factory.  It draws
+    the noise of a range and its window in one call, forms the range's
+    parameters, builds one tail per distinct value across ranges (a range's
+    new lsv values in one ``_lsv_tails`` call) and records the range's
     ``beta_diag`` values, capped sites and ``x_max`` in the descriptor, so an
     extended environment equals, descriptor included, a larger sample.
     """
     _check_x_max(x_max)
     _check_truncation(n_cap, tail_tol)
-    cache: dict = {}  # noise values or Markov state indices, from range to range
+    noise: list = []  # stream(seed, "env-noise", x).random() of sites x = 0, 1, ...
     tails: dict = {}  # parameter value -> its tail
     trace: list = []  # the parameters of sites 0..x_max
     descriptor = {"family": model.family, "random": model.descriptor(), "n_cap": n_cap,
                   "tail_tol": tail_tol, "beta_diag": [], "capped_sites": []}
+    if model.kind == "markov":  # CDF rows: the stationary law's, then each state's
+        spec = model.chain
+        cdf = np.cumsum(np.vstack([spec.stationary(), spec.transition]), axis=1).tolist()
+    row = 0  # the CDF row of the next site's law
 
     def grow(start: int, stop: int) -> list:
-        if model.kind != "markov":  # the noise of the range and its window, in one call
-            unseen = range(len(cache), stop + model.window)
-            cache.update(zip(unseen, _first_uniforms(model.seed, "env-noise", unseen)))
-        theta = [model.site_parameter(x, cache) for x in range(start, stop)]
+        nonlocal row
+        n, m, r = stop - start, model.window, row
+        noise.extend(_first_uniforms(model.seed, "env-noise", range(len(noise), stop + m)))
+        if model.kind == "markov":
+            state = []
+            for u in noise[start:stop]:
+                state.append(min(bisect_right(cdf[r], u), len(spec.states) - 1))
+                r = 1 + state[-1]
+            theta = [spec.states[i] for i in state]
+        else:  # window means: arrays added in site order, as 3.11's float sum adds
+            u = np.array(noise[start:stop + m])
+            mean = sum(u[j:j + n] for j in range(m + 1)) / (m + 1)
+            if model.choices is None:
+                theta = (model.low + (model.high - model.low) * mean).tolist()
+            else:
+                k = len(model.choices)
+                index = np.minimum((mean * k).astype(np.intp), k - 1)
+                theta = [model.choices[i] for i in index.tolist()]
         new = [t for t in dict.fromkeys(theta) if t not in tails]
         if model.family == "lsv":
             params = [LsvParams.from_alpha_c(t, model.lsv_c) for t in new]
@@ -275,11 +260,11 @@ def sample_environment(
         sites = [tails[t] for t in theta]
         if start == 0:  # the first range
             trace.extend(theta)
+        row = r  # as the descriptor, moved on only once the range is built
         descriptor["x_max"] = stop - 1
         descriptor["beta_diag"] += [float(b) for b in beta]
         descriptor["capped_sites"] += [x for x, s in enumerate(sites, start) if s.cap_reached]
         return sites
 
     env = Environment(grow(0, x_max + 1), model=descriptor, factory=grow)
-    return QuenchedSample(environment=env, parameter_trace=np.array(trace), model=model,
-                          seed=model.seed)
+    return QuenchedSample(environment=env, parameter_trace=np.array(trace))

@@ -122,6 +122,44 @@ def test_exported_function_parameters():
             for name, value in functions.items()} == PARAMETERS
 
 
+# The constructor parameters of each exported class other than the errors, in
+# order: a field added, removed or renamed shows up as a diff of this table.
+CONSTRUCTORS = {
+    "CltReport": ("n", "dist_position", "hitting_x", "dist_hitting", "params"),
+    "DiscreteDistribution": ("offset", "probs", "deficit", "beyond"),
+    "EnvDiagnostics": ("x", "beta", "beta_star", "A", "A_prime", "K", "m", "m_tail_bound", "m2",
+                       "m2_alt", "s2", "s2_tail_bound", "mu", "mu_upper", "sigma2", "M",
+                       "A_truncation_flagged", "A_prime_truncation_flagged", "cap_reached",
+                       "variance_converged"),
+    "Environment": ("sites", "model", "factory"),
+    "LimitFit": ("params", "x", "theta1", "theta2", "scaled_theta1", "scaled_theta2"),
+    "LimitParams": ("mu", "sigma2", "source"),
+    "LltReport": ("n", "x", "exact", "pred_lo", "pred_hi", "e1", "e2", "e3", "sup_err_scaled",
+                  "max_halfwidth_scaled", "exact_deficit"),
+    "LsvParams": ("alpha", "c", "kappa"),
+    "MarkovChainSpec": ("states", "transition"),
+    "McConfig": ("paths", "horizon", "seed", "record"),
+    "QuenchedSample": ("environment", "parameter_trace"),
+    "RandomEnvModel": ("kind", "family", "seed", "low", "high", "choices", "window", "chain",
+                       "lsv_c", "beta_diag"),
+    "SllnReport": ("times", "mean_ratio", "frac_within", "tol", "speed", "max_tail_deviation",
+                   "final_frac_within"),
+    "TailSequence": ("values", "deficit", "cap_reached"),
+    "TrajectoryConfig": ("paths", "horizon", "seed"),
+    "TrajectorySample": ("paths", "seed", "times", "cell_counts", "level_counts", "positions",
+                         "contributing", "flagged"),
+    "WalkSample": ("method", "record", "paths", "seed", "times", "x_final", "y_final",
+                   "x_at_times", "full_x", "full_y", "hitting", "truncated_draws"),
+}
+
+
+def test_exported_class_parameters():
+    classes = {name: value for name, value in vars(walklab).items()
+               if name in PUBLIC and inspect.isclass(value) and not issubclass(value, Exception)}
+    assert {name: tuple(inspect.signature(value).parameters)
+            for name, value in classes.items()} == CONSTRUCTORS
+
+
 @pytest.mark.parametrize("module", [m for m in MODULES if hasattr(m, "__all__")],
                          ids=lambda module: module.__name__)
 def test_module_all_names_exist(module):
@@ -135,6 +173,7 @@ KEPT_UNUSED = {
     ("walklab.limits", "hitting_time_scan"): "wrapped by bench/spans.py by name",
     ("walklab.random_env", "diagnostics"): "wrapped by bench/spans.py by name",
     ("walklab.random_env", "lsv_tail_sequence"): "wrapped by bench/spans.py by name",
+    ("walklab.random_env", "stream"): "wrapped by bench/spans.py by name",
 }
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import walklab as wl
+from walklab import environment
 from walklab.cli import main
 from walklab.errors import RebuildError
 
@@ -246,6 +247,19 @@ def test_malformed_descriptor_exits_2(tmp_path, capsys, name, change):
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
     with pytest.raises(wl.ValidationError):
+        wl.load_env_file(str(path))
+
+
+def test_missing_beta_diag_is_found_before_the_build(tmp_path, monkeypatch):
+    # a file may state any x_max, so a key it lacks is found before the long build
+    path = env_file(tmp_path, "geometric")
+    edit(path, lambda payload: payload["model"].pop("beta_diag"))
+
+    def build(*args):
+        raise AssertionError("the environment was built before its descriptor was read")
+
+    monkeypatch.setattr(environment, "env_geometric", build)
+    with pytest.raises(wl.ValidationError, match="beta_diag"):
         wl.load_env_file(str(path))
 
 

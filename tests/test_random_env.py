@@ -5,6 +5,7 @@ from scipy import stats
 import walklab as wl
 from walklab import cli, environment, random_env
 from walklab.errors import ValidationError
+from walklab.streams import stream
 
 
 def iid_powerlaw_model(seed=7, choices=(2.5, 3.5)):
@@ -153,35 +154,69 @@ def test_parameters_land_in_declared_set():
     assert sample.parameter_trace.max() < 0.4
 
 
+def noise(seed, x):
+    """The per-site definition of a sampled site's noise."""
+    return stream(seed, "env-noise", x).random()
+
+
 def test_mdependent_locality():
     model = wl.RandomEnvModel(kind="m-dependent", family="powerlaw", seed=5,
                               low=2.2, high=3.8, window=2)
     sample = wl.sample_environment(model, 40, tail_tol=1e-6)
     # the site-x parameter is a function of the noise at sites x..x+2 only
     for x in range(41):
-        window = [model._noise(x + j) for j in range(3)]
-        expected = model._from_unit(sum(window) / 3.0)
-        assert sample.parameter_trace[x] == expected
+        unit = sum(noise(5, x + j) for j in range(3)) / 3.0
+        assert sample.parameter_trace[x] == 2.2 + (3.8 - 2.2) * unit
     assert model.mixing_descriptor() == {"type": "zero-beyond-lag", "lag": 2}
 
 
-def test_mdependent_noise_drawn_once(monkeypatch):
-    model = wl.RandomEnvModel(kind="m-dependent", family="powerlaw", seed=5,
-                              low=2.2, high=3.8, window=3)
+NOISE_MODELS = {
+    "iid": dict(kind="iid", family="powerlaw", seed=5, choices=(2.2, 3.0, 3.8)),
+    "m-dependent": dict(kind="m-dependent", family="powerlaw", seed=5, low=2.2, high=3.8,
+                        window=3),
+    "markov": dict(kind="markov", family="powerlaw", seed=5, chain=wl.MarkovChainSpec(
+        states=(2.2, 3.8), transition=np.array([[0.8, 0.2], [0.3, 0.7]]))),
+}
+
+
+def per_site_parameters(model, x_max):
+    """Sites 0..x_max's parameters from the per-site noise, one site at a time."""
+    if model.kind == "markov":
+        spec, state = model.chain, None
+        out = []
+        for x in range(x_max + 1):
+            law = spec.stationary() if state is None else spec.transition[state]
+            state = min(int(np.searchsorted(np.cumsum(law), noise(model.seed, x), side="right")),
+                        len(spec.states) - 1)
+            out.append(spec.states[state])
+        return out
+    m = model.window
+    units = [sum(noise(model.seed, x + j) for j in range(m + 1)) / (m + 1)
+             for x in range(x_max + 1)]
+    if model.choices is None:
+        return [model.low + (model.high - model.low) * v for v in units]
+    k = len(model.choices)
+    return [model.choices[min(int(v * k), k - 1)] for v in units]
+
+
+@pytest.mark.parametrize("name", list(NOISE_MODELS))
+def test_noise_drawn_once(monkeypatch, name):
+    model = wl.RandomEnvModel(**NOISE_MODELS[name])
     drawn = []
     batch = random_env._first_uniforms
     monkeypatch.setattr(random_env, "_first_uniforms",
                         lambda seed, component, xs: drawn.append(list(xs)) or batch(seed, component, xs))
     sample = wl.sample_environment(model, 60, tail_tol=1e-6)
-    assert drawn == [list(range(64))]  # sites 0..60 plus the window beyond, in one batch
-    noise = wl.RandomEnvModel._noise
-    # the per-site formula at every site, the factory extension included
+    m = model.window
+    assert drawn == [list(range(61 + m))]  # sites 0..60 plus the window beyond, in one batch
+    # the per-site definition at every site, the factory extension included
+    theta = per_site_parameters(model, 70)
+    assert sample.parameter_trace.tolist() == theta[:61]
     for x in range(71):
-        theta = model._from_unit(sum(noise(model, x + j) for j in range(4)) / 4.0)
-        tail = wl.powerlaw_tail_sequence(theta, tail_tol=1e-6)
+        tail = wl.powerlaw_tail_sequence(theta[x], tail_tol=1e-6)
         assert sample.environment.site(x).values.tobytes() == tail.values.tobytes()
     # each site of the extension (one range per site here) drew only the noise it lacked
-    assert drawn[0] == list(range(64)) and sum(drawn, []) == list(range(74))
+    assert len(drawn) == 11 and sum(drawn, []) == list(range(71 + m))
 
 
 def test_iid_two_point_mean_matches_series_oracle():
@@ -272,12 +307,14 @@ def test_mdependent_unit_noise_is_bates():
     for m in (0, 3):
         model = wl.RandomEnvModel(kind="m-dependent", family="powerlaw", seed=8,
                                   low=2.0, high=4.0, window=m)
-        unit = (np.array([model.site_parameter(x) for x in range(4000)]) - 2.0) / 2.0
+        trace = wl.sample_environment(model, 3999, n_cap=3, tail_tol=0.5).parameter_trace
+        unit = (trace - 2.0) / 2.0
         assert unit.var() == pytest.approx(1.0 / (12.0 * (m + 1)), rel=0.1)
 
 
-# sha256 of the tails (environment._tails_sha256) of sites 0..50 at tail_tol 1e-6,
-# recorded when every site's noise came from its own stream(seed, "env-noise", x)
+# sha256 of the tails (environment._tails_sha256) of sites 0..50 at tail_tol 1e-6: the
+# first six recorded when every site's noise came from its own stream(seed, "env-noise", x),
+# the last three when the Markov kind still did so and the other kinds drew it per range
 TWO_STATE = np.array([[0.8, 0.2], [0.3, 0.7]])
 GOLDEN_MODELS = {
     "iid-powerlaw": (dict(kind="iid", family="powerlaw", seed=3, low=2.2, high=3.8),
@@ -298,6 +335,16 @@ GOLDEN_MODELS = {
         dict(kind="markov", family="geometric", seed=8,
              chain=wl.MarkovChainSpec(states=(0.3, 0.6), transition=TWO_STATE)),
         "87d9cd014fb0a5b9dd4a6944428342ab9e18803efd2048b10a52d5e38111e63b"),
+    "iid-choices": (dict(kind="iid", family="powerlaw", seed=9, choices=(2.5, 3.0, 3.5)),
+                    "9c504a5e90ffb6f7b0a8e4ee7d79847237e486da78753a04665768e74aa164fc"),
+    "m-dependent-choices": (
+        dict(kind="m-dependent", family="geometric", seed=10, choices=(0.3, 0.45, 0.6), window=2),
+        "bdb737b6cb15832c60128755a1a80d53be4679ae61620bed27512fc1ad9fae46"),
+    "markov-repeated-state": (
+        dict(kind="markov", family="powerlaw", seed=11, chain=wl.MarkovChainSpec(
+            states=(2.5, 2.5, 3.5),
+            transition=np.array([[0.1, 0.1, 0.8], [0.1, 0.8, 0.1], [0.45, 0.45, 0.1]]))),
+        "87621272b339517b3f3bd4528ef99f3f7c628cc149fa448b230e4e253fe9a78f"),
 }
 
 
