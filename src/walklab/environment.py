@@ -63,6 +63,7 @@ _NEWTON_MAX_ITER = 200  # guards pathological tolerances only
 # go on alone (bench env-files' last ones; no timed workload makes a smaller call)
 _LONE_ORBITS = 12
 _WRITE_SLICE = 1 << 20  # characters an output file is written in at a time
+_M_TABLE_CAP = 1 << 24  # highest level n that diagnostics builds the M table to (128 MiB)
 _FAMILIES = ("powerlaw", "geometric", "lsv")  # the tail families the builders make
 
 __all__ = [
@@ -133,7 +134,10 @@ class TailSequence:
 
     def sojourn_probs(self) -> np.ndarray:
         """P(tau = n) for n = 1..N+1; sums to 1 - deficit exactly."""
-        return -np.diff(self.extended())
+        v, d = self.values, np.empty(self.values.size)
+        np.subtract(v[:-1], v[1:], out=d[:-1])
+        d[-1] = -(self.deficit - v[-1])  # -0.0 when the deficit is the last value, as -diff gives
+        return d
 
     def stored_mean(self) -> float:
         """Sum of stored omega_n (mean sojourn, truncated)."""
@@ -628,6 +632,11 @@ def diagnostics(env: Environment, beta) -> EnvDiagnostics:
     # inverse M is taken on the upper end so analytic lattice crossings
     # (e.g. mu_x exactly integer) are not missed because of truncation.
     mu_upper = np.concatenate(([0.0], np.cumsum(m + m_tail)))
+    if not mu_upper[-1] <= _M_TABLE_CAP:  # inf and NaN are refused too
+        raise ValidationError(
+            f"the M table would hold {np.floor(mu_upper[-1] + 1e-9) + 1:,.0f} entries, over "
+            f"the cap of {_M_TABLE_CAP + 1:,}: use fewer sites, or a beta_diag (here "
+            f"{float(betas.min())!r}) further above 1, which bounds the unstored tail means")
     sigma2 = np.concatenate(([0.0], np.cumsum(s2)))
     n_max = int(math.floor(mu_upper[-1] + 1e-9))
     M = np.searchsorted(mu_upper, np.arange(n_max + 1), side="left")

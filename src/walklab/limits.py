@@ -214,7 +214,8 @@ def llt_predictor(
         site = env.tails[k]
         ells = np.arange(max(1, n - site.last_index), n + 1)
         two_var, scale = _normal_terms(ells * st2)
-        mean, weights = M[ells], site.values[n - ells]
+        neg_two_var = -two_var
+        mean, weights = M[ells].astype(np.float64), site.values[n - ells]
         idx = rows[sel]
         chunk = max(1, _PREDICTOR_CHUNK // ells.size)
         for start in range(0, idx.size, chunk):
@@ -223,11 +224,11 @@ def llt_predictor(
             # quotient rounds the same with the sign moved to the divisor
             z = x_values[part, None].astype(np.float64) - mean
             np.square(z, out=z)
-            z /= -two_var
+            z /= neg_two_var
             h = np.exp(z, out=np.zeros_like(z), where=z >= _EXP_ZERO)
             h /= scale
-            for i, row in zip(part.tolist(), h):
-                lo[i] = mu_inv * float(row @ weights)
+            # vecdot takes BLAS ddot per contiguous row, as the 1-D row @ weights does
+            lo[part] = mu_inv * np.vecdot(h, weights)
         hi[idx] = lo[idx]
         if n - site.last_index >= 2 and site.deficit > 0.0:
             hi[idx] += mu_inv * site.deficit * density_sum_bound

@@ -180,6 +180,18 @@ def test_env_refuses_non_finite_beta_diag(tmp_path, capsys, beta):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_env_refuses_oversized_m_table(tmp_path, capsys):
+    # beta_diag 1 + 1e-7 bounds the unstored tail means at about 1e7 per site:
+    # the M table would take 839 MiB, twice over, before the CSV
+    start = time.perf_counter()
+    assert run("env", "--family", "powerlaw", "--beta", "1.0000001", "--xmax", "10",
+               "--out", tmp_path / "p.json") == 2
+    assert time.perf_counter() - start <= 2.0
+    err = capsys.readouterr().err
+    assert "error: the M table would hold 109,998,907 entries" in err and "beta_diag" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, error", [
     (["--family", "powerlaw", "--beta", "nan"], "power-law exponent beta must exceed 1"),
     (["--random", "iid-powerlaw", "--choices", "3,nan", "--seed", "1"],

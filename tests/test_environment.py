@@ -74,6 +74,14 @@ def test_sojourn_probs_sum_to_one_minus_deficit(geometric_env, powerlaw_env, lsv
     assert exact_site.sojourn_probs().sum() == 1.0
 
 
+def test_sojourn_probs_bytes_equal_negated_diff(powerlaw_env, lsv_env):
+    # a deficit equal to the last value gives the last atom as -0.0
+    for site in (wl.TailSequence([1.0, 0.5, 0.4], deficit=0.4), powerlaw_env.site(0),
+                 lsv_env.site(0)):
+        expected = -np.diff(np.append(site.values, site.deficit))
+        assert site.sojourn_probs().tobytes() == expected.tobytes()
+
+
 def test_geometric_tail_values():
     site = wl.geometric_tail_sequence(0.5, tail_tol=1e-14)
     assert site.values[0] == 1.0
@@ -360,6 +368,20 @@ def test_diagnostics_validation(geometric_env):
                  [3.0] * (len(geometric_env) - 1) + [math.nan]):
         with pytest.raises(ValidationError):
             wl.diagnostics(geometric_env, beta)
+
+
+def test_diagnostics_caps_the_m_table(geometric_env, monkeypatch):
+    top = wl.diagnostics(geometric_env, 3.0).mu_upper[-1]
+    assert top != math.floor(top)
+    monkeypatch.setattr(environment, "_M_TABLE_CAP", math.ceil(top))
+    assert wl.diagnostics(geometric_env, 3.0).M.size == math.ceil(top)
+    monkeypatch.setattr(environment, "_M_TABLE_CAP", math.floor(top))
+    with pytest.raises(ValidationError, match=f"hold {math.ceil(top)} entries.*beta_diag"):
+        wl.diagnostics(geometric_env, 3.0)
+    for bound in (math.inf, math.nan):
+        monkeypatch.setattr(environment, "_tail_mean_bound", lambda site, beta: bound)
+        with pytest.raises(ValidationError, match=f"hold {bound} entries"):
+            wl.diagnostics(geometric_env, 3.0)
 
 
 def test_diagnostics_rows_group_by_tail_and_beta():

@@ -148,6 +148,21 @@ def test_predictor_matches_per_site_loop_over_scan_rows(setup):
         assert 0.1 < np.mean(z < limits._EXP_ZERO) < 0.5
 
 
+def test_predictor_matches_per_site_loop_past_blas_thread_split():
+    # 12000 lags: OpenBLAS splits a ddot this long across threads, and each
+    # row must still be summed as the per-site 1-D dot sums it
+    env = wl.env_from_powerlaw(3.0, 10100, tail_tol=1e-13)
+    diag = wl.diagnostics(env, 3.0)
+    params, n = wl.fit_limit_params(diag).params, 12000
+    assert env.site(0).last_index > n
+    c = int(n / params.mu)
+    xs = [c + 3, c - 40, c, c + 3, c - 7, c + 25, c]
+    pred = wl.llt_predictor(env, params, diag, n, x_values=xs)
+    lo, hi = predictor_per_site(env, params, diag, n, xs)
+    assert pred.lo.tobytes() == lo.tobytes() and pred.hi.tobytes() == hi.tobytes()
+    assert pred.lo.min() > 1e-3
+
+
 def test_predictor_mass_approaches_one(geo_setup):
     env, diag, params = geo_setup
     masses = []
