@@ -10,7 +10,9 @@ can be checked against the exact laws in ``walk``.
 
 Trajectories whose fractional part falls below a site's stored tail are
 flagged and frozen rather than silently continued; the flagged count is part
-of the sample.
+of the sample.  A level is found through a guide table whose ranks are
+clipped at 1: the points below the tail come back as a short list of
+indices, and only they are flagged.
 """
 
 from __future__ import annotations
@@ -22,16 +24,9 @@ import numpy as np
 from .environment import Environment
 from .errors import ValidationError
 from .streams import CHUNK, Guide, stream
-from .walk import _check_times, _state_counts
+from .walk import _check_run_size, _check_times, _state_counts
 
 __all__ = ["TrajectoryConfig", "TrajectorySample", "simulate_trajectories"]
-
-
-def _branch_batch(size: int, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Level indices y with omega_{y+1} <= f < omega_y, from the ranks pos of f
-    in the extended tail (``size`` values) reversed, and a below-tail mask;
-    below-tail points get the deepest level, size - 2."""
-    return size - 1 - np.maximum(pos, 1), pos == 0
 
 
 def _slopes(ext: np.ndarray) -> np.ndarray:
@@ -46,7 +41,11 @@ def _apply_local(ext: np.ndarray, slope: np.ndarray, f: np.ndarray, y: np.ndarra
     """Affine branch images; ext is the extended tail, slope its
     ``_slopes`` and y valid levels.  Level y >= 1 maps onto level y-1, level 0
     onto [1, 2) by its own formula, computed for its points only."""
-    out = ext.take(y) + slope.take(y) * (f - ext[1:].take(y))
+    # ext[y] + slope[y] * (f - ext[y+1]), the same roundings in one array
+    out = ext[1:].take(y)
+    np.subtract(f, out, out=out)
+    np.multiply(slope.take(y), out, out=out)
+    np.add(ext.take(y), out, out=out)
     top = np.flatnonzero(y == 0)
     out[top] = 1.0 + (f[top] - ext[1]) / (1.0 - ext[1])
     return out
@@ -101,6 +100,8 @@ def simulate_trajectories(
     site's stored tail, and stops contributing from then on; a point that has
     just landed below the tail still counts at a recorded time (in its cell,
     and at the deepest level with ``levels``) until its next step flags it.
+    Runs past ``walk._check_run_size``'s caps are refused before any site is
+    built.
     """
     if times is None:
         times = [cfg.horizon]
@@ -108,13 +109,16 @@ def simulate_trajectories(
     keep_at = set() if keep_positions_at is None else {int(t) for t in keep_positions_at}
     if not keep_at <= set(times.tolist()):
         raise ValidationError("keep_positions_at must be a subset of times")
+    # a level key a path at each time, a position at each kept time
+    _check_run_size(cfg.paths, cfg.horizon, (times.size if levels else 0) + len(keep_at))
     env.ensure(cfg.horizon)
 
-    # each tail's extended values, slope table and ascending guide, once per call
+    # each tail's extended values, slope table and ascending guide, once per
+    # call; a rank clipped to 1 is a point below the tail, put at the deepest level
     levels_of = {}
     for k in np.unique(env.tail_index[: cfg.horizon + 1]).tolist():
         ext = env.tails[k].extended()
-        levels_of[k] = ext, _slopes(ext), Guide(ext[::-1].copy())
+        levels_of[k] = ext, _slopes(ext), Guide(ext[::-1].copy(), lo=1)
     width = max(ext.size for ext, _, _ in levels_of.values()) - 1  # levels y < width
     sample = TrajectorySample(paths=cfg.paths, seed=cfg.seed, times=times)
     lvl_keys: dict[int, list[np.ndarray]] = {t: [] for t in times.tolist()}  # x * width + y
@@ -131,7 +135,7 @@ def simulate_trajectories(
                 live = u[alive]
                 sample.contributing[t] = sample.contributing.get(t, 0) + live.size
                 sample.cell_counts[t] = sample.cell_counts.get(t, 0) + np.bincount(
-                    np.floor(live).astype(np.int64), minlength=cfg.horizon + 2)
+                    live.astype(np.int64), minlength=cfg.horizon + 2)
                 if levels:
                     states = _level_states(env, levels_of, live)
                     lvl_keys[t].append(states[:, 0] * width + states[:, 1])
@@ -150,24 +154,30 @@ def _step_batch(env: Environment, levels_of: dict, u: np.ndarray, alive: np.ndar
     """Advance a chunk of paths one step, one group per distinct tail.  Every
     path is stepped; a flagged point keeps its value and flag, and a live one
     that falls below its site's tail is flagged."""
-    x = np.floor(u)
+    x = u.astype(np.int64)  # floor, as u >= 0
     f = u - x
-    image, below = np.empty_like(u), np.empty(u.size, dtype=bool)
-    for k, sel in env.tail_groups(x.astype(np.int64)):
+    groups = list(env.tail_groups(x))
+    image = np.empty_like(u) if len(groups) > 1 else None
+    for k, sel in groups:
         ext, slope, guide = levels_of[k]
-        y, below[sel] = _branch_batch(ext.size, guide.rank(f[sel]))
-        image[sel] = x[sel] + _apply_local(ext, slope, f[sel], y)
-    alive &= ~below
+        pos, below = guide.rank(f[sel])
+        part = _apply_local(ext, slope, f[sel], np.subtract(ext.size - 1, pos, out=pos))
+        if image is None:
+            image = np.add(x, part, out=part)
+            alive[below] = False
+        else:
+            image[sel] = np.add(x[sel], part, out=part)
+            alive[sel[below]] = False
     np.copyto(u, image, where=alive)
     return u, alive
 
 
 def _level_states(env: Environment, levels_of: dict, u: np.ndarray) -> np.ndarray:
     """(x, y) states of positions, stacked as rows."""
-    x = np.floor(u).astype(np.int64)
+    x = u.astype(np.int64)  # floor, as u >= 0
     f = u - x
     ys = np.empty_like(x)
     for k, sel in env.tail_groups(x):
         ext, _, guide = levels_of[k]
-        ys[sel] = _branch_batch(ext.size, guide.rank(f[sel]))[0]
+        ys[sel] = ext.size - 1 - guide.rank(f[sel])[0]
     return np.stack([x, ys], axis=1)

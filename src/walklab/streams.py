@@ -6,7 +6,8 @@ components or indices are independent, results are reproducible bit for bit,
 and merges stay order-free: Monte Carlo paths are partitioned into fixed
 chunks of size ``CHUNK`` and chunk ``i`` always consumes
 ``stream(seed, component, i)`` no matter how many chunks run or in what
-order.  ``Guide`` turns uniforms into inverse-CDF indices.
+order.  ``Guide`` turns uniforms, or the raw Philox words they come from,
+into inverse-CDF indices.
 """
 
 from __future__ import annotations
@@ -51,33 +52,56 @@ def _first_uniforms(seed: int, component: str, indices) -> list[float]:
 
 class Guide:
     """Guide table (Chen & Asau 1974) over ``values``, non-decreasing in
-    [0, 1]: ``rank(keys)`` is ``np.searchsorted(values, keys, side="right")``
-    for keys in [0, 1], bit for bit.  Key u falls in bucket floor(u m) of
-    m = 2^k > 2 values.size; u m and the edges j/m are exact in float64.  A
-    bucket with no value strictly inside (j/m, (j+1)/m) stores #{v < (j+1)/m},
-    the rank of all its keys; the others store -1, and their keys (0.15-0.8%
-    on the benchmark tails) go to searchsorted.
+    [0, 1], for ranks ``np.searchsorted(values, u, side="right")`` clipped
+    to [lo, hi] (hi defaults to values.size).  Key u falls in bucket
+    floor(u m) of m = 2^k > 2 values.size; u m and the edges j/m are exact in
+    float64, and for the double u of a raw Philox word w the bucket is its
+    top k bits.  A bucket with no value strictly inside (j/m, (j+1)/m)
+    stores #{v < (j+1)/m}, the rank of all its keys, when that lies in
+    [lo, hi]; the others store -1, and their keys (0.15-0.8% on the
+    benchmark tails, plus the out-of-range ones) go to searchsorted.  So the
+    clipped keys, e.g. the walks' truncated draws or the extended map's
+    points below the tail, come back as a list of indices, and no pass over
+    the whole batch caps or flags them.
     """
 
-    def __init__(self, values: np.ndarray):
+    def __init__(self, values: np.ndarray, lo: int = 0, hi: int | None = None):
         self.values = values
-        m = self._m = 2 << values.size.bit_length()
+        self.lo, self.hi = lo, values.size if hi is None else hi
+        k = values.size.bit_length() + 1
+        m = self._m = 1 << k
+        self._shift = 64 - k  # a raw word's bucket is its top k bits
         scaled = values * m
         bucket = scaled.astype(np.intp)
         inside = np.bincount(bucket[scaled != bucket], minlength=m + 1) > 0
-        self._table = np.where(inside, -1, np.cumsum(np.bincount(bucket, minlength=m + 1)))
+        table = np.cumsum(np.bincount(bucket, minlength=m + 1))
+        self._table = np.where(inside | (table < self.lo) | (table > self.hi), -1, table)
 
-    def rank(self, keys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Ranks of ``keys`` (left unchanged), into the intp array ``out`` of
-        their shape if given."""
+    def rank(self, keys: np.ndarray, out: np.ndarray | None = None) -> tuple:
+        """Ranks of ``keys`` (left unchanged) clipped to [lo, hi], into the
+        intp array ``out`` of their shape if given, and the flat indices, in
+        ascending order, of the keys whose rank was clipped.  Keys are floats
+        in [0, 1] or raw uint64 Philox words w, which stand for the uniform
+        (w >> 11) 2^-53 of ``Generator.random``; their bucket is w >> (64 - k),
+        and only the keys that go to searchsorted are converted."""
         ranks = np.empty(keys.shape, dtype=np.intp) if out is None else out
+        raw = keys.dtype == np.uint64
         if keys.size < _GUIDED_MIN_KEYS:
-            ranks[...] = self.values.searchsorted(keys, side="right")
-            return ranks
-        # the cast to intp truncates u m as astype does; every bucket is in [0, m]
-        np.multiply(keys, self._m, out=ranks, casting="unsafe")
-        self._table.take(ranks, out=ranks, mode="clip")
-        ambiguous = np.flatnonzero(ranks < 0)
-        if ambiguous.size:
-            ranks.flat[ambiguous] = self.values.searchsorted(keys.flat[ambiguous], side="right")
-        return ranks
+            asked = np.arange(keys.size)
+        else:
+            if raw:  # floor(u m) of u = (w >> 11) 2^-53, in [0, m)
+                np.right_shift(keys, self._shift, out=ranks, casting="unsafe")
+            else:  # the cast to intp truncates u m as astype does, into [0, m]
+                np.multiply(keys, self._m, out=ranks, casting="unsafe")
+            self._table.take(ranks, out=ranks, mode="clip")
+            asked = np.flatnonzero(ranks < 0)
+        if not asked.size:
+            return ranks, asked
+        u = keys.flat[asked]
+        if raw:
+            u = (u >> 11) * 2.0**-53  # Generator.random's double
+        found = self.values.searchsorted(u, side="right")
+        clipped = asked[(found < self.lo) | (found > self.hi)]
+        np.maximum(found, self.lo, out=found)
+        ranks.flat[asked] = np.minimum(found, self.hi, out=found)
+        return ranks, clipped

@@ -23,11 +23,16 @@ with the x = 0 convention T_0 = 0.  Two independent simulators are provided:
 a step-by-step chain simulator and an inverse-CDF sojourn-sum simulator; their
 outputs agree in distribution and are cross-checked in the test suite.  Both
 work once per distinct tail, not per site.  The chain method hands out its
-uniforms as a site-by-site loop would, so its output for a seed is unchanged;
-the sojourn method draws blocks of sites x paths, so its output for a seed
-differs from the site-by-site draws it replaced (the law is the same).  Both
-invert CDFs through guide tables (``streams.Guide``), whose index is by
-construction the ``searchsorted`` one, so outputs for a seed are unchanged.
+random numbers as a site-by-site loop would, so its output for a seed is
+unchanged; the sojourn method draws blocks of sites x paths, so its output for
+a seed differs from the site-by-site draws it replaced (the law is the same).
+Both take raw Philox words where they took uniforms, the word w standing for
+``Generator.random``'s double (w >> 11) 2^-53, and invert CDFs through guide
+tables (``streams.Guide``): a word's bucket is its top bits, its index is by
+construction the ``searchsorted`` one capped at N+1, and only the few words
+that go to ``searchsorted`` become doubles, so outputs for a seed are
+unchanged.  The capped draws come back as a list of indices, which gives the
+truncated-draw count without a mask.
 """
 
 from __future__ import annotations
@@ -45,14 +50,18 @@ from .streams import CHUNK, Guide, stream
 
 DEFAULT_TRUNC_TOL = 1e-14
 DEFAULT_DEFICIT_BUDGET = 1e-6
-# largest block of uniforms the sojourn simulator draws at once
+# largest block of raw words the sojourn simulator draws at once
 _BLOCK = 1 << 16
 # The sojourn simulator sums blocks of at most this many sites row by row,
 # wider ones by a cumsum.  Per 2^16 draws on a 2-vCPU Xeon, numpy 2.4, rows
 # against cumsum: 0.10-0.15 vs 0.4-0.8 ms at width 2-8, 0.18-0.28 vs 0.43-0.56
 # at 32, 0.27 vs 0.41-0.45 at 64, 0.34-0.44 vs 0.25 at 80, 0.5-0.6 vs 0.43 at 128.
 _ROW_SUMS_WIDTH = 64
-_MAX_RECORD_CELLS = 50_000_000  # paths x (horizon + 1) of a full-path or hitting-times record
+# int64 cells a simulation keeps over all paths: paths x (horizon + 1) of a
+# full-path or hitting-times record, plus the endpoints and checkpoint columns
+_MAX_RECORD_CELLS = 50_000_000
+# paths x (horizon + 1) of a simulation
+_MAX_PATH_STEPS = 10_000_000_000
 # A product of at least _FFT_MIN_MACS multiply-adds, both factors at least
 # _FFT_MIN_ATOMS long, goes through the FFT when the ladder may trim.  Direct
 # time over FFT time, measured on a 2-vCPU Xeon with numpy 2.4: 1.0 at
@@ -360,23 +369,22 @@ def sojourn_pmf(site: TailSequence) -> DiscreteDistribution:
 
 
 def _draw(env: Environment, guides: dict, u: np.ndarray, sites, out=None) -> tuple:
-    """Sojourns for uniforms u, row i drawn at site sites[i] by inverting the
-    CDF 1 - extended() of its tail k through guides[k], capped at N+1, and the
-    mask of draws that fell in the truncated region (into the pair ``out``).
-    A block of one tail is ranked in place in the draws; several tails each
-    rank their gathered rows."""
-    n, over = out or (np.empty(u.shape, dtype=np.int64), np.empty(u.shape, dtype=bool))
+    """Sojourns for raw Philox words u (uniforms (u >> 11) 2^-53), row i
+    drawn at site sites[i] by inverting the CDF 1 - extended() of its tail k
+    through guides[k], capped at N+1, into ``out`` if given; and the flat
+    indices into u of the draws that fell in the truncated region, ascending
+    within each tail.  A block of one tail is ranked in place in the draws;
+    several tails each rank their gathered rows."""
+    n = np.empty(u.shape, dtype=np.int64) if out is None else out
+    over = []
     for k, rows in env.tail_groups(sites):
-        last = guides[k].values.size - 1  # N+1
         if isinstance(rows, slice):
-            idx = guides[k].rank(u, out=n)
-            np.greater(idx, last, out=over)
-            np.minimum(idx, last, out=n)
-            continue
-        idx = guides[k].rank(u[rows])
-        over[rows] = idx > last
-        n[rows] = np.minimum(idx, last, out=idx)
-    return n, over
+            return guides[k].rank(u, out=n)
+        idx, clipped = guides[k].rank(u[rows])
+        n[rows] = idx
+        per = idx[0].size  # keys a row
+        over.append(rows[clipped // per] * per + clipped % per)
+    return n, np.concatenate(over)
 
 
 # ---------------------------------------------------------------------------
@@ -754,6 +762,18 @@ def _check_times(times, horizon: int) -> np.ndarray:
     return times
 
 
+def _check_run_size(paths: int, horizon: int, kept: int) -> None:
+    """Refuse a run of paths x (horizon + 1) above _MAX_PATH_STEPS, or one
+    keeping ``kept`` int64 cells a path, above _MAX_RECORD_CELLS in all."""
+    steps = paths * (horizon + 1)
+    if steps > _MAX_PATH_STEPS:
+        raise ValidationError(f"{paths} paths x {horizon + 1} steps = {steps} exceeds "
+                              f"{_MAX_PATH_STEPS}; lower paths or horizon")
+    if paths * kept > _MAX_RECORD_CELLS:
+        raise ValidationError(f"{paths} paths x {kept} kept cells = {paths * kept} exceeds "
+                              f"{_MAX_RECORD_CELLS}; lower paths or the recorded times")
+
+
 def simulate_paths(
     env: Environment,
     cfg: McConfig,
@@ -767,7 +787,8 @@ def simulate_paths(
     partial sums.  Both produce the same laws and default sensibly: full-path
     records require the chain method, hitting-times records the sojourn
     method, and everything else uses the faster sojourn route.  Both per-path
-    records are refused above ``_MAX_RECORD_CELLS`` cells, before any site is built.
+    records are refused above ``_MAX_RECORD_CELLS`` cells, and so is any run
+    past ``_check_run_size``'s caps, before any site is built.
     """
     if method is None:
         method = "chain" if cfg.record == "full-path" else "sojourn"
@@ -783,14 +804,20 @@ def simulate_paths(
                               f"{_MAX_RECORD_CELLS}; lower paths or horizon")
     if times is not None:
         times = _check_times(times, cfg.horizon)
+    kept = cfg.horizon + 1 if cfg.record != "endpoint-only" else 0
+    if cfg.record != "hitting-times":  # X and Y at the horizon, X at each time
+        kept += 2 + (0 if times is None else times.size)
+    _check_run_size(cfg.paths, cfg.horizon, kept)
 
     # fail early and deterministically if the environment cannot cover the run
     # (a path visits at most one site per step, so horizon sites always suffice)
     reach = max(0, cfg.horizon - 1) if cfg.record == "hitting-times" else cfg.horizon
     env.ensure(reach)
     # each tail's CDF and its guide table, formed once per call
-    guides = {k: Guide(1.0 - env.tails[k].extended())
-              for k in np.unique(env.tail_index[: reach + 1]).tolist()}
+    guides = {}
+    for k in np.unique(env.tail_index[: reach + 1]).tolist():
+        cdf = 1.0 - env.tails[k].extended()
+        guides[k] = Guide(cdf, hi=cdf.size - 1)  # a clipped rank is a truncated draw
     draw = partial(_draw, env, guides)
 
     sample = WalkSample(method=method, record=cfg.record, paths=cfg.paths,
@@ -810,9 +837,10 @@ def simulate_paths(
 
 def _chain_chunk(cfg, rng, size, times, draw):
     x = np.zeros(size, dtype=np.int64)
-    y, over = draw(rng.random(size), slice(0, 1))
+    bitgen = rng.bit_generator
+    y, over = draw(bitgen.random_raw(size), slice(0, 1))
     y -= 1
-    truncated = int(np.count_nonzero(over))
+    truncated = over.size
     full_x = full_y = None
     if cfg.record == "full-path":
         full_x = np.zeros((size, cfg.horizon + 1), dtype=np.int64)
@@ -824,14 +852,14 @@ def _chain_chunk(cfg, rng, size, times, draw):
         y -= 1  # the jumping paths' -1 is overwritten by their entry levels
         if jumping.size:
             new_x = x[jumping] + 1
-            # one stream of uniforms handed out site by site, in path order; a
+            # one stream of words handed out site by site, in path order; a
             # key type just wide enough for the sites lets numpy sort by radix
-            u = np.empty(jumping.size)
+            u = np.empty(jumping.size, dtype=np.uint64)
             key = new_x.astype(np.min_scalar_type(cfg.horizon))
-            u[np.argsort(key, kind="stable")] = rng.random(jumping.size)
+            u[np.argsort(key, kind="stable")] = bitgen.random_raw(jumping.size)
             levels, over = draw(u, new_x)
             y[jumping] = levels - 1
-            truncated += int(np.count_nonzero(over))
+            truncated += over.size
             x[jumping] = new_x
         if full_x is not None:
             full_x[:, t] = x
@@ -843,7 +871,7 @@ def _chain_chunk(cfg, rng, size, times, draw):
 
 
 def _sojourn_chunk(cfg, rng, size, times, draw):
-    """Sojourn sums T_x from blocks of at most _BLOCK uniforms, row j of a
+    """Sojourn sums T_x from blocks of at most _BLOCK raw words, row j of a
     block holding every live path's draw at one site.  A path stops once its
     sum passes the horizon (hitting times run over sites 0..horizon-1); only
     the draws it made before that are used, or count as truncated."""
@@ -857,11 +885,13 @@ def _sojourn_chunk(cfg, rng, size, times, draw):
     active = np.arange(size)
     truncated = 0
     site = 0
-    buffers = [np.empty(max(_BLOCK, size), dtype=t) for t in (np.float64, np.int64, bool, np.int64)]
+    buffer = np.empty(max(_BLOCK, size), dtype=np.int64)
     while active.size and site < n_sites:
         width = min(n_sites - site, max(1, _BLOCK // active.size))
-        u, draws, over, sums = (b[: width * active.size].reshape(width, -1) for b in buffers)
-        draw(rng.random(out=u), slice(site, site + width), out=(draws, over))
+        draws = buffer[: width * active.size].reshape(width, -1)
+        words = rng.bit_generator.random_raw(width * active.size).reshape(width, -1)
+        over = draw(words, slice(site, site + width), out=draws)[1]
+        sums = words.view(np.int64)  # the ranked words' array holds the block's sums
         before = total[active]
         if width <= _ROW_SUMS_WIDTH:  # draws ending within the horizon, row by row
             within = np.zeros(active.size, dtype=np.intp)
@@ -871,7 +901,8 @@ def _sojourn_chunk(cfg, rng, size, times, draw):
             np.cumsum(draws, axis=0, out=sums)
             sums += before
             within = np.count_nonzero(sums <= stop, axis=0)
-        truncated += int(np.count_nonzero(over & (np.arange(width)[:, None] <= within)))
+        row, path = np.divmod(over, active.size)
+        truncated += int(np.count_nonzero(row <= within[path]))
         if hitting_mode:
             hitting[:, site + 1 : site + width + 1] = sums.T
         elif times is not None:  # X_t = site + #{block sums <= t} where the block passes t
@@ -885,6 +916,7 @@ def _sojourn_chunk(cfg, rng, size, times, draw):
         total[active] = sums[-1]
         active = active[~done]
         site += width
+        del words, sums  # freed before the next block's words are drawn
     if hitting_mode:
         return {"hitting": hitting, "truncated": truncated}
     return {"x_final": x_final, "y_final": final_total - 1 - horizon, "x_at_times": x_at,

@@ -2,9 +2,10 @@
 
 * Scalar steps of the extended map (``local_map``, ``global_step``) and the
   level intervals they act on (``cell_interval``).  They call the package's
-  branch lookup, slope table and affine images (``dynsys._branch_batch``,
-  ``dynsys._slopes``, ``dynsys._apply_local``) on one point, so map-geometry
-  tests exercise the code the trajectory simulator runs.
+  slope table and affine images (``dynsys._slopes``, ``dynsys._apply_local``)
+  on one point, so map-geometry tests exercise the code the trajectory
+  simulator runs; the branch lookup (``branch_batch``) is the one the
+  simulator's guide tables reproduce with ranks clipped to 1.
 * Inverse-CDF sojourn draws (``sample_sojourn``) by plain ``searchsorted``,
   the lookup the simulators' guide tables reproduce.
 * The site-by-site simulator loops that grouped stepping replaced
@@ -16,6 +17,8 @@
   match it bit for bit.
 * The sup gap between a hitting law and its matched normal density
   (``hitting_density_sup_gap``), the E1 term of the local error.
+* A Monte Carlo TV bound with a stated false-alarm rate
+  (``mc_tv_bound``), for simulator checks against exact laws.
 """
 
 import math
@@ -61,6 +64,13 @@ def cell_interval(env, x, y):
     return CellInterval(x=x, y=y, lower=x + ext[y + 1], upper=x + ext[y])
 
 
+def branch_batch(size, pos):
+    """Level indices y with omega_{y+1} <= f < omega_y, from the ranks pos of f
+    in the extended tail (``size`` values) reversed, and a below-tail mask;
+    below-tail points get the deepest level, size - 2."""
+    return size - 1 - np.maximum(pos, 1), pos == 0
+
+
 def local_map(site, u):
     """Image in [0, 2) of a point of [0, 1) under the site's local map.
 
@@ -73,7 +83,7 @@ def local_map(site, u):
         raise ValidationError(f"u must lie in [0, 1), got {u}")
     f = np.array([u])
     ext = site.extended()
-    y, below = dynsys._branch_batch(ext.size, np.searchsorted(ext[::-1], f, side="right"))
+    y, below = branch_batch(ext.size, np.searchsorted(ext[::-1], f, side="right"))
     if below[0]:
         raise TailTruncationError(f"point {u} lies below the stored tail (deficit region)")
     return float(dynsys._apply_local(ext, dynsys._slopes(ext), f, y)[0])
@@ -279,3 +289,20 @@ def hitting_density_sup_gap(env, diag, x, trunc_tol=walk.DEFAULT_TRUNC_TOL):
     pmf[dist.offset - lo : dist.end - lo + 1] = dist.probs
     dens = limits.normal_density(mu_x, diag.sigma2[x], ns.astype(np.float64))
     return float(np.max(np.abs(pmf - dens)))
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo TV bound
+# ---------------------------------------------------------------------------
+
+def mc_tv_bound(outcomes, paths, delta, deficit=0.0, flagged=0.0):
+    """TV between an exact law and ``paths`` draws of a simulator of that law,
+    over ``outcomes`` possible values, exceeds this with probability at most
+    ``delta``.  An empirical law p_hat of N draws from p over k values has
+    P(||p_hat - p||_1 >= eps) <= (2^k - 2) exp(-N eps^2 / 2) (Weissman,
+    Ordentlich, Seroussi, Verdu and Weinberger 2003), so TV <= 1/2 sqrt(2 (k
+    ln 2 + ln 1/delta) / N).  The exact law's ``deficit`` and, for the
+    extended map, the ``flagged`` share of paths (TV(law | unflagged, law) <=
+    flagged share) are added as fully mismatched mass."""
+    spread = 0.5 * math.sqrt(2.0 * (outcomes * math.log(2.0) + math.log(1.0 / delta)) / paths)
+    return spread + deficit + flagged

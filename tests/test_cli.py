@@ -566,3 +566,21 @@ def test_one_parser_serves_many_commands(tmp_path, monkeypatch, capsys):
     assert "required: --out" in shared[0][3][2] and "--xmax" in shared[0][4][1]
     assert shared == fresh
     assert len(shared[1]) == 8
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc", "--paths", 10**12, "--n", 50, "--out", "mc.csv"],
+    ["dynsys", "--paths", 10**11, "--n", 50, "--out-hist", "h.csv", "--out-levels", "l.csv",
+     "--out-summary", "s.json"],
+    ["slln", "--paths", 10**9, "--horizon", 4000, "--out", "slln.csv"],
+], ids=["mc", "dynsys", "slln"])
+def test_oversized_simulations_refused_up_front(tmp_path, monkeypatch, geo_env_file, capsys,
+                                                argv):
+    # paths x (horizon + 1) past walk._MAX_PATH_STEPS ends before any draw
+    monkeypatch.chdir(tmp_path)
+    before = set(os.listdir(tmp_path))
+    start = time.perf_counter()
+    assert run(argv[0], "--env", geo_env_file, "--seed", 1, *argv[1:]) == 2
+    assert time.perf_counter() - start < 2.0
+    assert f"error: {argv[2]} paths x {argv[4] + 1} steps" in capsys.readouterr().err
+    assert set(os.listdir(tmp_path)) == before

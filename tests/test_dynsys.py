@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 import walklab as wl
+from walklab import dynsys, walk
 from walklab.errors import TailTruncationError, ValidationError
 from oracles import cell_interval, global_step, local_map
 
@@ -151,3 +152,32 @@ def test_trajectory_config_validation():
         wl.TrajectoryConfig(paths=0, horizon=5, seed=1)
     with pytest.raises(ValidationError):
         wl.TrajectoryConfig(paths=1, horizon=-1, seed=1)
+
+
+@pytest.mark.parametrize("levels,keep,kept", [
+    (False, None, 0),
+    (True, None, 3),  # a level key at each time
+    (True, [4], 4),  # and a position at each kept time
+    (False, [4, 9], 2),
+])
+def test_simulate_trajectories_caps_kept_cells_and_steps(monkeypatch, levels, keep, kept):
+    # one site and no generator: a run let through ends in the site check,
+    # so a cap's message means nothing was built or drawn before it
+    env = wl.Environment([wl.TailSequence([1.0, 0.5], deficit=0.0)])
+    monkeypatch.setattr(dynsys, "stream", lambda *args: pytest.fail("a refused run drew"))
+
+    def refusal(paths):
+        cfg = wl.TrajectoryConfig(paths=paths, horizon=9, seed=1)
+        with pytest.raises(ValidationError) as info:
+            wl.simulate_trajectories(env, cfg, times=[0, 4, 9], levels=levels,
+                                     keep_positions_at=keep)
+        return str(info.value)
+
+    monkeypatch.setattr(walk, "_MAX_RECORD_CELLS", 7 * kept)
+    assert "beyond the materialized range" in refusal(7)
+    if kept:
+        assert refusal(8).startswith(f"8 paths x {kept} kept cells = {8 * kept} exceeds")
+    monkeypatch.setattr(walk, "_MAX_RECORD_CELLS", 10**6)
+    monkeypatch.setattr(walk, "_MAX_PATH_STEPS", 70)
+    assert "beyond the materialized range" in refusal(7)
+    assert refusal(8).startswith("8 paths x 10 steps = 80 exceeds 70")

@@ -136,7 +136,7 @@ def test_step_batch_freezes_flagged_points():
     levels_of = {}
     for k, tail in enumerate(env.tails):
         ext = tail.extended()
-        levels_of[k] = ext, dynsys._slopes(ext), streams.Guide(ext[::-1].copy())
+        levels_of[k] = ext, dynsys._slopes(ext), streams.Guide(ext[::-1].copy(), lo=1)
     rng = np.random.default_rng(5)
     u = 7.0 * rng.random(3000)
     alive = rng.random(3000) < 0.7
@@ -147,12 +147,18 @@ def test_step_batch_freezes_flagged_points():
 
 
 def plain_rank(self, keys, out=None):
-    """Guide.rank by searchsorted on every key, into ``out`` if given."""
+    """Guide.rank by searchsorted on every key (a raw word as the double
+    Generator.random makes of it), into ``out`` if given, clipped to
+    [lo, hi], with the flat indices of the clipped ranks."""
+    if keys.dtype == np.uint64:
+        keys = (keys >> 11) * 2.0**-53
     ranks = np.searchsorted(self.values, keys, side="right")
+    clipped = np.flatnonzero((ranks < self.lo) | (ranks > self.hi))
+    np.clip(ranks, self.lo, self.hi, out=ranks)
     if out is None:
-        return ranks
+        return ranks, clipped
     out[...] = ranks
-    return out
+    return out, clipped
 
 
 @pytest.mark.parametrize("make_env", [alternating_lossy_env, powerlaw_env])

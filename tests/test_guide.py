@@ -1,6 +1,9 @@
-"""Guide-table lookups: Guide(values).rank(keys), with or without an ``out``
-buffer, must equal np.searchsorted(values, keys, side="right") bit for bit,
-with ties, with values and keys exactly on bucket edges j/m or next to them."""
+"""Guide-table lookups: Guide(values, lo, hi).rank(keys), with or without an
+``out`` buffer, must give np.searchsorted(values, keys, side="right")
+clipped to [lo, hi] bit for bit, and the flat indices of the clipped keys,
+with ties, with values and keys exactly on bucket edges j/m or next to them.
+Keys are doubles or raw uint64 Philox words w, standing for the double
+(w >> 11) 2^-53 that Generator.random makes of them."""
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from walklab.streams import _GUIDED_MIN_KEYS, Guide
 
 # every bucket edge j/m of a table of at most 2^10 buckets is some j/2^10
 EDGES = np.arange(1025) / 1024.0
+WORD_MAX = 2**64 - 1
 
 
 def lookup_keys(values, extra=()):
@@ -26,20 +30,51 @@ def lookup_keys(values, extra=()):
     return np.random.default_rng(0).permutation(keys)
 
 
-def assert_ranks_match(values, keys):
+def lookup_words(values, extra=()):
+    """Raw words on every bucket edge of the guide over ``values`` and of any
+    table of at most 2^10 buckets (w = j << (64 - k)), words whose double is
+    each value, or the doubles on either side of it, and ``extra``; each with
+    its neighbours w - 1, w + 1 and the last word of its double, shuffled."""
+    k = values.size.bit_length() + 1
+    base = [j << (64 - k) for j in range(1 << k)] + [j << 54 for j in range(1024)]
+    for v in np.concatenate([values, np.asarray(extra, dtype=np.float64)]).tolist():
+        top = int(v * 2.0**53)  # the double (top) 2^-53 is v when v is a multiple of 2^-53
+        base += [(top + d) << 11 for d in (-1, 0, 1)]
+    words = {w + d for w in base for d in (-1, 0, 1, 2**11 - 1)}
+    words = np.array(sorted(w for w in words if 0 <= w <= WORD_MAX), dtype=np.uint64)
+    assert words.size >= _GUIDED_MIN_KEYS
+    return np.random.default_rng(0).permutation(words)
+
+
+def searchsorted_ranks(values, keys, lo, hi):
+    """The reference: searchsorted on each key's double, clipped to [lo, hi],
+    and the flat indices of the clipped keys."""
+    if keys.dtype == np.uint64:
+        keys = (keys >> 11) * 2.0**-53
+    ranks = np.searchsorted(values, keys, side="right")
+    clipped = np.flatnonzero((ranks < lo) | (ranks > hi))
+    return np.clip(ranks, lo, hi), clipped
+
+
+def assert_ranks_match(values, keys, lo=0, hi=None):
     """rank(keys) and rank(keys, out=...) on batches above and below
-    _GUIDED_MIN_KEYS: searchsorted's ranks, in ``out`` itself, keys unchanged."""
-    guide = Guide(values)
+    _GUIDED_MIN_KEYS: searchsorted's clipped ranks, in ``out`` itself, the
+    clipped keys' flat indices, keys unchanged."""
+    guide = Guide(values, lo=lo, hi=hi)
+    hi = values.size if hi is None else hi
     for shaped in (keys, keys[: keys.size // 2 * 2].reshape(2, -1), keys[:7],
                    keys[: _GUIDED_MIN_KEYS - 1], keys[:_GUIDED_MIN_KEYS]):
         before = shaped.tobytes()
-        got = guide.rank(shaped)
-        want = np.searchsorted(values, shaped, side="right")
+        want, want_clipped = searchsorted_ranks(values, shaped, lo, hi)
+        got, clipped = guide.rank(shaped)
         assert got.dtype == want.dtype and got.shape == want.shape
         np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(clipped, want_clipped)
         out = np.full(shaped.shape, -5, dtype=np.intp)
-        assert guide.rank(shaped, out=out) is out
+        got, clipped = guide.rank(shaped, out=out)
+        assert got is out
         np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(clipped, want_clipped)
         assert shaped.tobytes() == before
 
 
@@ -61,23 +96,32 @@ def sorted_values(draw, dtype):
 def test_rank_equals_searchsorted(dtype, data):
     values = data.draw(sorted_values(dtype), label="values")
     extra = data.draw(st.lists(st.floats(0.0, 1.0), max_size=20), label="extra")
-    assert_ranks_match(values, lookup_keys(values, extra))
+    lo = data.draw(st.integers(0, values.size), label="lo")
+    hi = data.draw(st.integers(lo, values.size), label="hi")
+    assert_ranks_match(values, lookup_keys(values, extra), lo, hi)
+    assert_ranks_match(values, lookup_words(values, extra), lo, hi)
 
 
 @pytest.mark.parametrize("dtype", [np.float64])
 @pytest.mark.parametrize("value", [0.0, 0.25, 0.3, 1.0 - 2.0**-53, 1.0])
 def test_rank_on_one_atom(dtype, value):
     values = np.array([value], dtype=dtype)
-    assert_ranks_match(values, lookup_keys(values))
+    for lo, hi in [(0, None), (1, None), (0, 0), (1, 1)]:
+        assert_ranks_match(values, lookup_keys(values), lo, hi)
+        assert_ranks_match(values, lookup_words(values), lo, hi)
 
 
 @pytest.mark.parametrize("dtype", [np.float64])
 @pytest.mark.parametrize("env", [wl.env_geometric(0.5, 0, tail_tol=1e-14),
-                                 wl.env_from_powerlaw(3.0, 0, tail_tol=1e-10)],
-                         ids=["geometric", "powerlaw"])
+                                 wl.env_from_powerlaw(3.0, 0, tail_tol=1e-10),
+                                 wl.Environment([wl.TailSequence([1.0, 0.6, 0.3], deficit=0.1)])],
+                         ids=["geometric", "powerlaw", "lossy"])
 def test_rank_on_simulator_tails(dtype, env):
-    """The walks' sojourn CDF and the extended map's ascending levels."""
+    """The walks' sojourn CDF, clipped at N+1, and the extended map's
+    ascending levels, clipped below at 1, on doubles and on raw words."""
     ext = env.tails[0].extended().astype(dtype)
-    uniforms = np.random.default_rng(5).random(1 << 14)
-    for values in (1.0 - ext, ext[::-1].copy()):
-        assert_ranks_match(values, lookup_keys(values, uniforms))
+    words = np.random.Philox(5).random_raw(1 << 14)
+    uniforms = (words >> 11) * 2.0**-53
+    for values, lo, hi in ((1.0 - ext, 0, ext.size - 1), (ext[::-1].copy(), 1, None)):
+        assert_ranks_match(values, lookup_keys(values, uniforms), lo, hi)
+        assert_ranks_match(values, np.concatenate([words, lookup_words(values)]), lo, hi)

@@ -23,3 +23,16 @@ def test_first_uniforms_refuse_seeds_outside_64_bits(seed):
         _first_uniforms(seed, "env-noise", [0, 1])
     with pytest.raises(ValidationError):
         _first_uniforms(seed, "env-noise", [])
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+@pytest.mark.parametrize("splits", [[1, 3, 1024, 5, 1000], [7, 1, 1, 3000, 2]])
+def test_random_is_the_top_53_bits_of_each_raw_word(seed, splits):
+    # the simulators take raw words where they took Generator.random: numpy
+    # forms each double as (next_uint64 >> 11) 2^-53 from the same buffered
+    # Philox stream, calls split at uneven sizes included
+    doubles = stream(seed, "walk-mc", 3)
+    words = stream(seed, "walk-mc", 3).bit_generator
+    got = np.concatenate([doubles.random(n) for n in splits])
+    want = np.concatenate([(words.random_raw(n) >> 11) * 2.0**-53 for n in splits])
+    assert got.tobytes() == want.tobytes()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walklab as wl
+from walklab import walk
 from walklab.errors import DeficitBudgetError, ValidationError
 from walklab.streams import CHUNK
 from walklab.walk import _BLOCK, _state_counts, hitting_time_scan
@@ -387,9 +388,10 @@ def test_endpoints_recorded_when_times_leave_out_the_horizon(geometric_env, meth
 
 
 def test_sojourn_draws_allocate_no_block_temporaries():
-    # a chunk's memory is its four block buffers (uniforms, draws, mask, sums:
-    # 25 bytes a key) and a few path-length int64 arrays; ranking each block's
-    # draws outside its buffers holds 512 KB temporaries on top
+    # a chunk's memory is its draw buffer and each block's raw words, which
+    # then hold the sums (16 bytes a key; four buffers took 25), and a few
+    # path-length int64 arrays; ranking each block's draws outside its
+    # buffers holds 512 KB temporaries on top
     env = wl.env_from_powerlaw(3.0, 200, tail_tol=1e-10)
     cfg = wl.McConfig(paths=CHUNK, horizon=200, seed=7)
     tracemalloc.start()
@@ -537,3 +539,35 @@ def test_property_clipped_position_scan_matches_unclipped(env, data):
     oracle = position_law_from_hitting_cdf(env, n, trunc_tol=0.0, deficit_budget=1.0)
     gap = np.abs(scan.prob[: oracle.probs.size] - oracle.probs)
     assert np.all(gap <= [env.site(x).deficit + 1e-13 for x in range(gap.size)])
+
+
+@pytest.mark.parametrize("record,times,kept", [
+    ("endpoint-only", None, 2),  # X and Y at the horizon
+    ("endpoint-only", [3, 9], 4),  # and X at each time
+    ("full-path", None, 2 + 10),  # and the record's n + 1 cells
+    ("hitting-times", None, 10),  # the record only
+])
+def test_simulate_paths_caps_kept_cells_and_steps(monkeypatch, record, times, kept):
+    # one site and no generator: a run let through ends in the site check,
+    # so a cap's message means nothing was built or drawn before it
+    env = wl.Environment([wl.TailSequence([1.0, 0.5], deficit=0.0)])
+    monkeypatch.setattr(walk, "stream", lambda *args: pytest.fail("a refused run drew"))
+    method = "chain" if record == "full-path" else "sojourn"
+
+    def refusal(paths):
+        cfg = wl.McConfig(paths=paths, horizon=9, seed=1, record=record)
+        with pytest.raises(ValidationError) as info:
+            wl.simulate_paths(env, cfg, method=method, times=times)
+        return str(info.value)
+
+    monkeypatch.setattr(walk, "_MAX_RECORD_CELLS", 7 * kept)
+    assert "beyond the materialized range" in refusal(7)
+    if record == "hitting-times":  # its kept cells are the record's own cap
+        assert refusal(8) == f"hitting-times record of 80 cells exceeds {7 * kept}; " \
+            "lower paths or horizon"
+    else:
+        assert refusal(8).startswith(f"8 paths x {kept} kept cells = {8 * kept} exceeds")
+    monkeypatch.setattr(walk, "_MAX_RECORD_CELLS", 10**6)
+    monkeypatch.setattr(walk, "_MAX_PATH_STEPS", 70)
+    assert "beyond the materialized range" in refusal(7)
+    assert refusal(8).startswith("8 paths x 10 steps = 80 exceeds 70")
