@@ -22,10 +22,10 @@ and Stockmeyer's, SIAM J. Comput. 2(1), 1973).  Position laws come from
 with the x = 0 convention T_0 = 0.  Two independent simulators are provided:
 a step-by-step chain simulator and an inverse-CDF sojourn-sum simulator; their
 outputs agree in distribution and are cross-checked in the test suite.  Both
-work once per distinct tail, not per site.  The chain method hands out its
-random numbers as a site-by-site loop would, so its output for a seed is
-unchanged; the sojourn method draws blocks of sites x paths, so its output for
-a seed differs from the site-by-site draws it replaced (the law is the same).
+work once per distinct tail, not per site.  The chain method hands each
+step's random numbers to the jumping paths in path order, and the sojourn
+method draws blocks of sites x paths, so the outputs of both for a seed differ
+from the site-by-site draws they replaced (the laws are the same).
 Both take raw Philox words where they took uniforms, the word w standing for
 ``Generator.random``'s double (w >> 11) 2^-53, and invert CDFs through guide
 tables (``streams.Guide``): a word's bucket is its top bits, its index is by
@@ -836,37 +836,34 @@ def simulate_paths(
 
 
 def _chain_chunk(cfg, rng, size, times, draw):
+    """Chain paths kept as their site and the time of their next jump, ``due``
+    (the level at time t is due - (t + 1), formed only where recorded).  Each
+    step hands one raw word to each jumping path, in path order, and the path
+    jumps again after the sojourn drawn at its new site."""
     x = np.zeros(size, dtype=np.int64)
     bitgen = rng.bit_generator
-    y, over = draw(bitgen.random_raw(size), slice(0, 1))
-    y -= 1
+    due, over = draw(bitgen.random_raw(size), slice(0, 1))
     truncated = over.size
     full_x = full_y = None
     if cfg.record == "full-path":
         full_x = np.zeros((size, cfg.horizon + 1), dtype=np.int64)
         full_y = np.zeros((size, cfg.horizon + 1), dtype=np.int64)
-        full_y[:, 0] = y
+        full_y[:, 0] = due - 1
     x_at = None if times is None else np.zeros((size, times.size), dtype=np.int64)
     for t in range(1, cfg.horizon + 1):
-        jumping = np.flatnonzero(y == 0)
-        y -= 1  # the jumping paths' -1 is overwritten by their entry levels
+        jumping = np.flatnonzero(due == t)
         if jumping.size:
             new_x = x[jumping] + 1
-            # one stream of words handed out site by site, in path order; a
-            # key type just wide enough for the sites lets numpy sort by radix
-            u = np.empty(jumping.size, dtype=np.uint64)
-            key = new_x.astype(np.min_scalar_type(cfg.horizon))
-            u[np.argsort(key, kind="stable")] = bitgen.random_raw(jumping.size)
-            levels, over = draw(u, new_x)
-            y[jumping] = levels - 1
+            sojourns, over = draw(bitgen.random_raw(jumping.size), new_x)
+            due[jumping] = sojourns + t
             truncated += over.size
             x[jumping] = new_x
         if full_x is not None:
             full_x[:, t] = x
-            full_y[:, t] = y
+            full_y[:, t] = due - (t + 1)
         if x_at is not None:
             x_at[:, times == t] = x[:, None]
-    return {"x_final": x, "y_final": y, "x_at_times": x_at,
+    return {"x_final": x, "y_final": due - (cfg.horizon + 1), "x_at_times": x_at,
             "full_x": full_x, "full_y": full_y, "truncated": truncated}
 
 

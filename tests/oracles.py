@@ -8,17 +8,19 @@
   simulator's guide tables reproduce with ranks clipped to 1.
 * Inverse-CDF sojourn draws (``sample_sojourn``) by plain ``searchsorted``,
   the lookup the simulators' guide tables reproduce.
-* The site-by-site simulator loops that grouped stepping replaced
-  (``chain_chunk_per_site``, ``step_batch_per_site``,
-  ``level_states_per_site``), with the per-site branch lookup and images
-  they use.  The grouped simulators must match them bit for bit.
+* Site-by-site simulator loops (``chain_chunk_per_site``,
+  ``step_batch_per_site``, ``level_states_per_site``), with the per-site
+  branch lookup and images they use.  The chain loop draws one uniform a
+  jumping path per step, in path order, and inverts each site's share by
+  ``searchsorted``.  The grouped simulators must match them bit for bit.
 * The block scan's row loop (``scan_rows_per_row``), each block's rows
   handed out one at a time as before blocks came as arrays; the scan must
   match it bit for bit.
 * The sup gap between a hitting law and its matched normal density
   (``hitting_density_sup_gap``), the E1 term of the local error.
-* A Monte Carlo TV bound with a stated false-alarm rate
-  (``mc_tv_bound``), for simulator checks against exact laws.
+* Monte Carlo TV and Kolmogorov bounds with a stated false-alarm rate
+  (``mc_tv_bound``, ``mc_ks_bound``), for simulator checks against exact
+  laws.
 """
 
 import math
@@ -146,11 +148,12 @@ def chain_chunk_per_site(env, cfg, rng, size, times):
         jumping = np.flatnonzero(~descending)
         if jumping.size:
             new_x = x[jumping] + 1
+            u = rng.random(jumping.size)  # one uniform a jumping path, in path order
             for site_idx in np.unique(new_x):
-                group = jumping[new_x == site_idx]
-                levels, trunc = entry_levels(env.site(int(site_idx)), rng, group.size)
-                y[group] = levels
-                truncated += trunc
+                mine = new_x == site_idx
+                draws, trunc = sample_sojourn(env.site(int(site_idx)), u[mine])
+                y[jumping[mine]] = draws - 1
+                truncated += int(np.count_nonzero(trunc))
             x[jumping] = new_x
         if full_x is not None:
             full_x[:, t] = x
@@ -292,7 +295,7 @@ def hitting_density_sup_gap(env, diag, x, trunc_tol=walk.DEFAULT_TRUNC_TOL):
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo TV bound
+# Monte Carlo TV and Kolmogorov bounds
 # ---------------------------------------------------------------------------
 
 def mc_tv_bound(outcomes, paths, delta, deficit=0.0, flagged=0.0):
@@ -306,3 +309,14 @@ def mc_tv_bound(outcomes, paths, delta, deficit=0.0, flagged=0.0):
     flagged share) are added as fully mismatched mass."""
     spread = 0.5 * math.sqrt(2.0 * (outcomes * math.log(2.0) + math.log(1.0 / delta)) / paths)
     return spread + deficit + flagged
+
+
+def mc_ks_bound(paths, delta, deficit=0.0):
+    """Kolmogorov distance sup_x |F_hat(x) - F(x)| between an exact CDF and the
+    empirical CDF of ``paths`` draws of a simulator of that law exceeds this
+    with probability at most ``delta``.  The DKW inequality with Massart's
+    constant (1990), P(sup |F_hat - F| > eps) <= 2 exp(-2 N eps^2), gives eps
+    = sqrt(ln(2 / delta) / (2 N)) whatever the support, where ``mc_tv_bound``
+    grows with it.  The exact law's ``deficit`` is added as fully mismatched
+    mass, which moves no CDF value by more."""
+    return math.sqrt(math.log(2.0 / delta) / (2.0 * paths)) + deficit

@@ -1,7 +1,8 @@
-"""The simulators step one group per distinct tail; the per-site loops in
-``oracles`` are the earlier site-by-site implementations.  The grouped chain
-walk and extended map must reproduce them bit for bit, and no simulator may
-read an environment past the sites a run needs."""
+"""The simulators step one group per distinct tail; ``oracles`` steps the
+same draws site by site.  The grouped chain walk and extended map must
+reproduce those loops bit for bit, the chain walk and the sojourn method
+keep their recorded bytes, and no simulator may read an environment past
+the sites a run needs."""
 
 import dataclasses
 import hashlib
@@ -213,7 +214,7 @@ def test_finite_environment_read_only_up_to_the_horizon(method, record, sites):
 
 def sample_digest(sample):
     h = hashlib.sha256()
-    for key in ("x_final", "y_final", "x_at_times", "hitting"):
+    for key in ("x_final", "y_final", "x_at_times", "hitting", "full_x", "full_y"):
         value = getattr(sample, key)
         if value is not None:
             h.update(key.encode() + value.astype(np.int64).tobytes())
@@ -256,3 +257,31 @@ def test_sojourn_records_keep_their_bytes(seed, record, paths):
         times = None
     sample = wl.simulate_paths(env, cfg, method="sojourn", times=times)
     assert sample_digest(sample) == SOJOURN_DIGESTS[seed, record, paths]
+
+
+# sha256 of the chain method's records, recorded when each step came to hand
+# its words to the jumping paths in path order
+CHAIN_DIGESTS = {
+    (5, "endpoint"):
+        "393675c051b00c29f639c55f24fe66aef2ac94396aceda816d2d5021c1cf887e",
+    (5, "full-path"):
+        "634d730e40fc5e09cc2d04f67132ee2c98ce182fda3ca2da5c1a00dd33d24aa2",
+    (13, "endpoint"):
+        "f82a9d304df3c75d88dae406adea9dcf64a31fd2b379313efff174aae0e06fe3",
+    (13, "full-path"):
+        "bfcc139c94db49a49adea41446fd391e892a16b390ebbc21da249d3b676b2e47",
+}
+
+
+@pytest.mark.parametrize("seed,record", list(CHAIN_DIGESTS))
+def test_chain_records_keep_their_bytes(seed, record):
+    if record == "endpoint":  # checkpoints, endpoints and levels
+        env = two_point_env(151)
+        cfg = wl.McConfig(paths=3000, horizon=150, seed=seed)
+        times = [10, 60, 150]
+    else:  # every site and level, and the lossy tails' truncated draws
+        env = alternating_lossy_env(201)
+        cfg = wl.McConfig(paths=2000, horizon=200, seed=seed, record="full-path")
+        times = None
+    sample = wl.simulate_paths(env, cfg, method="chain", times=times)
+    assert sample_digest(sample) == CHAIN_DIGESTS[seed, record]

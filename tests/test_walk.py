@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import walklab as wl
 from walklab import walk
 from walklab.errors import DeficitBudgetError, ValidationError
-from walklab.streams import CHUNK
+from walklab.streams import CHUNK, stream
 from walklab.walk import _BLOCK, _state_counts, hitting_time_scan
 from oracles import sample_sojourn
 
@@ -402,6 +402,37 @@ def test_sojourn_draws_allocate_no_block_temporaries():
         tracemalloc.stop()
     assert sample.x_final.size == CHUNK
     assert peak <= _BLOCK * (8 + 8 + 1 + 8) + 12 * CHUNK * 8
+
+
+def test_chain_chunk_draws_one_word_per_entry_and_jump(monkeypatch):
+    # a chain chunk takes one raw word for each path's entry draw and one for
+    # each jump, truncated draws included, and no other: its generator's next
+    # word is word size + #jumps of a fresh stream
+    a = wl.TailSequence([1.0, 0.6, 0.3], deficit=0.1)
+    b = wl.TailSequence([1.0, 0.5], deficit=0.2)
+    env = wl.Environment([a, b] * 21)
+    cfg = wl.McConfig(paths=3000, horizon=40, seed=19, record="full-path")
+    generators = []
+    monkeypatch.setattr(walk, "stream", lambda *key: generators.append(stream(*key))
+                        or generators[-1])
+    sample = wl.simulate_paths(env, cfg, method="chain")
+    assert len(generators) == 1 and sample.truncated_draws > 0
+    jumps = np.count_nonzero(np.diff(sample.full_x, axis=1))
+    words = stream(19, "walk-mc", 0).bit_generator.random_raw(cfg.paths + jumps + 1)
+    assert generators[0].bit_generator.random_raw() == words[-1]
+
+
+def test_chain_walk_on_one_tail_sorts_nothing(monkeypatch):
+    # each step hands its words to the jumping paths in path order: a run of
+    # one tail makes no per-step sort of the jumping paths by site
+    env = wl.env_from_powerlaw(3.0, 50, tail_tol=1e-10)
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *args, **kwargs:
+                        calls.append(1) or argsort(*args, **kwargs))
+    sample = wl.simulate_paths(env, wl.McConfig(paths=3000, horizon=50, seed=23),
+                               method="chain")
+    assert sample.x_final.size == 3000 and not calls
 
 
 def test_truncated_draws_counted():
