@@ -10,9 +10,12 @@ can be checked against the exact laws in ``walk``.
 
 Trajectories whose fractional part falls below a site's stored tail are
 flagged and frozen rather than silently continued; the flagged count is part
-of the sample.  A level is found through a guide table whose ranks are
-clipped at 1: the points below the tail come back as a short list of
-indices, and only they are flagged.
+of the sample.  A run's distinct tails lie end to end: a point's level is
+its rank in its site's table of one guide (``streams.Guide``), clipped at 1,
+so a step ranks every point in one call and only the points below the tail,
+a short list, are flagged.  Every level maps by ext[y] + slope[y]
+(f - ext[y+1]) with ext[-1] := 2; at the top level that rounds as
+1 + (f - omega_1) / (1 - omega_1) only where 1 / (1 - omega_1) is exact.
 """
 
 from __future__ import annotations
@@ -30,25 +33,37 @@ __all__ = ["TrajectoryConfig", "TrajectorySample", "simulate_trajectories"]
 
 
 def _slopes(ext: np.ndarray) -> np.ndarray:
-    """Branch slopes by level, (ext[y-1] - ext[y]) / (ext[y] - ext[y+1]);
-    0 at level 0, which has its own image, and at empty levels."""
-    slope = np.zeros_like(ext[1:])
-    np.divide(ext[:-2] - ext[1:-1], ext[1:-1] - ext[2:], out=slope[1:], where=ext[1:-1] > ext[2:])
+    """Branch slopes by level, (ext[y-1] - ext[y]) / (ext[y] - ext[y+1]) with
+    ext[-1] := 2; 0 at empty levels and at the last value, which is no level."""
+    slope = np.zeros_like(ext)
+    above = np.concatenate(([2.0], ext[:-2]))
+    np.divide(above - ext[:-1], ext[:-1] - ext[1:], out=slope[:-1], where=ext[:-1] > ext[1:])
     return slope
 
 
-def _apply_local(ext: np.ndarray, slope: np.ndarray, f: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Affine branch images; ext is the extended tail, slope its
-    ``_slopes`` and y valid levels.  Level y >= 1 maps onto level y-1, level 0
-    onto [1, 2) by its own formula, computed for its points only."""
-    # ext[y] + slope[y] * (f - ext[y+1]), the same roundings in one array
-    out = ext[1:].take(y)
+def _apply_local(ext: np.ndarray, slope: np.ndarray, f: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """Affine branch images ext[i] + slope[i] * (f - ext[i+1]) of points f at
+    levels i of extended tails laid end to end in ext, slope their
+    ``_slopes``: each level maps onto the one above it, level 0 onto [1, 2)."""
+    out = ext[1:].take(i)
     np.subtract(f, out, out=out)
-    np.multiply(slope.take(y), out, out=out)
-    np.add(ext.take(y), out, out=out)
-    top = np.flatnonzero(y == 0)
-    out[top] = 1.0 + (f[top] - ext[1]) / (1.0 - ext[1])
+    np.multiply(slope.take(i), out, out=out)
+    np.add(ext.take(i), out, out=out)
     return out
+
+
+def _level_tables(env: Environment, horizon: int) -> tuple:
+    """The map's tables on sites 0..horizon: the distinct tails' extended
+    values end to end (ext), their ``_slopes``, one guide over them reversed
+    with ranks clipped at 1, each site's table (None on one tail), and each
+    table's last index in ext and deepest level.  Rank r in table t is level
+    top[t] - r, at index last[t] - r of ext."""
+    keys, tails = np.unique(env.tail_index[: horizon + 1], return_inverse=True)
+    exts = [env.tails[k].extended() for k in keys.tolist()]
+    top = np.array([e.size - 1 for e in exts])
+    return (np.concatenate(exts), np.concatenate([_slopes(e) for e in exts]),
+            Guide([e[::-1].copy() for e in exts], lo=1), tails if keys.size > 1 else None,
+            np.cumsum(top + 1) - 1, top)
 
 
 @dataclass(frozen=True)
@@ -113,13 +128,8 @@ def simulate_trajectories(
     _check_run_size(cfg.paths, cfg.horizon, (times.size if levels else 0) + len(keep_at))
     env.ensure(cfg.horizon)
 
-    # each tail's extended values, slope table and ascending guide, once per
-    # call; a rank clipped to 1 is a point below the tail, put at the deepest level
-    levels_of = {}
-    for k in np.unique(env.tail_index[: cfg.horizon + 1]).tolist():
-        ext = env.tails[k].extended()
-        levels_of[k] = ext, _slopes(ext), Guide(ext[::-1].copy(), lo=1)
-    width = max(ext.size for ext, _, _ in levels_of.values()) - 1  # levels y < width
+    run = _level_tables(env, cfg.horizon)
+    width = int(run[-1].max())  # levels y < width
     sample = TrajectorySample(paths=cfg.paths, seed=cfg.seed, times=times)
     lvl_keys: dict[int, list[np.ndarray]] = {t: [] for t in times.tolist()}  # x * width + y
     pos: dict[int, list[np.ndarray]] = {t: [] for t in keep_at}
@@ -130,14 +140,14 @@ def simulate_trajectories(
         alive = np.ones(size, dtype=bool)
         for t in range(cfg.horizon + 1):
             if t > 0 and alive.any():  # a chunk with every path flagged stops stepping
-                u, alive = _step_batch(env, levels_of, u, alive)
+                u, alive = _step_batch(run, u, alive)
             if t in lvl_keys:
                 live = u[alive]
                 sample.contributing[t] = sample.contributing.get(t, 0) + live.size
                 sample.cell_counts[t] = sample.cell_counts.get(t, 0) + np.bincount(
                     live.astype(np.int64), minlength=cfg.horizon + 2)
                 if levels:
-                    states = _level_states(env, levels_of, live)
+                    states = _level_states(run, live)
                     lvl_keys[t].append(states[:, 0] * width + states[:, 1])
                 if t in pos:
                     pos[t].append(live)
@@ -150,34 +160,25 @@ def simulate_trajectories(
     return sample
 
 
-def _step_batch(env: Environment, levels_of: dict, u: np.ndarray, alive: np.ndarray):
-    """Advance a chunk of paths one step, one group per distinct tail.  Every
-    path is stepped; a flagged point keeps its value and flag, and a live one
-    that falls below its site's tail is flagged."""
+def _step_batch(run: tuple, u: np.ndarray, alive: np.ndarray):
+    """Advance a chunk of paths one step, each point ranked in its site's
+    table of ``run`` (``_level_tables``) in one call.  A flagged point keeps
+    its value and flag; a live one that falls below its site's tail is flagged."""
+    ext, slope, guide, tails, last, _ = run
     x = u.astype(np.int64)  # floor, as u >= 0
     f = u - x
-    groups = list(env.tail_groups(x))
-    image = np.empty_like(u) if len(groups) > 1 else None
-    for k, sel in groups:
-        ext, slope, guide = levels_of[k]
-        pos, below = guide.rank(f[sel])
-        part = _apply_local(ext, slope, f[sel], np.subtract(ext.size - 1, pos, out=pos))
-        if image is None:
-            image = np.add(x, part, out=part)
-            alive[below] = False
-        else:
-            image[sel] = np.add(x[sel], part, out=part)
-            alive[sel[below]] = False
+    t = 0 if tails is None else tails[x]
+    pos, below = guide.rank(f, t)
+    image = _apply_local(ext, slope, f, np.subtract(last[t], pos, out=pos))
+    np.add(x, image, out=image)
+    alive[below] = False
     np.copyto(u, image, where=alive)
     return u, alive
 
 
-def _level_states(env: Environment, levels_of: dict, u: np.ndarray) -> np.ndarray:
+def _level_states(run: tuple, u: np.ndarray) -> np.ndarray:
     """(x, y) states of positions, stacked as rows."""
+    _, _, guide, tails, _, top = run
     x = u.astype(np.int64)  # floor, as u >= 0
-    f = u - x
-    ys = np.empty_like(x)
-    for k, sel in env.tail_groups(x):
-        ext, _, guide = levels_of[k]
-        ys[sel] = ext.size - 1 - guide.rank(f[sel])[0]
-    return np.stack([x, ys], axis=1)
+    t = 0 if tails is None else tails[x]
+    return np.stack([x, top[t] - guide.rank(u - x, t)[0]], axis=1)

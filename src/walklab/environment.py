@@ -357,7 +357,7 @@ def lsv_tail_sequence(
 class Environment:
     """Site-indexed family of tail sequences, kept as a tail table: ``tails``
     holds the distinct tail objects in order of first appearance and
-    ``tail_index[x]`` is site x's position in it.
+    ``tail_index[x]`` is site x's position in it, which keys per-tail tables.
 
     Sites 0..x_max are materialized eagerly; a range ``factory``, when
     present, extends the family on demand: ``factory(start, stop)`` returns
@@ -406,26 +406,6 @@ class Environment:
     @property
     def x_max(self) -> int:
         return self._size - 1
-
-    def tail_groups(self, sites):
-        """Yield (k, sel) for each distinct tail k of the materialized ``sites``
-        (an index array or a slice), in ascending k: sites[sel] are those with
-        tail k, sel ascending, and sel is slice(None) when all of them share
-        one tail."""
-        if len(self.tails) == 1:
-            yield 0, slice(None)
-            return
-        of = self.tail_index[sites]
-        # one stable sort gives every group, each in ascending site order;
-        # numpy sorts keys of up to 16 bits by radix
-        order = np.argsort(of.astype(np.min_scalar_type(len(self.tails) - 1)), kind="stable")
-        keys = of[order]
-        cuts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-        if not cuts.size:
-            if keys.size:
-                yield int(keys[0]), slice(None)
-            return
-        yield from zip(keys[np.append(0, cuts)].tolist(), np.split(order, cuts))
 
     def ensure(self, x_max: int) -> None:
         """Materialize sites through ``x_max`` with one factory call."""

@@ -208,15 +208,16 @@ def llt_predictor(
         env.site(int(x_values.max()))
     # sum of h_l(x) over any l-range is at most 2 sqrt(n) / sqrt(2 pi st2)
     density_sum_bound = 2.0 * math.sqrt(n) / math.sqrt(2.0 * math.pi * st2)
-    rows = np.arange(x_values.size)
-    for k, sel in env.tail_groups(x_values):
+    # the rows of each distinct tail, in ascending order
+    keys, of = np.unique(env.tail_index[x_values], return_inverse=True)
+    groups = np.split(np.argsort(of, kind="stable"), np.cumsum(np.bincount(of))[:-1])
+    for k, idx in zip(keys.tolist(), groups):
         # everything but the density's centre x is a property of the tail
         site = env.tails[k]
         ells = np.arange(max(1, n - site.last_index), n + 1)
         two_var, scale = _normal_terms(ells * st2)
         neg_two_var = -two_var
         mean, weights = M[ells].astype(np.float64), site.values[n - ells]
-        idx = rows[sel]
         chunk = max(1, _PREDICTOR_CHUNK // ells.size)
         for start in range(0, idx.size, chunk):
             part = idx[start : start + chunk]

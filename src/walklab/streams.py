@@ -51,48 +51,55 @@ def _first_uniforms(seed: int, component: str, indices) -> list[float]:
 
 
 class Guide:
-    """Guide table (Chen & Asau 1974) over ``values``, non-decreasing in
-    [0, 1], for ranks ``np.searchsorted(values, u, side="right")`` clipped
-    to [lo, hi] (hi defaults to values.size).  Key u falls in bucket
-    floor(u m) of m = 2^k > 2 values.size; u m and the edges j/m are exact in
-    float64, and for the double u of a raw Philox word w the bucket is its
-    top k bits.  A bucket with no value strictly inside (j/m, (j+1)/m)
-    stores #{v < (j+1)/m}, the rank of all its keys, when that lies in
-    [lo, hi]; the others store -1, and their keys (0.15-0.8% on the
-    benchmark tails, plus the out-of-range ones) go to searchsorted.  So the
-    clipped keys, e.g. the walks' truncated draws or the extended map's
-    points below the tail, come back as a list of indices, and no pass over
-    the whole batch caps or flags them.
+    """Guide tables (Chen & Asau 1974) over ``tables``, each non-decreasing
+    in [0, 1], for ranks ``np.searchsorted(tables[t], u, side="right")``
+    clipped to [lo, hi[t]] (hi[t] defaults to tables[t].size), t being each
+    key's table.  Table t starts at base_t of one flat array and has
+    m_t = 2^k_t > 2 tables[t].size buckets: key u falls in base_t +
+    floor(u m_t), exact in float64, and a raw Philox word in base_t plus its
+    top k_t bits.  A bucket with no value strictly inside (j/m_t, (j+1)/m_t)
+    stores the rank of all its keys if that lies in [lo, hi[t]], else -1; its
+    keys (0.15-0.8% on the benchmark tails, plus the out-of-range ones) go to
+    searchsorted, one call per table among them.  So the clipped keys, e.g.
+    the walks' truncated draws or the map's points below the tail, come back
+    as a list of indices, and no pass over the whole batch caps or flags them.
     """
 
-    def __init__(self, values: np.ndarray, lo: int = 0, hi: int | None = None):
-        self.values = values
-        self.lo, self.hi = lo, values.size if hi is None else hi
-        k = values.size.bit_length() + 1
-        m = self._m = 1 << k
-        self._shift = 64 - k  # a raw word's bucket is its top k bits
-        scaled = values * m
-        bucket = scaled.astype(np.intp)
-        inside = np.bincount(bucket[scaled != bucket], minlength=m + 1) > 0
-        table = np.cumsum(np.bincount(bucket, minlength=m + 1))
-        self._table = np.where(inside | (table < self.lo) | (table > self.hi), -1, table)
+    def __init__(self, tables: list, lo: int = 0, hi: list | None = None):
+        self.values, self.lo = tables, lo
+        self.hi = np.array([v.size for v in tables] if hi is None else hi, dtype=np.intp)
+        k = np.array([v.size.bit_length() + 1 for v in tables])
+        self._m = 1 << k
+        self._shift = (64 - k).astype(np.uint64)  # a raw word's bucket is its top k bits
+        parts = []
+        for values, m, top in zip(tables, self._m.tolist(), self.hi.tolist()):
+            scaled = values * m
+            bucket = scaled.astype(np.intp)
+            inside = np.bincount(bucket[scaled != bucket], minlength=m + 1) > 0
+            table = np.cumsum(np.bincount(bucket, minlength=m + 1))
+            parts.append(np.where(inside | (table < lo) | (table > top), -1, table))
+        self._base = np.cumsum([0] + [part.size for part in parts[:-1]])
+        self._table = np.concatenate(parts)
 
-    def rank(self, keys: np.ndarray, out: np.ndarray | None = None) -> tuple:
-        """Ranks of ``keys`` (left unchanged) clipped to [lo, hi], into the
-        intp array ``out`` of their shape if given, and the flat indices, in
-        ascending order, of the keys whose rank was clipped.  Keys are floats
-        in [0, 1] or raw uint64 Philox words w, which stand for the uniform
-        (w >> 11) 2^-53 of ``Generator.random``; their bucket is w >> (64 - k),
-        and only the keys that go to searchsorted are converted."""
+    def rank(self, keys: np.ndarray, tails=0, out: np.ndarray | None = None) -> tuple:
+        """Ranks of ``keys`` (left unchanged) in their tables ``tails``, one
+        int for all or an intp array that broadcasts to keys' shape, clipped
+        to [lo, hi[t]], into the intp array ``out`` of keys' shape if given; and
+        the flat indices, in ascending order, of the keys whose rank was
+        clipped.  Keys are floats in [0, 1] or raw uint64 Philox words w,
+        which stand for the uniform (w >> 11) 2^-53 of ``Generator.random``;
+        only the keys that go to searchsorted are converted."""
         ranks = np.empty(keys.shape, dtype=np.intp) if out is None else out
         raw = keys.dtype == np.uint64
         if keys.size < _GUIDED_MIN_KEYS:
             asked = np.arange(keys.size)
         else:
             if raw:  # floor(u m) of u = (w >> 11) 2^-53, in [0, m)
-                np.right_shift(keys, self._shift, out=ranks, casting="unsafe")
+                np.right_shift(keys, self._shift[tails], out=ranks, casting="unsafe")
             else:  # the cast to intp truncates u m as astype does, into [0, m]
-                np.multiply(keys, self._m, out=ranks, casting="unsafe")
+                np.multiply(keys, self._m[tails], out=ranks, casting="unsafe")
+            if len(self.values) > 1:
+                np.add(ranks, self._base[tails], out=ranks)
             self._table.take(ranks, out=ranks, mode="clip")
             asked = np.flatnonzero(ranks < 0)
         if not asked.size:
@@ -100,8 +107,15 @@ class Guide:
         u = keys.flat[asked]
         if raw:
             u = (u >> 11) * 2.0**-53  # Generator.random's double
-        found = self.values.searchsorted(u, side="right")
-        clipped = asked[(found < self.lo) | (found > self.hi)]
+        if np.ndim(tails) == 0:
+            found, hi = self.values[tails].searchsorted(u, side="right"), self.hi[tails]
+        else:
+            of = np.broadcast_to(tails, keys.shape).flat[asked]
+            found, hi = np.empty_like(asked), self.hi[of]
+            for t in np.unique(of).tolist():
+                at = of == t
+                found[at] = self.values[t].searchsorted(u[at], side="right")
+        clipped = asked[(found < self.lo) | (found > hi)]
         np.maximum(found, self.lo, out=found)
-        ranks.flat[asked] = np.minimum(found, self.hi, out=found)
+        ranks.flat[asked] = np.minimum(found, hi, out=found)
         return ranks, clipped

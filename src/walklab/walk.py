@@ -22,7 +22,8 @@ and Stockmeyer's, SIAM J. Comput. 2(1), 1973).  Position laws come from
 with the x = 0 convention T_0 = 0.  Two independent simulators are provided:
 a step-by-step chain simulator and an inverse-CDF sojourn-sum simulator; their
 outputs agree in distribution and are cross-checked in the test suite.  Both
-work once per distinct tail, not per site.  The chain method hands each
+build one table per distinct tail, not per site, and rank every draw of a
+step or block in its site's table in one call.  The chain method hands each
 step's random numbers to the jumping paths in path order, and the sojourn
 method draws blocks of sites x paths, so the outputs of both for a seed differ
 from the site-by-site draws they replaced (the laws are the same).
@@ -368,23 +369,15 @@ def sojourn_pmf(site: TailSequence) -> DiscreteDistribution:
     return DiscreteDistribution(offset=1, probs=site.sojourn_probs(), deficit=site.deficit)
 
 
-def _draw(env: Environment, guides: dict, u: np.ndarray, sites, out=None) -> tuple:
+def _draw(guide: Guide, tails, u: np.ndarray, sites, out=None) -> tuple:
     """Sojourns for raw Philox words u (uniforms (u >> 11) 2^-53), row i
-    drawn at site sites[i] by inverting the CDF 1 - extended() of its tail k
-    through guides[k], capped at N+1, into ``out`` if given; and the flat
-    indices into u of the draws that fell in the truncated region, ascending
-    within each tail.  A block of one tail is ranked in place in the draws;
-    several tails each rank their gathered rows."""
-    n = np.empty(u.shape, dtype=np.int64) if out is None else out
-    over = []
-    for k, rows in env.tail_groups(sites):
-        if isinstance(rows, slice):
-            return guides[k].rank(u, out=n)
-        idx, clipped = guides[k].rank(u[rows])
-        n[rows] = idx
-        per = idx[0].size  # keys a row
-        over.append(rows[clipped // per] * per + clipped % per)
-    return n, np.concatenate(over)
+    drawn at site sites[i] by inverting the CDF 1 - extended() of its tail,
+    table tails[sites[i]] of ``guide`` (table 0 when ``tails`` is None),
+    capped at N+1, into ``out`` if given; and the flat indices into u, in
+    ascending order, of the draws that fell in the truncated region."""
+    # a block's rows are its sites
+    t = 0 if tails is None else tails[sites].reshape((-1,) + (1,) * (u.ndim - 1))
+    return guide.rank(u, t, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -813,12 +806,12 @@ def simulate_paths(
     # (a path visits at most one site per step, so horizon sites always suffice)
     reach = max(0, cfg.horizon - 1) if cfg.record == "hitting-times" else cfg.horizon
     env.ensure(reach)
-    # each tail's CDF and its guide table, formed once per call
-    guides = {}
-    for k in np.unique(env.tail_index[: reach + 1]).tolist():
-        cdf = 1.0 - env.tails[k].extended()
-        guides[k] = Guide(cdf, hi=cdf.size - 1)  # a clipped rank is a truncated draw
-    draw = partial(_draw, env, guides)
+    # one guide over the run's tail CDFs, formed once per call, and each
+    # site's table in it; a clipped rank is a truncated draw
+    keys, tails = np.unique(env.tail_index[: reach + 1], return_inverse=True)
+    cdfs = [1.0 - env.tails[k].extended() for k in keys.tolist()]
+    guide = Guide(cdfs, hi=[cdf.size - 1 for cdf in cdfs])
+    draw = partial(_draw, guide, tails if keys.size > 1 else None)
 
     sample = WalkSample(method=method, record=cfg.record, paths=cfg.paths,
                         seed=cfg.seed, times=times)

@@ -10,9 +10,11 @@
   the lookup the simulators' guide tables reproduce.
 * Site-by-site simulator loops (``chain_chunk_per_site``,
   ``step_batch_per_site``, ``level_states_per_site``), with the per-site
-  branch lookup and images they use.  The chain loop draws one uniform a
-  jumping path per step, in path order, and inverts each site's share by
-  ``searchsorted``.  The grouped simulators must match them bit for bit.
+  branch lookup and images they use; the images give level 0 the general
+  formula too, its slope (2 - ext[0]) / (ext[0] - ext[1]).  The chain loop
+  draws one uniform a jumping path per step, in path order, and inverts each
+  site's share by ``searchsorted``.  The simulators, which rank every key of
+  a step in its site's table at once, must match them bit for bit.
 * The block scan's row loop (``scan_rows_per_row``), each block's rows
   handed out one at a time as before blocks came as arrays; the scan must
   match it bit for bit.
@@ -175,16 +177,9 @@ def branch_batch_per_site(site, f):
 
 def apply_local_per_site(site, f, y):
     ext = site.extended()
-    out = np.empty_like(f)
-    top = y == 0
-    if np.any(top):
-        out[top] = 1.0 + (f[top] - ext[1]) / (1.0 - ext[1])
-    rest = ~top
-    if np.any(rest):
-        yr = y[rest]
-        slope = (ext[yr - 1] - ext[yr]) / (ext[yr] - ext[yr + 1])
-        out[rest] = ext[yr] + slope * (f[rest] - ext[yr + 1])
-    return out
+    above = np.concatenate(([2.0], ext))  # above[y] is ext[y - 1], and 2 at y = 0
+    slope = (above[y] - ext[y]) / (ext[y] - ext[y + 1])
+    return ext[y] + slope * (f - ext[y + 1])
 
 
 def step_batch_per_site(env, u, alive):

@@ -1,8 +1,9 @@
-"""The simulators step one group per distinct tail; ``oracles`` steps the
-same draws site by site.  The grouped chain walk and extended map must
-reproduce those loops bit for bit, the chain walk and the sojourn method
-keep their recorded bytes, and no simulator may read an environment past
-the sites a run needs."""
+"""The simulators rank every key of a step in its site's table of one
+guide; ``oracles`` steps the same draws site by site.  The chain walk and
+the extended map must reproduce those loops bit for bit, the chain walk,
+the sojourn method and the map keep their recorded bytes, a run of several
+tails sorts nothing, and no simulator may read an environment past the
+sites a run needs."""
 
 import dataclasses
 import hashlib
@@ -119,9 +120,9 @@ def test_grouped_trajectories_match_per_site_oracle(monkeypatch, make_env):
         warnings.simplefilter("error")  # e.g. no division by an empty level's width
         grouped = wl.simulate_trajectories(env, cfg, **kwargs)
     monkeypatch.setattr(dynsys, "_step_batch",
-                        lambda env, levels_of, u, alive: step_batch_per_site(env, u, alive))
+                        lambda run, u, alive: step_batch_per_site(env, u, alive))
     monkeypatch.setattr(dynsys, "_level_states",
-                        lambda env, levels_of, u: level_states_per_site(env, u))
+                        lambda run, u: level_states_per_site(env, u))
     per_site = wl.simulate_trajectories(env, cfg, **kwargs)
     assert_identical(grouped, per_site)
     if make_env is not two_point_env:
@@ -134,28 +135,29 @@ def test_step_batch_freezes_flagged_points():
     # the batch steps every path: already flagged points must keep their value
     # and flag, as in the per-site loop that steps only the live ones
     env = alternating_lossy_env(8)
-    levels_of = {}
-    for k, tail in enumerate(env.tails):
-        ext = tail.extended()
-        levels_of[k] = ext, dynsys._slopes(ext), streams.Guide(ext[::-1].copy(), lo=1)
+    run = dynsys._level_tables(env, 7)
     rng = np.random.default_rng(5)
     u = 7.0 * rng.random(3000)
     alive = rng.random(3000) < 0.7
-    grouped = dynsys._step_batch(env, levels_of, u.copy(), alive.copy())
+    grouped = dynsys._step_batch(run, u.copy(), alive.copy())
     per_site = step_batch_per_site(env, u.copy(), alive.copy())
     assert_identical(grouped, per_site)
     assert np.count_nonzero(alive & ~grouped[1]) > 0  # some live points were flagged
 
 
-def plain_rank(self, keys, out=None):
+def plain_rank(self, keys, tails=0, out=None):
     """Guide.rank by searchsorted on every key (a raw word as the double
-    Generator.random makes of it), into ``out`` if given, clipped to
-    [lo, hi], with the flat indices of the clipped ranks."""
+    Generator.random makes of it) in its table ``tails``, into ``out`` if
+    given, clipped to [lo, hi], with the flat indices of the clipped ranks."""
     if keys.dtype == np.uint64:
         keys = (keys >> 11) * 2.0**-53
-    ranks = np.searchsorted(self.values, keys, side="right")
-    clipped = np.flatnonzero((ranks < self.lo) | (ranks > self.hi))
-    np.clip(ranks, self.lo, self.hi, out=ranks)
+    of = np.broadcast_to(tails, keys.shape)
+    ranks = np.empty(keys.shape, dtype=np.intp)
+    for t, values in enumerate(self.values):
+        ranks[of == t] = np.searchsorted(values, keys[of == t], side="right")
+    hi = self.hi[of]
+    clipped = np.flatnonzero((ranks < self.lo) | (ranks > hi))
+    np.clip(ranks, self.lo, hi, out=ranks)
     if out is None:
         return ranks, clipped
     out[...] = ranks
@@ -179,8 +181,8 @@ def test_guide_tables_match_searchsorted(monkeypatch, make_env, method, record, 
     cfg = wl.McConfig(paths=CHUNK + 900, horizon=horizon, seed=37, record=record)
     batches = []
     rank = streams.Guide.rank
-    monkeypatch.setattr(streams.Guide, "rank", lambda self, keys, out=None:
-                        batches.append(keys.size) or rank(self, keys, out=out))
+    monkeypatch.setattr(streams.Guide, "rank", lambda self, keys, tails=0, out=None:
+                        batches.append(keys.size) or rank(self, keys, tails, out=out))
     guided = wl.simulate_paths(env, cfg, method=method, times=times)
     assert max(batches) >= streams._GUIDED_MIN_KEYS  # the tables answered
     monkeypatch.setattr(streams.Guide, "rank", plain_rank)
@@ -285,3 +287,68 @@ def test_chain_records_keep_their_bytes(seed, record):
         times = None
     sample = wl.simulate_paths(env, cfg, method="chain", times=times)
     assert sample_digest(sample) == CHAIN_DIGESTS[seed, record]
+
+
+def trajectory_digest(sample):
+    h = hashlib.sha256()
+    for t in sample.times.tolist():
+        h.update(sample.cell_counts[t].astype(np.int64).tobytes())
+        for part in sample.level_counts[t]:
+            h.update(part.astype(np.int64).tobytes())
+        h.update(str(sample.contributing[t]).encode())
+    for t, positions in sample.positions.items():
+        h.update(str(t).encode() + positions.tobytes())
+    h.update(str(sample.flagged).encode())
+    return h.hexdigest()
+
+
+# sha256 of the extended map's histograms, kept positions and flags.  The
+# geometric r = 0.5 ones were recorded when the top level had its own image
+# 1 + (f - omega_1) / (1 - omega_1), which rounds as the general formula does
+# where 1 / (1 - omega_1) is exact; the others when every level came to map
+# by ext[y] + slope[y] (f - ext[y+1]).
+TRAJECTORY_DIGESTS = {
+    ("geometric_env", 5):
+        "cd03b19685f03299c0df2db5076268add5f39811084c60aaf054167ad1a02a00",
+    ("geometric_env", 13):
+        "aaf8a3d14f117cd0f1624522def3c86e7b58f8c934c51355e614fc4d5a7cba67",
+    ("two_point_env", 5):
+        "4538a212534678c9b8b8b708a00c4c66c352952e93e6fcdc502b019121a15ef5",
+    ("two_point_env", 13):
+        "534b5e795f7290f7d1cb5064d1510bb935aa73b8668128f5dfe7e2f7935bcbe9",
+    ("powerlaw_env", 5):
+        "cc08498931a407eb8bf91d8d2703194dcf3e6b397fd06d4221650d1665576beb",
+    ("powerlaw_env", 13):
+        "afb777ffbbbcf6c618acf904345b9cd7bf0035d7cbcbfef9316f41d78bac40e6",
+}
+
+
+@pytest.mark.parametrize("make_env,seed", list(TRAJECTORY_DIGESTS))
+def test_trajectory_records_keep_their_bytes(make_env, seed):
+    env = globals()[make_env](31)
+    cfg = wl.TrajectoryConfig(paths=3000, horizon=30, seed=seed)
+    sample = wl.simulate_trajectories(env, cfg, times=[5, 15, 30], levels=True,
+                                      keep_positions_at=[30])
+    assert trajectory_digest(sample) == TRAJECTORY_DIGESTS[make_env, seed]
+    assert (sample.flagged > 0) == (make_env == "geometric_env")
+
+
+@pytest.mark.parametrize("method", ["chain", "sojourn", "dynsys"])
+def test_two_tail_runs_sort_nothing(monkeypatch, method):
+    # every key is ranked in its own site's table: a run of several tails
+    # sorts no batch of keys by tail
+    env = two_point_env(51)
+    assert len(env.tails) == 2
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *args, **kwargs:
+                        calls.append(1) or argsort(*args, **kwargs))
+    if method == "dynsys":
+        sample = wl.simulate_trajectories(env, wl.TrajectoryConfig(paths=3000, horizon=50, seed=23),
+                                          times=[10, 50], levels=True)
+        assert sample.contributing[50] == 3000
+    else:
+        sample = wl.simulate_paths(env, wl.McConfig(paths=3000, horizon=50, seed=23),
+                                   method=method)
+        assert sample.x_final.size == 3000
+    assert not calls

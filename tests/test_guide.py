@@ -1,9 +1,11 @@
-"""Guide-table lookups: Guide(values, lo, hi).rank(keys), with or without an
-``out`` buffer, must give np.searchsorted(values, keys, side="right")
-clipped to [lo, hi] bit for bit, and the flat indices of the clipped keys,
-with ties, with values and keys exactly on bucket edges j/m or next to them.
-Keys are doubles or raw uint64 Philox words w, standing for the double
-(w >> 11) 2^-53 that Generator.random makes of them."""
+"""Guide-table lookups: Guide([values], lo, [hi]).rank(keys), with or
+without an ``out`` buffer, must give np.searchsorted(values, keys,
+side="right") clipped to [lo, hi] bit for bit, and the flat indices of the
+clipped keys, with ties, with values and keys exactly on bucket edges j/m or
+next to them.  A guide over several tables ranks each key in its own table,
+as that table's own guide would.  Keys are doubles or raw uint64 Philox words
+w, standing for the double (w >> 11) 2^-53 that Generator.random makes of
+them."""
 
 import numpy as np
 import pytest
@@ -60,7 +62,7 @@ def assert_ranks_match(values, keys, lo=0, hi=None):
     """rank(keys) and rank(keys, out=...) on batches above and below
     _GUIDED_MIN_KEYS: searchsorted's clipped ranks, in ``out`` itself, the
     clipped keys' flat indices, keys unchanged."""
-    guide = Guide(values, lo=lo, hi=hi)
+    guide = Guide([values], lo=lo, hi=None if hi is None else [hi])
     hi = values.size if hi is None else hi
     for shaped in (keys, keys[: keys.size // 2 * 2].reshape(2, -1), keys[:7],
                    keys[: _GUIDED_MIN_KEYS - 1], keys[:_GUIDED_MIN_KEYS]):
@@ -125,3 +127,52 @@ def test_rank_on_simulator_tails(dtype, env):
     for values, lo, hi in ((1.0 - ext, 0, ext.size - 1), (ext[::-1].copy(), 1, None)):
         assert_ranks_match(values, lookup_keys(values, uniforms), lo, hi)
         assert_ranks_match(values, np.concatenate([words, lookup_words(values)]), lo, hi)
+
+
+def assert_tables_rank_each_key(tables, keys, lo, hi):
+    """A guide over ``tables`` with key i in table tails[i] (a 1-D keys) or
+    row i in table tails[i] (2-D): each key's own clipped searchsorted rank,
+    the clipped keys' flat indices ascending, on batches above and below
+    _GUIDED_MIN_KEYS, with or without ``out``."""
+    guide = Guide(tables, lo=lo, hi=hi)
+    tails = np.random.default_rng(1).integers(0, len(tables), keys.size)
+    for shaped, of in ((keys, tails), (keys[:7], tails[:7]),
+                       (keys[: _GUIDED_MIN_KEYS - 1], tails[: _GUIDED_MIN_KEYS - 1]),
+                       (keys[: keys.size // 4 * 4].reshape(4, -1), tails[:4, None])):
+        each = np.broadcast_to(of, shaped.shape)
+        want = np.empty(shaped.shape, dtype=np.intp)
+        clipped_at = np.zeros(shaped.shape, dtype=bool)
+        for t, values in enumerate(tables):
+            at = each == t
+            want[at], clipped = searchsorted_ranks(values, shaped[at], lo, hi[t])
+            clipped_at.flat[np.flatnonzero(at)[clipped]] = True
+        for out in (None, np.full(shaped.shape, -5, dtype=np.intp)):
+            got, clipped = guide.rank(shaped, of, out=out)
+            assert out is None or got is out
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(clipped, np.flatnonzero(clipped_at))
+
+
+@pytest.mark.parametrize("lo,hi", [(0, None), (1, [2, 1500]), (2, [3, 2156])])
+def test_tables_rank_each_key_in_its_own(lo, hi):
+    """Tables of 3 and 2156 values (a lossy tail and the beta = 3 power-law
+    CDF), each with its own hi, on doubles and on raw words."""
+    lossy = np.array([0.0, 0.4, 0.7])
+    powerlaw = 1.0 - wl.env_from_powerlaw(3.0, 0, tail_tol=1e-10).tails[0].extended()
+    tables = [lossy, powerlaw]
+    assert powerlaw.size == 2156
+    hi = [t.size for t in tables] if hi is None else hi
+    words = np.random.Philox(7).random_raw(1 << 13)
+    extra = np.concatenate(tables)
+    keys = np.concatenate([lookup_keys(lossy, extra), (words >> 11) * 2.0**-53])
+    assert_tables_rank_each_key(tables, np.random.default_rng(2).permutation(keys), lo, hi)
+    raw = np.concatenate([words, lookup_words(lossy, extra), lookup_words(powerlaw)])
+    assert_tables_rank_each_key(tables, np.random.default_rng(3).permutation(raw), lo, hi)
+
+
+def test_tables_keep_their_own_guides_memory():
+    tables = [np.array([0.0, 0.4, 0.7]), np.linspace(0.0, 1.0, 2156), np.array([0.5])]
+    flat = Guide(tables)
+    assert flat._table.size == sum(Guide([t])._table.size for t in tables)
+    assert flat._table.size == sum((1 << (t.size.bit_length() + 1)) + 1 for t in tables)
