@@ -53,16 +53,17 @@ def _apply_local(ext: np.ndarray, slope: np.ndarray, f: np.ndarray, i: np.ndarra
 
 
 def _level_tables(env: Environment, horizon: int) -> tuple:
-    """The map's tables on sites 0..horizon: the distinct tails' extended
-    values end to end (ext), their ``_slopes``, one guide over them reversed
-    with ranks clipped at 1, each site's table (None on one tail), and each
-    table's last index in ext and deepest level.  Rank r in table t is level
-    top[t] - r, at index last[t] - r of ext."""
-    keys, tails = np.unique(env.tail_index[: horizon + 1], return_inverse=True)
-    exts = [env.tails[k].extended() for k in keys.tolist()]
+    """The map's tables on sites 0..horizon: their tails' extended values end
+    to end (ext), their ``_slopes``, one guide over them reversed with ranks
+    clipped at 1, each site's table (None on one tail), and each table's last
+    index in ext and deepest level.  Rank r in table t is level top[t] - r,
+    at index last[t] - r of ext.  Tails are numbered in order of first
+    appearance, so the tables are those of tails 0..max of the sites."""
+    tails = env.tail_index[: horizon + 1]
+    exts = [tail.extended() for tail in env.tails[: tails.max() + 1]]
     top = np.array([e.size - 1 for e in exts])
     return (np.concatenate(exts), np.concatenate([_slopes(e) for e in exts]),
-            Guide([e[::-1].copy() for e in exts], lo=1), tails if keys.size > 1 else None,
+            Guide([e[::-1].copy() for e in exts], lo=1), tails if len(exts) > 1 else None,
             np.cumsum(top + 1) - 1, top)
 
 

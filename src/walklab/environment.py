@@ -32,6 +32,9 @@ one tail object at every site, ``diagnostics`` computes one row per shared
 tail and beta, and a file of values prints a shared tail once and refers
 back to it by site index.  ``Environment`` keeps the sharing as a tail table
 (its distinct tails and a site -> tail index) that every consumer reads.
+Tails are numbered in order of first appearance, so the tails of sites
+0..x-1 are exactly 0..K-1: readers slice the table to its first K tails and
+count sites per tail with ``np.bincount``, and none sorts the index.
 
 An environment a builder made is filed as its builder descriptor and a
 sha256 of its tails, not as values: loading builds it again and refuses
@@ -567,9 +570,9 @@ def _sojourn_moments(env: Environment, stop: int) -> np.ndarray:
     """Rows m and m2: the stored sojourn mean and second moment of each site
     0..stop-1, formed once per distinct tail and spread over its sites."""
     env.ensure(stop - 1)
-    keys, of_site = np.unique(env.tail_index[:stop], return_inverse=True)
-    return np.array([(env.tails[k].stored_mean(), env.tails[k].stored_second_moment())
-                     for k in keys.tolist()]).T[:, of_site]
+    tails = env.tail_index[:stop]  # numbered by first appearance: 0..max
+    return np.array([(tail.stored_mean(), tail.stored_second_moment())
+                     for tail in env.tails[: tails.max() + 1]]).T[:, tails]
 
 
 def diagnostics(env: Environment, beta) -> EnvDiagnostics:
@@ -660,14 +663,16 @@ def env_json_text(env: Environment) -> str:
     printed once.
     """
     pieces = ['{"model": ' + json.dumps(env.model, sort_keys=True) + ', "sites": [\n']
-    # tails are numbered in order of first appearance, so first[k] is tail k's first site
-    _, first = np.unique(env.tail_index, return_index=True)
+    # tails are numbered in order of first appearance: tail k is new at
+    # site x when k = len(first), and first[k] is its first site
+    first: list[int] = []
     for x, k in enumerate(env.tail_index.tolist()):
         if x:
             pieces.append(",\n")
-        if first[k] < x:
+        if k < len(first):
             pieces.append(str(first[k]))
             continue
+        first.append(x)
         tail = env.tails[k]
         omegas = ", ".join([format(v, ".17g") for v in tail.values.tolist()])
         pieces.append('{"omega": [' + omegas + '], "deficit": ' + format(tail.deficit, ".17g") + "}")

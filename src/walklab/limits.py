@@ -208,9 +208,11 @@ def llt_predictor(
         env.site(int(x_values.max()))
     # sum of h_l(x) over any l-range is at most 2 sqrt(n) / sqrt(2 pi st2)
     density_sum_bound = 2.0 * math.sqrt(n) / math.sqrt(2.0 * math.pi * st2)
-    # the rows of each distinct tail, in ascending order
-    keys, of = np.unique(env.tail_index[x_values], return_inverse=True)
-    groups = np.split(np.argsort(of, kind="stable"), np.cumsum(np.bincount(of))[:-1])
+    # the rows of each tail met, in ascending order
+    of = env.tail_index[x_values]
+    counts = np.bincount(of)
+    keys = np.flatnonzero(counts)
+    groups = np.split(np.argsort(of, kind="stable"), np.cumsum(counts[keys])[:-1])
     for k, idx in zip(keys.tolist(), groups):
         # everything but the density's centre x is a property of the tail
         site = env.tails[k]

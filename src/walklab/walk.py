@@ -6,16 +6,17 @@ horizontal coordinate X_n is therefore a renewal-style walk whose sojourn at
 site x has pmf omega_{n-1} - omega_n, and the first-passage time of site x is
 the convolution of the sojourns at sites 0..x-1.
 
-Exact computations convolve pmfs one raw ladder step at a time (``_step``).
-A ladder allowed to trim (``trunc_tol > 0``) books in an explicit deficit its
-trimmed upper tails, its floored lower tails and the roundoff bound of its FFT
-products (see ``DiscreteDistribution.convolve``); with ``trunc_tol = 0`` every
-product is direct and loss-free.  A hitting law is a product of powered
-sojourn laws (``_power``); with ``trunc_tol > 0`` a position scan starts at
-the window around n/mu and walks each run of sites of one tail in blocks of
-about sqrt(rows) sites: one ladder step per block, each row a dot product
-with tables built once per run (``position_scan``; the grouping is Paterson
-and Stockmeyer's, SIAM J. Comput. 2(1), 1973).  Position laws come from
+Exact computations convolve pmfs one ladder step at a time, each step one
+``DiscreteDistribution.convolve`` that returns a law.  A ladder allowed to
+trim (``trunc_tol > 0``) books in an explicit deficit its trimmed upper
+tails, its floored lower tails and the roundoff bound of its FFT products
+(see ``convolve``); with ``trunc_tol = 0`` every product is direct and
+loss-free.  A hitting law is a product of powered sojourn laws
+(``_power``); with ``trunc_tol > 0`` a position scan starts at the window
+around n/mu and walks each run of sites of one tail in blocks of about
+sqrt(rows) sites: one ladder step per block, each row a dot product with
+tables built once per run (``position_scan``; the grouping is Paterson and
+Stockmeyer's, SIAM J. Comput. 2(1), 1973).  Position laws come from
 
     P(X_n = x) = sum_k P(T_x = k) * omega^x_{n-k},
 
@@ -156,7 +157,8 @@ class DiscreteDistribution:
 
     @classmethod
     def _of(cls, *raw) -> "DiscreteDistribution":
-        """A law from a raw block of ``_step``, uncopied: only the mass check runs."""
+        """A law from ``convolve``'s canonical block (offset, probs, mass, deficit,
+        beyond), uncopied: only the mass check runs."""
         law = object.__new__(cls)
         law._store(*raw)
         return law
@@ -176,29 +178,6 @@ class DiscreteDistribution:
 
     def mass(self) -> float:
         return self._mass
-
-    def prob_at(self, k: int) -> float:
-        if self.offset <= k <= self.end:
-            return float(self.probs[k - self.offset])
-        return 0.0
-
-    def cdf_at(self, k: int) -> float:
-        """P(value <= k) over stored atoms."""
-        if k < self.offset:
-            return 0.0
-        if k >= self.end:
-            return self._mass
-        return float(self.probs[: k - self.offset + 1].sum())
-
-    def moment(self, order: int) -> float:
-        return float((self.support.astype(np.float64) ** order * self.probs).sum())
-
-    def mean(self) -> float:
-        return self.moment(1)
-
-    def variance(self) -> float:
-        mean = self.mean()
-        return self.moment(2) - mean**2
 
     def _reversed_sums(self, length: int) -> np.ndarray:
         """rev[j] = probs[size - j:].sum() for j <= size and the whole sum up
@@ -237,58 +216,50 @@ class DiscreteDistribution:
         is a lower bound on the true atom, and the mass this removes is booked
         in ``deficit``.  With ``trunc_tol = 0`` every product is direct.
         """
-        law = (self.offset, self.probs, self._mass, self.deficit, self.beyond)
-        return DiscreteDistribution._of(*_step(law, other, trunc_tol, horizon))
-
-
-def _step(law: tuple, other: DiscreteDistribution, trunc_tol: float,
-          horizon: int | None) -> tuple:
-    """``convolve`` on a raw law (offset, probs, mass, deficit, beyond) with a
-    canonical block; returns the product in the same form."""
-    offset, a, mass_a, deficit_a, beyond_a = law
-    offset, b, mass_b = offset + other.offset, other.probs, other._mass
-    beyond = beyond_a * (mass_b + other.beyond) + mass_a * other.beyond
-    above = 0.0  # mass of the stored atoms' product above the horizon
-    if horizon is None:
-        keep = a.size + b.size - 1
-    else:
-        keep = horizon - offset + 1
-        # a_i * b_j lands above the horizon iff j >= keep - i, so a_i carries
-        # rev[b.size - keep + i]; atoms of a before keep - b.size never do
-        start = min(max(keep - b.size, 0), a.size)
-        first = min(b.size - keep + start, b.size)
-        rev = other._reversed_sums(first + a.size - start)
-        above = float(a[start:] @ rev[first : first + a.size - start])
-        beyond += above
-        a, b = a[:keep], b[:keep]
-    deficit = deficit_a + other.deficit - deficit_a * other.deficit
-    if keep <= 0:
-        probs = np.zeros(1)
-    elif trunc_tol > 0.0 and _by_fft(a.size, b.size):
-        spectrum = other._spectrum if b.size == other.probs.size else None
-        probs = _fft_product(a, b, keep, mass_a, mass_b, spectrum)
-        # the atoms below the horizon hold mass_a mass_b - above in truth
-        deficit += max(mass_a * mass_b - above - float(probs.sum()), 0.0)
-    else:
-        probs = np.convolve(a, b)[:keep]
-    if trunc_tol > beyond and probs.size > 1:
-        target = trunc_tol - beyond
-        # a cumsum is sequential, so that of the last 64 atoms is the start
-        # of the whole reversed one; most trims stop within it
-        rev = np.cumsum(probs[::-1][:64])
-        if rev[-1] <= target and rev.size < probs.size:
-            rev = np.cumsum(probs[::-1])
-        cut = min(int(np.searchsorted(rev, target, side="right")), probs.size - 1)
-        if cut > 0:
-            deficit += float(rev[cut - 1])
-            probs = probs[:-cut]
-    offset, probs = _strip_zeros(offset, probs, beyond)
-    if trunc_tol > 0.0 and probs[0] < _FLOOR and probs.size > 1:
-        # argmax is 0 when no atom reaches the floor: keep the last one then
-        cut = int(np.argmax(probs >= _FLOOR)) or probs.size - 1
-        deficit += float(probs[:cut].sum())
-        offset, probs = offset + cut, probs[cut:]
-    return offset, probs, float(probs.sum()), deficit, beyond
+        offset, a, b = self.offset + other.offset, self.probs, other.probs
+        mass_a, mass_b, deficit_a = self._mass, other._mass, self.deficit
+        beyond = self.beyond * (mass_b + other.beyond) + mass_a * other.beyond
+        above = 0.0  # mass of the stored atoms' product above the horizon
+        if horizon is None:
+            keep = a.size + b.size - 1
+        else:
+            keep = horizon - offset + 1
+            # a_i * b_j lands above the horizon iff j >= keep - i, so a_i carries
+            # rev[b.size - keep + i]; atoms of a before keep - b.size never do
+            start = min(max(keep - b.size, 0), a.size)
+            first = min(b.size - keep + start, b.size)
+            rev = other._reversed_sums(first + a.size - start)
+            above = float(a[start:] @ rev[first : first + a.size - start])
+            beyond += above
+            a, b = a[:keep], b[:keep]
+        deficit = deficit_a + other.deficit - deficit_a * other.deficit
+        if keep <= 0:
+            probs = np.zeros(1)
+        elif trunc_tol > 0.0 and _by_fft(a.size, b.size):
+            spectrum = other._spectrum if b.size == other.probs.size else None
+            probs = _fft_product(a, b, keep, mass_a, mass_b, spectrum)
+            # the atoms below the horizon hold mass_a mass_b - above in truth
+            deficit += max(mass_a * mass_b - above - float(probs.sum()), 0.0)
+        else:
+            probs = np.convolve(a, b)[:keep]
+        if trunc_tol > beyond and probs.size > 1:
+            target = trunc_tol - beyond
+            # a cumsum is sequential, so that of the last 64 atoms is the start
+            # of the whole reversed one; most trims stop within it
+            rev = np.cumsum(probs[::-1][:64])
+            if rev[-1] <= target and rev.size < probs.size:
+                rev = np.cumsum(probs[::-1])
+            cut = min(int(np.searchsorted(rev, target, side="right")), probs.size - 1)
+            if cut > 0:
+                deficit += float(rev[cut - 1])
+                probs = probs[:-cut]
+        offset, probs = _strip_zeros(offset, probs, beyond)
+        if trunc_tol > 0.0 and probs[0] < _FLOOR and probs.size > 1:
+            # argmax is 0 when no atom reaches the floor: keep the last one then
+            cut = int(np.argmax(probs >= _FLOOR)) or probs.size - 1
+            deficit += float(probs[:cut].sum())
+            offset, probs = offset + cut, probs[cut:]
+        return DiscreteDistribution._of(offset, probs, float(probs.sum()), deficit, beyond)
 
 
 def _by_fft(size_a: int, size_b: int) -> bool:
@@ -395,18 +366,18 @@ def _sojourn_cache(env: Environment):
 
 
 def _power(env: Environment, x: int, trunc_tol: float, horizon: int | None,
-           sojourn_of) -> tuple:
-    """Raw law of T_x, a sum of independent sojourns: over the distinct tails
-    k of sites 0..x-1, ``sojourn_of(k)`` to the power #{sites with tail k},
-    by squaring in O(log x) steps, each trimmed and clipped as a ladder step."""
+           sojourn_of) -> DiscreteDistribution:
+    """Law of T_x, a sum of independent sojourns: over the tails k of sites
+    0..x-1, which are 0..K-1 by their numbering in order of first appearance,
+    ``sojourn_of(k)`` to the power #{sites with tail k}, by squaring in
+    O(log x) steps, each trimmed and clipped as a ladder step."""
     env.ensure(x - 1)
-    law = (0, np.ones(1), 1.0, 0.0, 0.0)
-    keys, counts = np.unique(env.tail_index[:x], return_counts=True)
-    for k, count in zip(keys.tolist(), counts.tolist()):
+    law = DiscreteDistribution.point_mass(0)
+    for k, count in enumerate(np.bincount(env.tail_index[:x]).tolist()):
         base = sojourn_of(k)
         while count:
             if count & 1:
-                law = _step(law, base, trunc_tol, horizon)
+                law = law.convolve(base, trunc_tol, horizon)
             count >>= 1
             if count:
                 base = base.convolve(base, trunc_tol, horizon)
@@ -424,10 +395,11 @@ def _check_ladder(name: str, x: int, trunc_tol: float, deficit_budget: float) ->
         raise ValidationError(f"deficit_budget must be >= 0, got {deficit_budget}")
 
 
-def _within_budget(law: tuple, deficit_budget: float, x: int) -> tuple:
-    if law[3] > deficit_budget:
+def _within_budget(law: DiscreteDistribution, deficit_budget: float,
+                   x: int) -> DiscreteDistribution:
+    if law.deficit > deficit_budget:
         raise DeficitBudgetError(
-            f"accumulated deficit {law[3]:.3e} exceeds budget "
+            f"accumulated deficit {law.deficit:.3e} exceeds budget "
             f"{deficit_budget:.3e} at site {x}; increase N_cap, tighten "
             f"tail_tol, or coarsen trunc_tol"
         )
@@ -440,7 +412,7 @@ def hitting_time_scan(
     trunc_tol: float = DEFAULT_TRUNC_TOL,
     deficit_budget: float = DEFAULT_DEFICIT_BUDGET,
     horizon: int | None = None,
-    *, _raw: bool = False, _start: tuple | None = None,
+    *, _start: tuple | None = None,
 ) -> Iterator[tuple[int, DiscreteDistribution]]:
     """Yield (x, law of T_x) for x = 0..x_stop, convolving one site at a time.
 
@@ -449,9 +421,9 @@ def hitting_time_scan(
     sojourn lasts at least one step, so no atom above n ever comes back
     below it.  ``deficit_budget``, at least 0, applies to the deficit alone
     (truncation, the underflow floor and FFT roundoff), not to ``beyond``.
-    ``trunc_tol``, the mass one trim may drop, must lie in [0, 1).  ``_raw``
-    yields the raw blocks of ``_step`` instead, so no law is built per site.
-    ``_start`` = (x, raw law of T_x, advance) starts the scan there, and
+    ``trunc_tol``, the mass one trim may drop, must lie in [0, 1).  Each
+    step is one ``DiscreteDistribution.convolve``.
+    ``_start`` = (x, law of T_x, advance) starts the scan there, and
     ``advance(x)`` returns (y, law of T_y - T_x): the scan yields T_y next.
     """
     _check_ladder("x_stop", x_stop, trunc_tol, deficit_budget)
@@ -462,14 +434,13 @@ def hitting_time_scan(
             env.site(x)
             return x + 1, sojourn_of(int(env.tail_index[x]))
 
-        _start = (0, (0, np.ones(1), 1.0, 0.0, 0.0), advance)
+        _start = (0, DiscreteDistribution.point_mass(0), advance)
     x, law, advance = _start
-    _within_budget(law, deficit_budget, x)
-    yield x, law if _raw else DiscreteDistribution._of(*law)
+    yield x, _within_budget(law, deficit_budget, x)
     while x < x_stop:
         x, factor = advance(x)
-        law = _within_budget(_step(law, factor, trunc_tol, horizon), deficit_budget, x)
-        yield x, law if _raw else DiscreteDistribution._of(*law)
+        law = _within_budget(law.convolve(factor, trunc_tol, horizon), deficit_budget, x)
+        yield x, law
 
 
 def hitting_time_distribution(
@@ -483,8 +454,7 @@ def hitting_time_distribution(
     times, not x times; with ``trunc_tol = 0`` every product is direct and
     loss-free, so only the stored tails' deficits remain."""
     _check_ladder("x", x, trunc_tol, deficit_budget)
-    law = _power(env, x, trunc_tol, None, _sojourn_cache(env))
-    return DiscreteDistribution._of(*_within_budget(law, deficit_budget, x))
+    return _within_budget(_power(env, x, trunc_tol, None, _sojourn_cache(env)), deficit_budget, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -537,7 +507,7 @@ def position_scan(
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
     sojourn_of = _sojourn_cache(env)
-    x_start, law = 0, (0, np.ones(1), 1.0, 0.0, 0.0)
+    x_start, law = 0, DiscreteDistribution.point_mass(0)
     x_hi = n  # T_x >= x: no site past n holds mass at time n
     stop = min(len(env) - 1, n)  # x_lo is a materialized site: none is added to find it
     if 0.0 < trunc_tol < 1.0 and stop >= 1:
@@ -548,11 +518,11 @@ def position_scan(
         reached = int(np.count_nonzero(mean - spread <= n))
         if reached < stop:  # the scan stops near the first site whose T_x lies past n
             x_hi = reached
-        # with more distinct tails below x_lo there is little to power, and
-        # the scan's cache would build their sojourn laws again
-        if x_lo and np.count_nonzero(np.bincount(env.tail_index[:x_lo])) <= _RECENT_TAILS:
+        # with more tails below x_lo (numbered 0..K-1) there is little to
+        # power, and the scan's cache would build their sojourn laws again
+        if x_lo and env.tail_index[:x_lo].max() < _RECENT_TAILS:
             product = _power(env, x_lo, trunc_tol, n, sojourn_of)
-            if product[4] <= trunc_tol:
+            if product.beyond <= trunc_tol:
                 x_start, law = x_lo, product
     prob, hit = (np.concatenate(parts) for parts in zip(
         *_scan_rows(env, n, trunc_tol, deficit_budget, x_start, law, x_hi, sojourn_of)))
@@ -566,8 +536,8 @@ def position_scan(
 
 
 def _scan_rows(env: Environment, n: int, trunc_tol: float, deficit_budget: float,
-               x: int, law: tuple, x_hi: int, sojourn_of) -> Iterator[tuple]:
-    """(P(X_n = y), P(T_y = n)) for y = x, x+1, ... from the raw law of T_x,
+               x: int, law: DiscreteDistribution, x_hi: int, sojourn_of) -> Iterator[tuple]:
+    """(P(X_n = y), P(T_y = n)) for y = x, x+1, ... from the law of T_x,
     clipped to n, until ``position_scan``'s stop rule; a run of sites of one
     tail goes in blocks of B sites, B fixed per run from the rows it can hold
     among the materialized sites (at most x_hi).  Rows come in pairs of
@@ -578,9 +548,9 @@ def _scan_rows(env: Environment, n: int, trunc_tol: float, deficit_budget: float
     starts, known = np.flatnonzero(np.diff(env.tail_index)) + 1, len(env)
     steps = []  # the ladder step after a block: (site, law of its sojourns)
     tail = -1
-    for x, (offset, probs, mass, _, _) in hitting_time_scan(
-            env, n, trunc_tol, deficit_budget, horizon=n, _raw=True,
-            _start=(x, law, lambda _: steps.pop())):
+    for x, law in hitting_time_scan(env, n, trunc_tol, deficit_budget, horizon=n,
+                                    _start=(x, law, lambda _: steps.pop())):
+        offset, probs, mass = law.offset, law.probs, law.mass()
         site = env.site(x)
         if env.tail_index[x] != tail:  # a run starts at x
             tail = int(env.tail_index[x])
@@ -644,10 +614,8 @@ def _baby_steps(sojourn: DiscreteDistribution, ext: np.ndarray, size: int,
     of the run's first law, past which no dot product of the run reads.
     """
     powers = [None, sojourn]
-    raw = (sojourn.offset, sojourn.probs, sojourn._mass, sojourn.deficit, sojourn.beyond)
     for _ in range(size - 1):
-        raw = _step(raw, sojourn, trunc_tol, reach)
-        powers.append(DiscreteDistribution._of(*raw))
+        powers.append(powers[-1].convolve(sojourn, trunc_tol, reach))
     lags = min(reach, max(p.end for p in powers[1:size]) + ext.size - 1)
     table = np.zeros((size - 1, 3, lags + 1))
     upper = np.empty(size - 1)
@@ -808,10 +776,11 @@ def simulate_paths(
     env.ensure(reach)
     # one guide over the run's tail CDFs, formed once per call, and each
     # site's table in it; a clipped rank is a truncated draw
-    keys, tails = np.unique(env.tail_index[: reach + 1], return_inverse=True)
-    cdfs = [1.0 - env.tails[k].extended() for k in keys.tolist()]
+    # tails are numbered in order of first appearance: the run's are 0..max
+    tails = env.tail_index[: reach + 1]
+    cdfs = [1.0 - tail.extended() for tail in env.tails[: tails.max() + 1]]
     guide = Guide(cdfs, hi=[cdf.size - 1 for cdf in cdfs])
-    draw = partial(_draw, guide, tails if keys.size > 1 else None)
+    draw = partial(_draw, guide, tails if len(cdfs) > 1 else None)
 
     sample = WalkSample(method=method, record=cfg.record, paths=cfg.paths,
                         seed=cfg.seed, times=times)

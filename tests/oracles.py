@@ -23,6 +23,9 @@
 * Monte Carlo TV and Kolmogorov bounds with a stated false-alarm rate
   (``mc_tv_bound``, ``mc_ks_bound``), for simulator checks against exact
   laws.
+* Atoms, CDF values and moments of a ``DiscreteDistribution`` over its
+  stored atoms (``prob_at``, ``cdf_at``, ``moment``, ``mean``,
+  ``variance``), which only tests read.
 """
 
 import math
@@ -227,9 +230,9 @@ def scan_rows_per_row(env, n, trunc_tol, deficit_budget, x, law, x_hi, sojourn_o
     starts, known = np.flatnonzero(np.diff(env.tail_index)) + 1, len(env)
     steps = []
     tail = -1
-    for x, (offset, probs, mass, _, _) in walk.hitting_time_scan(
-            env, n, trunc_tol, deficit_budget, horizon=n, _raw=True,
-            _start=(x, law, lambda _: steps.pop())):
+    for x, law in walk.hitting_time_scan(env, n, trunc_tol, deficit_budget, horizon=n,
+                                         _start=(x, law, lambda _: steps.pop())):
+        offset, probs, mass = law.offset, law.probs, law.mass()
         site = env.site(x)
         if env.tail_index[x] != tail:
             tail = int(env.tail_index[x])
@@ -315,3 +318,35 @@ def mc_ks_bound(paths, delta, deficit=0.0):
     grows with it.  The exact law's ``deficit`` is added as fully mismatched
     mass, which moves no CDF value by more."""
     return math.sqrt(math.log(2.0 / delta) / (2.0 * paths)) + deficit
+
+
+# ---------------------------------------------------------------------------
+# a law's atoms and moments
+# ---------------------------------------------------------------------------
+
+def prob_at(law, k):
+    """P(value = k) over the stored atoms of ``law``."""
+    if law.offset <= k <= law.end:
+        return float(law.probs[k - law.offset])
+    return 0.0
+
+
+def cdf_at(law, k):
+    """P(value <= k) over the stored atoms of ``law``."""
+    if k < law.offset:
+        return 0.0
+    if k >= law.end:
+        return law.mass()
+    return float(law.probs[: k - law.offset + 1].sum())
+
+
+def moment(law, order):
+    return float((law.support.astype(np.float64) ** order * law.probs).sum())
+
+
+def mean(law):
+    return moment(law, 1)
+
+
+def variance(law):
+    return moment(law, 2) - mean(law) ** 2

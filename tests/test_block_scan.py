@@ -44,7 +44,7 @@ def blocks(monkeypatch):
     """The tables each run builds, and the ladder steps that close a run
     inside a block (a factor P_r with 1 < r < B)."""
     seen = {"tables": [], "closed": 0}
-    baby_steps, step = walk._baby_steps, walk._step
+    baby_steps, step = walk._baby_steps, wl.DiscreteDistribution.convolve
 
     def counted_tables(*args):
         tables = baby_steps(*args)
@@ -57,7 +57,7 @@ def blocks(monkeypatch):
         return step(law, other, *args)
 
     monkeypatch.setattr(walk, "_baby_steps", counted_tables)
-    monkeypatch.setattr(walk, "_step", counted_step)
+    monkeypatch.setattr(wl.DiscreteDistribution, "convolve", counted_step)
     return seen
 
 
@@ -158,13 +158,13 @@ def test_block_scan_makes_sqrt_steps(monkeypatch):
     # every product of the scan, its window attempt and its tables included
     env = wl.env_from_powerlaw(3.0, 1300, tail_tol=1e-10)
     steps = []
-    step = walk._step
+    step = wl.DiscreteDistribution.convolve
 
     def counted(*args):
         steps.append(1)
         return step(*args)
 
-    monkeypatch.setattr(walk, "_step", counted)
+    monkeypatch.setattr(wl.DiscreteDistribution, "convolve", counted)
     n = 1000
     scan = wl.position_scan(env, n, TRUNC_TOL)
     rows = scan.prob.size

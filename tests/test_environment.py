@@ -4,12 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import walklab as wl
 from walklab import environment
 from walklab.errors import ValidationError
 
 from conftest import bisect_root
+from oracles import mean
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -284,7 +287,7 @@ def test_m_tail_sum_matches_pmf_mean(geometric_env, powerlaw_env, lsv_env):
     for env in (geometric_env, powerlaw_env, lsv_env):
         site = env.site(0)
         diag = wl.diagnostics(env, 3.0)
-        pmf_mean = wl.sojourn_pmf(site).mean()
+        pmf_mean = mean(wl.sojourn_pmf(site))
         slack = 1e-10 + (site.last_index + 1) * site.deficit
         assert abs(diag.m[0] - pmf_mean) <= slack
 
@@ -435,6 +438,65 @@ def test_ensure_calls_the_range_factory_once_per_extension():
     env.site(12)
     assert calls == [(1, 11), (11, 13)]
     assert len(env) == 13 and env.tails == [tail]
+
+
+# a pool of tails to share: tail j is omega = (1, r_j) with deficit r_j / 2
+POOL_R = (0.2, 0.35, 0.5, 0.65, 0.8)
+
+
+def shared_sites(data, pool):
+    """A site list over ``pool`` in any pattern of sharing, and the Environment
+    of its first sites grown to the rest by its factory in steps."""
+    sites = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40), label="sites")
+    start = data.draw(st.integers(1, len(sites)), label="start")
+    env = wl.Environment(sites[:start], factory=lambda lo, hi: sites[lo:hi])
+    for stop in sorted(data.draw(st.lists(st.integers(start, len(sites)), max_size=3),
+                                 label="stops")):
+        env.ensure(stop - 1)
+    env.ensure(len(sites) - 1)
+    return env
+
+
+def back_referenced_file(data, path):
+    """A file of values whose sites are new tails or refer back to earlier sites."""
+    entries = []
+    for x in range(data.draw(st.integers(1, 30), label="sites")):
+        if x and data.draw(st.booleans()):
+            entries.append(data.draw(st.integers(0, x - 1)))
+        else:
+            r = data.draw(st.sampled_from(POOL_R))
+            entries.append({"omega": [1.0, r], "deficit": r / 2})
+    path.write_text(json.dumps({"model": {}, "sites": entries}))
+    return environment.load_env_file(str(path))
+
+
+def grown_sample(data):
+    """A sampled iid environment, grown by its factory past the sampled sites."""
+    choices = data.draw(st.lists(st.sampled_from(POOL_R), min_size=1, max_size=4,
+                                 unique=True), label="choices")
+    model = wl.RandomEnvModel(kind="iid", family="geometric",
+                              seed=data.draw(st.integers(0, 2**16), label="seed"),
+                              choices=tuple(choices))
+    env = wl.sample_environment(model, data.draw(st.integers(0, 20)), tail_tol=1e-3).environment
+    env.ensure(len(env) - 1 + data.draw(st.integers(0, 20), label="grown"))
+    return env
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(["shared", "file", "sampled"]))
+def test_tails_are_numbered_by_first_appearance(tmp_path_factory, data, kind):
+    # the tails of sites 0..k-1 are exactly 0..K-1, so readers slice the tail
+    # table (tails[:max + 1]) or bincount the index without sorting it
+    if kind == "shared":
+        pool = [wl.TailSequence([1.0, r], deficit=r / 2) for r in POOL_R]
+        env = shared_sites(data, pool)
+    elif kind == "file":
+        env = back_referenced_file(data, tmp_path_factory.mktemp("env") / "env.json")
+    else:
+        env = grown_sample(data)
+    for k in range(1, len(env) + 1):
+        prefix = env.tail_index[:k]
+        np.testing.assert_array_equal(np.unique(prefix), np.arange(prefix.max() + 1))
 
 
 @pytest.mark.parametrize("build", [

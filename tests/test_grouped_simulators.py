@@ -8,6 +8,7 @@ sites a run needs."""
 import dataclasses
 import hashlib
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -352,3 +353,28 @@ def test_two_tail_runs_sort_nothing(monkeypatch, method):
                                    method=method)
         assert sample.x_final.size == 3000
     assert not calls
+
+
+@pytest.mark.parametrize("method", ["chain", "sojourn", "dynsys"])
+def test_tails_past_the_reach_leave_the_outputs(monkeypatch, method):
+    # the sites past a run's reach carry new, longer tails; tails are numbered
+    # in order of first appearance, so the run builds the tables of tails
+    # 0..max of the sites it reaches only, and gives the outputs of the cut env
+    module = dynsys if method == "dynsys" else walk
+    guide, tables = module.Guide, []
+    monkeypatch.setattr(module, "Guide", lambda values, **kwargs:
+                        tables.append(len(values)) or guide(values, **kwargs))
+    horizon = 30
+    cut = two_point_env(horizon + 1)
+    longer = [wl.geometric_tail_sequence(r, tail_tol=1e-12) for r in (0.9, 0.95)]
+    env = wl.Environment(cut.sites() + longer * 3)
+    assert len(cut.tails) == 2 and len(env.tails) == 4
+    if method == "dynsys":
+        cfg = wl.TrajectoryConfig(paths=3000, horizon=horizon, seed=23)
+        run = partial(wl.simulate_trajectories, cfg=cfg, times=[5, 15, 30], levels=True,
+                      keep_positions_at=[30])
+    else:
+        cfg = wl.McConfig(paths=3000, horizon=horizon, seed=23)
+        run = partial(wl.simulate_paths, cfg=cfg, method=method, times=[9, 30])
+    assert_identical(run(env), run(cut))
+    assert tables == [2, 2]

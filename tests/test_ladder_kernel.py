@@ -1,4 +1,4 @@
-"""The raw ladder step behind ``convolve`` and both scans.
+"""The ladder step, ``DiscreteDistribution.convolve``, behind both scans.
 
 A ladder that may trim moves the leading atoms below ``walk._FLOOR`` of every
 law into its deficit.  On a geometric environment, whose lower tail
@@ -80,9 +80,8 @@ def test_floored_scan_equals_floor_free_oracle(geometric, n, trunc_tol, monkeypa
     assert (floored > 0) == (x > 958)  # 2^-x is below the floor past x = 958
     x_lo = int(scan.x[0])
     assert x_lo > 0
-    offset, probs, _, deficit, beyond = walk._power(
-        geometric, x_lo, trunc_tol, n, walk._sojourn_cache(geometric))
-    start = (offset, probs, deficit, beyond)
+    law = walk._power(geometric, x_lo, trunc_tol, n, walk._sojourn_cache(geometric))
+    start = (law.offset, law.probs, law.deficit, law.beyond)
     rows, hits = [], []
     for x, expected in enumerate(oracle_ladder(geometric, n - x_lo, trunc_tol, n, start), x_lo):
         row, hit = oracle_row(geometric, n, expected)

@@ -8,6 +8,7 @@ the tail changed from one site to the next.
 
 import numpy as np
 import pytest
+from oracles import cdf_at, prob_at
 
 import walklab as wl
 from walklab import walk
@@ -44,8 +45,8 @@ def position_scan_oracle(env, n, trunc_tol):
         else:
             probs = dist.probs[k_lo - dist.offset : k_hi - dist.offset + 1]
             rows.append(float(probs @ rev[k_lo + j : k_hi + j + 1]))
-        hit.append(dist.prob_at(n))
-        if x == n or dist.cdf_at(n) < trunc_tol:
+        hit.append(prob_at(dist, n))
+        if x == n or cdf_at(dist, n) < trunc_tol:
             break
     prob = np.array(rows)
     return prob, np.array(hit), max(0.0, 1.0 - float(prob.sum()))

@@ -59,8 +59,7 @@ def test_product_agrees_with_ladder(name, horizon, trunc_tol):
         if horizon is None:
             product = wl.hitting_time_distribution(env, x, trunc_tol, deficit_budget=1.0)
         else:
-            raw = walk._power(env, x, trunc_tol, horizon, walk._sojourn_cache(env))
-            product = wl.DiscreteDistribution._of(*raw)
+            product = walk._power(env, x, trunc_tol, horizon, walk._sojourn_cache(env))
         assert product.mass() + product.beyond + product.deficit == pytest.approx(1.0, abs=1e-12)
         slack = law.deficit + product.deficit if trunc_tol else 1e-15
         if not trunc_tol:

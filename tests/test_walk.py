@@ -12,7 +12,7 @@ from walklab import walk
 from walklab.errors import DeficitBudgetError, ValidationError
 from walklab.streams import CHUNK, stream
 from walklab.walk import _BLOCK, _state_counts, hitting_time_scan
-from oracles import sample_sojourn
+from oracles import cdf_at, mean, prob_at, sample_sojourn, variance
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +94,7 @@ def test_sojourn_tail_identity(geometric_env):
     site = geometric_env.site(0)
     pmf = wl.sojourn_pmf(site)
     for n in (1, 2, 5, 10):
-        tail = pmf.mass() - pmf.cdf_at(n - 1) + pmf.deficit
+        tail = pmf.mass() - cdf_at(pmf, n - 1) + pmf.deficit
         assert tail == pytest.approx(site.values[n - 1], rel=1e-12)
 
 
@@ -140,9 +140,9 @@ def test_hitting_time_geometric_closed_form(geometric_env):
         oracle = np.array([math.comb(k - 1, x - 1) * 0.5**k for k in ks])
         np.testing.assert_allclose(d.probs[:40], oracle, rtol=1e-12)
     d2 = wl.hitting_time_distribution(geometric_env, 2, trunc_tol=0.0)
-    assert d2.prob_at(2) == pytest.approx(0.25, abs=1e-15)
-    assert d2.prob_at(3) == pytest.approx(0.25, abs=1e-15)
-    assert d2.prob_at(4) == pytest.approx(3.0 / 16.0, abs=1e-15)
+    assert prob_at(d2, 2) == pytest.approx(0.25, abs=1e-15)
+    assert prob_at(d2, 3) == pytest.approx(0.25, abs=1e-15)
+    assert prob_at(d2, 4) == pytest.approx(3.0 / 16.0, abs=1e-15)
 
 
 def test_hitting_time_moments_match_diagnostics(geometric_env):
@@ -150,8 +150,8 @@ def test_hitting_time_moments_match_diagnostics(geometric_env):
     diag = wl.diagnostics(geometric_env, 3.0)
     d = wl.hitting_time_distribution(geometric_env, x, trunc_tol=1e-14)
     slack = 1e-8 + d.deficit * (d.end + 1)
-    assert abs(d.mean() - diag.mu[x]) <= slack
-    assert abs(d.variance() - diag.sigma2[x]) <= 1e-6
+    assert abs(mean(d) - diag.mu[x]) <= slack
+    assert abs(variance(d) - diag.sigma2[x]) <= 1e-6
 
 
 def test_hitting_time_matches_brute_force_enumeration(geometric_env):
@@ -164,11 +164,11 @@ def test_hitting_time_matches_brute_force_enumeration(geometric_env):
     table = {}
     for combo in itertools.product(range(1, 7), repeat=x):
         table[sum(combo)] = table.get(sum(combo), 0.0) + np.prod(
-            [pmf.prob_at(v) for v in combo]
+            [prob_at(pmf, v) for v in combo]
         )
     d = wl.hitting_time_distribution(env, x, trunc_tol=0.0, deficit_budget=1.0)
     for k, p in table.items():
-        assert abs(d.prob_at(k) - p) < 1e-12
+        assert abs(prob_at(d, k) - p) < 1e-12
 
 
 def test_deficit_budget_enforced(geometric_env):
@@ -219,7 +219,7 @@ def test_position_geometric_n2(geometric_env):
 def test_position_small_x_equals_tail(geometric_env):
     # P(X_n = 0) = omega^0_n
     d = wl.position_distribution(geometric_env, 7, trunc_tol=0.0)
-    assert d.prob_at(0) == pytest.approx(0.5**7, rel=1e-12)
+    assert prob_at(d, 0) == pytest.approx(0.5**7, rel=1e-12)
 
 
 def test_position_support_and_mass(geometric_env, powerlaw_env):
@@ -235,7 +235,7 @@ def position_law_from_hitting_cdf(env, n, trunc_tol, deficit_budget=1e-6, stop_t
     stop_tol = trunc_tol if stop_tol is None else stop_tol
     cdfs = []
     for _, dist in hitting_time_scan(env, n + 1, trunc_tol, deficit_budget):
-        cdfs.append(dist.cdf_at(n))
+        cdfs.append(cdf_at(dist, n))
         if cdfs[-1] < stop_tol:
             break
     cdfs.append(0.0)
@@ -252,7 +252,7 @@ def test_position_two_routes_agree(geometric_env, powerlaw_env, lsv_env):
         lo = min(a.offset, b.offset)
         hi = max(a.end, b.end)
         for k in range(lo, hi + 1):
-            assert abs(a.prob_at(k) - b.prob_at(k)) < 1e-11
+            assert abs(prob_at(a, k) - prob_at(b, k)) < 1e-11
 
 
 def test_degenerate_env_walks_deterministically():
@@ -527,9 +527,9 @@ def unclipped_position_rows(env, n, trunc_tol):
     rows = []
     for x, dist in hitting_time_scan(env, n, trunc_tol, deficit_budget=1.0):
         ext = env.site(x).extended()
-        rows.append(sum(dist.prob_at(k) * ext[n - k]
+        rows.append(sum(prob_at(dist, k) * ext[n - k]
                         for k in range(max(0, n - ext.size + 1), n + 1)))
-        if x == n or dist.cdf_at(n) < trunc_tol:
+        if x == n or cdf_at(dist, n) < trunc_tol:
             break
     return np.array(rows)
 
@@ -549,10 +549,10 @@ def test_property_clipped_ladder_is_exact_below_horizon(env, n, trunc_tol):
         slack = u.deficit - c.deficit
         assert slack >= -1e-15
         ks = range(n + 1)
-        np.testing.assert_allclose([c.prob_at(k) for k in ks], [u.prob_at(k) for k in ks],
+        np.testing.assert_allclose([prob_at(c, k) for k in ks], [prob_at(u, k) for k in ks],
                                    rtol=1e-12, atol=slack + 1e-300)
-        assert abs(c.mass() - u.cdf_at(n)) <= slack + 1e-12 * u.cdf_at(n)
-        tail = u.mass() - u.cdf_at(n)
+        assert abs(c.mass() - cdf_at(u, n)) <= slack + 1e-12 * cdf_at(u, n)
+        tail = u.mass() - cdf_at(u, n)
         assert abs(c.beyond - tail) <= slack + 1e-12 * tail + 1e-15
         if trunc_tol == 0.0:
             assert slack == 0.0
