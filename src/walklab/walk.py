@@ -54,11 +54,12 @@ DEFAULT_TRUNC_TOL = 1e-14
 DEFAULT_DEFICIT_BUDGET = 1e-6
 # largest block of raw words the sojourn simulator draws at once
 _BLOCK = 1 << 16
-# The sojourn simulator sums blocks of at most this many sites row by row,
-# wider ones by a cumsum.  Per 2^16 draws on a 2-vCPU Xeon, numpy 2.4, rows
-# against cumsum: 0.10-0.15 vs 0.4-0.8 ms at width 2-8, 0.18-0.28 vs 0.43-0.56
-# at 32, 0.27 vs 0.41-0.45 at 64, 0.34-0.44 vs 0.25 at 80, 0.5-0.6 vs 0.43 at 128.
-_ROW_SUMS_WIDTH = 64
+# The sojourn simulator sums blocks of at most this many sites row by row, one
+# add a row, wider ones by a cumsum.  Per 2^16 draws on a 2-vCPU Xeon, numpy
+# 2.4, rows against cumsum: 0.03-0.04 vs 0.38-0.6 ms at width 2-16, 0.06 vs
+# 0.35 at 32, 0.10 vs 0.22-0.35 at 64-65, 0.17-0.19 vs 0.34-0.37 at 128, 0.19-
+# 0.21 vs 0.21-0.22 at 160, 0.30-0.32 vs 0.30-0.31 at 256, 0.38 vs 0.18-0.20 at 320.
+_ROW_SUMS_WIDTH = 256
 # int64 cells a simulation keeps over all paths: paths x (horizon + 1) of a
 # full-path or hitting-times record, plus the endpoints and checkpoint columns
 _MAX_RECORD_CELLS = 50_000_000
@@ -831,17 +832,18 @@ def _chain_chunk(cfg, rng, size, times, draw):
 
 def _sojourn_chunk(cfg, rng, size, times, draw):
     """Sojourn sums T_x from blocks of at most _BLOCK raw words, row j of a
-    block holding every live path's draw at one site.  A path stops once its
-    sum passes the horizon (hitting times run over sites 0..horizon-1); only
-    the draws it made before that are used, or count as truncated."""
+    block holding every live path's draw at one site, added to the live paths'
+    sums ``before``.  A path stops once its sum passes the horizon (hitting
+    times run over sites 0..horizon-1): the paths that finish in a block are
+    those whose last row passes it, and only the draws they made up to that
+    are used, or count as truncated.  A time t reads the paths with before <= t < last."""
     hitting_mode = cfg.record == "hitting-times"
     horizon = cfg.horizon
     n_sites, stop = (horizon, np.iinfo(np.int64).max) if hitting_mode else (horizon + 1, horizon)
     hitting = np.zeros((size, horizon + 1), dtype=np.int64) if hitting_mode else None
     x_at = None if times is None else np.zeros((size, times.size), dtype=np.int64)
     x_final, final_total = np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
-    total = np.zeros(size, dtype=np.int64)
-    active = np.arange(size)
+    active, before = np.arange(size), np.zeros(size, dtype=np.int64)
     truncated = 0
     site = 0
     buffer = np.empty(max(_BLOCK, size), dtype=np.int64)
@@ -851,31 +853,33 @@ def _sojourn_chunk(cfg, rng, size, times, draw):
         words = rng.bit_generator.random_raw(width * active.size).reshape(width, -1)
         over = draw(words, slice(site, site + width), out=draws)[1]
         sums = words.view(np.int64)  # the ranked words' array holds the block's sums
-        before = total[active]
-        if width <= _ROW_SUMS_WIDTH:  # draws ending within the horizon, row by row
-            within = np.zeros(active.size, dtype=np.intp)
-            for j, previous in enumerate([before, *sums[:-1]]):
-                within += np.add(previous, draws[j], out=sums[j]) <= stop
+        if width <= _ROW_SUMS_WIDTH:
+            for j in range(width):
+                np.add(sums[j - 1] if j else before, draws[j], out=sums[j])
         else:
             np.cumsum(draws, axis=0, out=sums)
             sums += before
-            within = np.count_nonzero(sums <= stop, axis=0)
-        row, path = np.divmod(over, active.size)
-        truncated += int(np.count_nonzero(row <= within[path]))
+        last = sums[-1]
+        done = np.flatnonzero(last > stop)  # X = site + within for these paths
+        within = np.count_nonzero(sums[:, done] <= stop, axis=0)
+        if over.size:  # a live path uses all its draws, a finishing one within + 1
+            reached = np.full(active.size, width)
+            reached[done] = within
+            row, path = np.divmod(over, active.size)
+            truncated += int(np.count_nonzero(row <= reached[path]))
         if hitting_mode:
             hitting[:, site + 1 : site + width + 1] = sums.T
         elif times is not None:  # X_t = site + #{block sums <= t} where the block passes t
-            for i in np.flatnonzero((times >= before.min()) & (times < sums[-1].max())):
-                count = np.count_nonzero(sums <= times[i], axis=0)
-                passes = (before <= times[i]) & (count < width)
-                x_at[active[passes], i] = site + count[passes]
-        done = within < width  # these paths pass the horizon in this block, X = site + within
-        x_final[active[done]] = site + within[done]
-        final_total[active[done]] = sums[within[done], done]
-        total[active] = sums[-1]
-        active = active[~done]
+            for i in np.flatnonzero((times >= before.min()) & (times < last.max())):
+                passes = np.flatnonzero((before <= times[i]) & (times[i] < last))
+                count = np.count_nonzero(sums[:, passes] <= times[i], axis=0)
+                x_at[active[passes], i] = site + count
+        x_final[active[done]] = site + within
+        final_total[active[done]] = sums[within, done]
+        live = last <= stop
+        before, active = last[live], active[live]
         site += width
-        del words, sums  # freed before the next block's words are drawn
+        del words, sums, last  # freed before the next block's words are drawn
     if hitting_mode:
         return {"hitting": hitting, "truncated": truncated}
     return {"x_final": x_final, "y_final": final_total - 1 - horizon, "x_at_times": x_at,

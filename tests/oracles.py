@@ -15,9 +15,15 @@
   draws one uniform a jumping path per step, in path order, and inverts each
   site's share by ``searchsorted``.  The simulators, which rank every key of
   a step in its site's table at once, must match them bit for bit.
+* The sojourn method path by path (``sojourn_chunk_per_path``): the same
+  blocks of uniforms, each inverted by ``searchsorted``, and each path's sums
+  formed and read one draw at a time.
 * The block scan's row loop (``scan_rows_per_row``), each block's rows
   handed out one at a time as before blocks came as arrays; the scan must
   match it bit for bit.
+* Loss-free hitting laws by J.C.P. Miller's recurrence for a power of a
+  power series (``power_by_recurrence``, ``hitting_law_by_recurrence``),
+  sharing nothing with the ladder's products.
 * The sup gap between a hitting law and its matched normal density
   (``hitting_density_sup_gap``), the E1 term of the local error.
 * Monte Carlo TV and Kolmogorov bounds with a stated false-alarm rate
@@ -30,6 +36,7 @@
 
 import math
 from dataclasses import dataclass
+from bisect import bisect_right
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -171,6 +178,52 @@ def chain_chunk_per_site(env, cfg, rng, size, times):
             "full_x": full_x, "full_y": full_y, "truncated": truncated}
 
 
+def sojourn_chunk_per_path(env, cfg, rng, size, times):
+    """``walk._sojourn_chunk`` one path at a time.  Each block takes width x
+    live uniforms by the simulator's width rule, row j at site site + j and
+    column i for the i-th live path, and inverts each by ``sample_sojourn``.
+    Each live path then adds its column to its sums T_1, T_2, ... one draw at
+    a time, counting the truncated ones, and stops at its first sum past the
+    horizon (hitting times run over sites 0..horizon-1 and never stop); X_t
+    is #{x >= 1: T_x <= t}."""
+    hitting_mode = cfg.record == "hitting-times"
+    n_sites = cfg.horizon if hitting_mode else cfg.horizon + 1
+    sums = [[] for _ in range(size)]
+    live = list(range(size))
+    truncated = site = 0
+    while live and site < n_sites:
+        width = min(n_sites - site, max(1, walk._BLOCK // len(live)))
+        u = rng.random(width * len(live)).reshape(width, len(live))
+        rows = [sample_sojourn(env.site(site + j), u[j]) for j in range(width)]
+        draws = np.array([row.n for row in rows]).T.tolist()
+        flags = np.array([row.truncated for row in rows]).T.tolist()
+        still = []
+        for path, column, flagged in zip(live, draws, flags):
+            mine = sums[path]
+            total = mine[-1] if mine else 0
+            for n, flag in zip(column, flagged):
+                total += n
+                mine.append(total)
+                truncated += flag
+                if total > cfg.horizon and not hitting_mode:
+                    break
+            else:
+                still.append(path)
+        live = still
+        site += width
+    if hitting_mode:
+        hitting = np.zeros((size, cfg.horizon + 1), dtype=np.int64)
+        hitting[:, 1:] = sums
+        return {"hitting": hitting, "truncated": truncated}
+    x_at = None
+    if times is not None:
+        x_at = np.array([[bisect_right(mine, t) for t in times.tolist()] for mine in sums],
+                        dtype=np.int64)
+    return {"x_final": np.array([len(mine) - 1 for mine in sums], dtype=np.int64),
+            "y_final": np.array([mine[-1] - 1 - cfg.horizon for mine in sums], dtype=np.int64),
+            "x_at_times": x_at, "truncated": truncated}
+
+
 def branch_batch_per_site(site, f):
     ext = site.extended()
     pos = np.searchsorted(ext[::-1], f, side="right")
@@ -271,6 +324,60 @@ def scan_rows_per_row(env, n, trunc_tol, deficit_budget, x, law, x_hi, sojourn_o
         else:
             r = size
         steps.append((x + r, powers[r] if size > 1 else sojourn_of(tail)))
+
+
+# ---------------------------------------------------------------------------
+# loss-free hitting laws by a recurrence
+# ---------------------------------------------------------------------------
+
+def power_by_recurrence(probs, x, length):
+    """The first ``length`` atoms of the x-fold convolution power of the atoms
+    q = ``probs`` (q_0 > 0, N = probs.size - 1), by J.C.P. Miller's recurrence
+    for a power of a power series (Henrici, Applied and Computational Complex
+    Analysis I, 1974, sec. 1.6; De Pril, ASTIN Bull. 15 (1985) 135-139):
+
+        f_0 = q_0^x,  f_k = (k q_0)^-1 sum_{j=1}^{min(k,N)} ((x+1) j - k) q_j f_{k-j}.
+
+    Its weights change sign, so no a-priori bound covers its roundoff; the
+    tests check it against the ladder and against mpmath."""
+    q = np.asarray(probs, dtype=np.float64)
+    j = np.arange(q.size)
+    f = np.zeros(length)
+    f[0] = q[0] ** x
+    for k in range(1, length):
+        m = min(k, q.size - 1)
+        f[k] = (((x + 1) * j[1 : m + 1] - k) * q[1 : m + 1]) @ f[k - m : k][::-1] / (k * q[0])
+    return f
+
+
+class RecurrenceLaw(NamedTuple):
+    """Atoms from ``offset`` on, as the recurrence leaves them: far in the
+    tail, where they fall below 1e-150, its roundoff may make them negative."""
+
+    offset: int
+    probs: np.ndarray
+    deficit: float
+    beyond: float = 0.0
+
+    @property
+    def end(self) -> int:
+        return self.offset + self.probs.size - 1
+
+
+def hitting_law_by_recurrence(env, x, length):
+    """The loss-free law of T_x on its first ``length`` atoms: over the tails
+    of sites 0..x-1, each sojourn law to the power of its site count by
+    ``power_by_recurrence`` on its support, the powers multiplied directly;
+    the deficit is 1 - prod (1 - deficit)^count, the mass the sojourn laws
+    leave out."""
+    probs, log_kept = np.ones(1), 0.0
+    for tail, count in zip(env.tails, np.bincount(env.tail_index[:x]).tolist()):
+        sojourn = walk.sojourn_pmf(tail)
+        support = count * (sojourn.probs.size - 1) + 1
+        power = power_by_recurrence(sojourn.probs, count, min(length, support))
+        probs = np.convolve(probs, power)[:length]
+        log_kept += count * math.log1p(-sojourn.deficit)
+    return RecurrenceLaw(x, probs, -math.expm1(log_kept))
 
 
 # ---------------------------------------------------------------------------

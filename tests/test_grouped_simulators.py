@@ -1,6 +1,6 @@
 """The simulators rank every key of a step in its site's table of one
-guide; ``oracles`` steps the same draws site by site.  The chain walk and
-the extended map must reproduce those loops bit for bit, the chain walk,
+guide; ``oracles`` steps the same draws site by site, or path by path.  The
+three simulators must reproduce those loops bit for bit, the chain walk,
 the sojourn method and the map keep their recorded bytes, a run of several
 tails sorts nothing, and no simulator may read an environment past the
 sites a run needs."""
@@ -16,7 +16,8 @@ import pytest
 import walklab as wl
 from walklab import dynsys, streams, walk
 from walklab.streams import CHUNK
-from oracles import chain_chunk_per_site, level_states_per_site, step_batch_per_site
+from oracles import (chain_chunk_per_site, level_states_per_site, sojourn_chunk_per_path,
+                     step_batch_per_site)
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +107,23 @@ def test_grouped_chain_matches_per_site_oracle(monkeypatch, make_env, record):
     per_site = wl.simulate_paths(env, cfg, method="chain", times=[4, 17, 30])
     assert_identical(grouped, per_site)
     if make_env is not two_point_env:
+        assert grouped.truncated_draws > 0
+
+
+@pytest.mark.parametrize("make_env", [two_point_env, alternating_lossy_env, geometric_env,
+                                      powerlaw_env])
+@pytest.mark.parametrize("record,times", [("endpoint-only", [4, 17, 30]), ("hitting-times", None)])
+def test_grouped_sojourn_matches_per_path_oracle(monkeypatch, make_env, record, times):
+    horizon = 30
+    env = make_env(horizon + 1)
+    # two chunks, so the stream of the second one is checked too
+    cfg = wl.McConfig(paths=CHUNK + 900, horizon=horizon, seed=43, record=record)
+    grouped = wl.simulate_paths(env, cfg, method="sojourn", times=times)
+    monkeypatch.setattr(walk, "_sojourn_chunk", lambda cfg, rng, size, times, draw:
+                        sojourn_chunk_per_path(env, cfg, rng, size, times))
+    per_path = wl.simulate_paths(env, cfg, method="sojourn", times=times)
+    assert_identical(grouped, per_path)
+    if make_env in (alternating_lossy_env, geometric_env):
         assert grouped.truncated_draws > 0
 
 
@@ -226,8 +244,12 @@ def sample_digest(sample):
 
 
 # sha256 of the sojourn method's records, recorded before the simulator summed
-# narrow blocks row by row; 3000 and 2000 paths start in blocks of 21 and 32
-# sites, 200 and 150 paths in blocks of 327 and 200 (``walk._ROW_SUMS_WIDTH``)
+# narrow blocks row by row, the lossy endpoint ones before it found a block's
+# finishing paths from its last row.  3000 and 2000 paths start in blocks of 21
+# and 32 sites; 200 endpoint paths run in one block of 151 sites (two-point) or
+# 327 (lossy), 150 hitting paths in one of 200.  Blocks of at most
+# ``walk._ROW_SUMS_WIDTH`` = 256 sites are summed row by row, so of these only
+# the 327-site block takes the cumsum.
 SOJOURN_DIGESTS = {
     (3, "endpoint", 3000):
         "3db1cd2a8b77e8be35bb66eee85c81657bcc9bd5e461e4ce234eb68dc1dee495",
@@ -245,21 +267,47 @@ SOJOURN_DIGESTS = {
         "3479ac818d8269c33d35ccc25926c5acfae7479b7caa79df655325505cf71c92",
     (11, "hitting", 150):
         "48749ff31123ff4c22fcc5ad42525fa99c3968f4c01816c24c0f90b856660f5f",
+    (3, "lossy-endpoint", 3000):
+        "dfd5152d11a3ebd62eb8574b5ada9c73746872b1a970fb6de369011e184db60e",
+    (3, "lossy-endpoint", 200):
+        "094e2f1d1a0808991616a72696d420195b792e019fc678472c39637bfd397511",
+    (11, "lossy-endpoint", 3000):
+        "aaa6fc3a1f054dbced9c0dbfc2f41d8f6abdf5eb1347c6e607a076f7e481dbdb",
+    (11, "lossy-endpoint", 200):
+        "212eb65cda994736a53e709645a4c419ce393d29ca4f3922d62ede5226f85d72",
 }
 
 
-@pytest.mark.parametrize("seed,record,paths", list(SOJOURN_DIGESTS))
-def test_sojourn_records_keep_their_bytes(seed, record, paths):
+def sojourn_case(record, paths, seed):
+    """The run behind a SOJOURN_DIGESTS entry."""
     if record == "endpoint":  # checkpoints, endpoints and levels
         env = two_point_env(201)
         cfg = wl.McConfig(paths=paths, horizon=150, seed=seed)
         times = [10, 60, 150]
+    elif record == "lossy-endpoint":  # truncated draws of paths that finish mid-block
+        env = alternating_lossy_env(401)
+        cfg = wl.McConfig(paths=paths, horizon=400, seed=seed)
+        times = [10, 60, 400]
     else:  # the lossy tails put truncated draws in the digest
         env = alternating_lossy_env(201)
         cfg = wl.McConfig(paths=paths, horizon=200, seed=seed, record="hitting-times")
         times = None
-    sample = wl.simulate_paths(env, cfg, method="sojourn", times=times)
-    assert sample_digest(sample) == SOJOURN_DIGESTS[seed, record, paths]
+    return wl.simulate_paths(env, cfg, method="sojourn", times=times)
+
+
+@pytest.mark.parametrize("seed,record,paths", list(SOJOURN_DIGESTS))
+def test_sojourn_records_keep_their_bytes(seed, record, paths):
+    assert sample_digest(sojourn_case(record, paths, seed)) == SOJOURN_DIGESTS[seed, record, paths]
+
+
+def test_sojourn_row_sums_equal_cumsum(monkeypatch):
+    # every block summed row by row, then every block by a cumsum: the same bytes
+    samples = []
+    for width in (10**9, 0):
+        monkeypatch.setattr(walk, "_ROW_SUMS_WIDTH", width)
+        samples.append(sojourn_case("lossy-endpoint", 3000, 3))
+    assert_identical(*samples)
+    assert samples[0].truncated_draws > 0
 
 
 # sha256 of the chain method's records, recorded when each step came to hand

@@ -9,12 +9,17 @@ hold more than ``trunc_tol``.  The site-by-site ladder is the oracle: the two
 laws must agree atom by atom within the sum of their deficits.  With
 ``trunc_tol = 0`` every product is direct, so they differ by roundoff only: by
 1e-15 per atom and in the deficit, and by x ulps of 1 in ``beyond``, a sum
-near 1 that each of x ladder steps rounds.  ``clt_report`` takes its hitting
-laws from products.
+near 1 that each of x ladder steps rounds.  The loss-free ladder to x = 300
+would take most of a test run on the power-law tail, so without a horizon the
+loss-free T_300 comes from Miller's recurrence instead
+(``oracles.hitting_law_by_recurrence``), itself checked against the ladder at
+x = 37 and against mpmath.  ``clt_report`` takes its hitting laws from
+products.
 """
 
 import numpy as np
 import pytest
+from oracles import hitting_law_by_recurrence, power_by_recurrence
 from test_scan_tails import position_scan_oracle
 
 import walklab as wl
@@ -53,20 +58,49 @@ def atoms(law, lo, hi):
     for trunc_tol in (TRUNC_TOL, 0.0) for horizon in (None, 400) for name in ENVIRONMENTS])
 def test_product_agrees_with_ladder(name, horizon, trunc_tol):
     env = ENVIRONMENTS[name]()
-    ladder = [law for _, law in walk.hitting_time_scan(env, 300, trunc_tol, 1.0, horizon)]
+    by_recurrence = not trunc_tol and horizon is None
+    ladder = [law for _, law in
+              walk.hitting_time_scan(env, 37 if by_recurrence else 300, trunc_tol, 1.0, horizon)]
+    # the recurrence forms the product's atoms and one sojourn's length past them
+    margin = max(walk.sojourn_pmf(tail).probs.size for tail in env.tails)
     for x in (1, 37, 300):
-        law = ladder[x]
         if horizon is None:
             product = wl.hitting_time_distribution(env, x, trunc_tol, deficit_budget=1.0)
         else:
             product = walk._power(env, x, trunc_tol, horizon, walk._sojourn_cache(env))
         assert product.mass() + product.beyond + product.deficit == pytest.approx(1.0, abs=1e-12)
-        slack = law.deficit + product.deficit if trunc_tol else 1e-15
-        if not trunc_tol:
-            assert abs(law.deficit - product.deficit) <= slack
-        lo, hi = min(law.offset, product.offset), max(law.end, product.end)
-        assert np.abs(atoms(law, lo, hi) - atoms(product, lo, hi)).max() <= slack, (name, x)
-        assert abs(law.beyond - product.beyond) <= max(slack, x * 2.0**-52)
+        laws = ladder[x : x + 1]
+        if by_recurrence and x > 1:
+            laws.append(hitting_law_by_recurrence(env, x, product.end - x + 1 + margin))
+        for law in laws:
+            slack = law.deficit + product.deficit if trunc_tol else 1e-15
+            if not trunc_tol:
+                assert abs(law.deficit - product.deficit) <= slack
+            lo, hi = min(law.offset, product.offset), max(law.end, product.end)
+            assert np.abs(atoms(law, lo, hi) - atoms(product, lo, hi)).max() <= slack, (name, x)
+            assert abs(law.beyond - product.beyond) <= max(slack, x * 2.0**-52)
+        if len(laws) == 2:  # the recurrence against the ladder
+            lo, hi = min(laws[0].offset, laws[1].offset), max(laws[0].end, laws[1].end)
+            assert np.abs(atoms(laws[0], lo, hi) - atoms(laws[1], lo, hi)).max() <= 1e-15
+
+
+def test_recurrence_agrees_with_mpmath():
+    # the recurrence's weights change sign: its first 101 atoms of T_300 on the
+    # power-law tail, which hold the largest (at k = 57), against the power
+    # formed by squaring in 200-bit arithmetic, each product cut past k = 100
+    mpmath = pytest.importorskip("mpmath")
+    probs = walk.sojourn_pmf(ENVIRONMENTS["powerlaw"]().tails[0]).probs
+    size, x = 101, 300
+    with mpmath.workprec(200):
+        base = np.array([mpmath.mpf(float(q)) for q in probs[:size]], dtype=object)
+        power = np.array([mpmath.mpf(1)], dtype=object)
+        while x:
+            if x & 1:
+                power = np.convolve(power, base)[:size]
+            x >>= 1
+            base = np.convolve(base, base)[:size] if x else base
+        exact = np.array([float(a) for a in power])
+    assert np.abs(power_by_recurrence(probs, 300, size) - exact).max() <= 2e-16
 
 
 def test_geometric_scan_starts_at_the_window():
