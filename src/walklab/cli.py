@@ -88,8 +88,25 @@ def _write_csv(path: str, columns: dict, force: bool) -> None:
     _write_text(_out_path(path), "\n".join(lines) + "\n", force)
 
 
+_JSON_ITEMS = json.JSONEncoder(sort_keys=True, separators=(",\n", ": "))  # in C, an item a line
+
+
+def _json_text(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=1)``, each container of scalars
+    encoded in C (no scalar's JSON holds a newline to indent)."""
+    pad, is_dict = "\n" + " " * (depth + 1), isinstance(obj, dict)
+    values = obj.values() if is_dict else obj if isinstance(obj, (list, tuple)) else ()
+    if not any(isinstance(v, (dict, list, tuple)) for v in values):
+        text = _JSON_ITEMS.encode(obj).replace("\n", pad)  # a scalar, [] or {} if empty
+        return text[0] + pad + text[1:-1] + pad[:-1] + text[-1] if values else text
+    items = ((json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": ", v)  # as json keys
+             for k, v in sorted(obj.items())) if is_dict else (("", v) for v in obj)
+    body = ("," + pad).join(key + _json_text(v, depth + 1) for key, v in items)
+    return "{["[not is_dict] + pad + body + pad[:-1] + "}]"[not is_dict]
+
+
 def _write_json(path: str, payload, force: bool) -> None:
-    _write_text(_out_path(path), json.dumps(payload, sort_keys=True, indent=1) + "\n", force)
+    _write_text(_out_path(path), _json_text(payload) + "\n", force)
 
 
 def _parse_list(text: str, kind=float) -> list:

@@ -164,11 +164,12 @@ def simulate_trajectories(
 def _step_batch(run: tuple, u: np.ndarray, alive: np.ndarray):
     """Advance a chunk of paths one step, each point ranked in its site's
     table of ``run`` (``_level_tables``) in one call.  A flagged point keeps
-    its value and flag; a live one that falls below its site's tail is flagged."""
+    its value and flag; a live one that falls below its site's tail is flagged.
+    The floor stays a double (exact, as is u - floor(u)), cast only to index tails."""
     ext, slope, guide, tails, last, _ = run
-    x = u.astype(np.int64)  # floor, as u >= 0
+    x = np.floor(u)
     f = u - x
-    t = 0 if tails is None else tails[x]
+    t = 0 if tails is None else tails[x.astype(np.intp)]
     pos, below = guide.rank(f, t)
     image = _apply_local(ext, slope, f, np.subtract(last[t], pos, out=pos))
     np.add(x, image, out=image)
@@ -182,4 +183,4 @@ def _level_states(run: tuple, u: np.ndarray) -> np.ndarray:
     _, _, guide, tails, _, top = run
     x = u.astype(np.int64)  # floor, as u >= 0
     t = 0 if tails is None else tails[x]
-    return np.stack([x, top[t] - guide.rank(u - x, t)[0]], axis=1)
+    return np.stack([x, top[t] - guide.rank(u - np.floor(u), t)[0]], axis=1)

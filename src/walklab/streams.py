@@ -87,15 +87,16 @@ class Guide:
         to [lo, hi[t]], into the intp array ``out`` of keys' shape if given; and
         the flat indices, in ascending order, of the keys whose rank was
         clipped.  Keys are floats in [0, 1] or raw uint64 Philox words w,
-        which stand for the uniform (w >> 11) 2^-53 of ``Generator.random``;
-        only the keys that go to searchsorted are converted."""
+        which stand for the uniform (w >> 11) 2^-53 of ``Generator.random``,
+        their buckets shifted straight into the ranks; only the keys that go
+        to searchsorted are converted."""
         ranks = np.empty(keys.shape, dtype=np.intp) if out is None else out
         raw = keys.dtype == np.uint64
         if keys.size < _GUIDED_MIN_KEYS:
             asked = np.arange(keys.size)
         else:
-            if raw:  # floor(u m) of u = (w >> 11) 2^-53, in [0, m)
-                np.right_shift(keys, self._shift[tails], out=ranks, casting="unsafe")
+            if raw:  # floor(u m) of u = (w >> 11) 2^-53, in [0, m): as intp, the same bits
+                np.right_shift(keys, self._shift[tails], out=ranks.view(np.uint64))
             else:  # the cast to intp truncates u m as astype does, into [0, m]
                 np.multiply(keys, self._m[tails], out=ranks, casting="unsafe")
             if len(self.values) > 1:

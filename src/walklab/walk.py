@@ -341,14 +341,14 @@ def sojourn_pmf(site: TailSequence) -> DiscreteDistribution:
     return DiscreteDistribution(offset=1, probs=site.sojourn_probs(), deficit=site.deficit)
 
 
-def _draw(guide: Guide, tails, u: np.ndarray, sites, out=None) -> tuple:
+def _draw(guide: Guide, tails, u: np.ndarray, sites, out=None, paths=None) -> tuple:
     """Sojourns for raw Philox words u (uniforms (u >> 11) 2^-53), row i
-    drawn at site sites[i] by inverting the CDF 1 - extended() of its tail,
-    table tails[sites[i]] of ``guide`` (table 0 when ``tails`` is None),
-    capped at N+1, into ``out`` if given; and the flat indices into u, in
-    ascending order, of the draws that fell in the truncated region."""
-    # a block's rows are its sites
-    t = 0 if tails is None else tails[sites].reshape((-1,) + (1,) * (u.ndim - 1))
+    drawn at site s = sites[i] (sites[paths[i]] given ``paths``) by inverting
+    the CDF 1 - extended() of its tail, table tails[s] of ``guide`` (table 0,
+    no site read, when ``tails`` is None), capped at N+1, into ``out`` if
+    given; and the flat indices into u, ascending, of the truncated draws."""
+    t = 0 if tails is None else tails[sites if paths is None else sites[paths]].reshape(
+        (-1,) + (1,) * (u.ndim - 1))  # a block's rows are its sites
     return guide.rank(u, t, out=out)
 
 
@@ -802,7 +802,8 @@ def _chain_chunk(cfg, rng, size, times, draw):
     """Chain paths kept as their site and the time of their next jump, ``due``
     (the level at time t is due - (t + 1), formed only where recorded).  Each
     step hands one raw word to each jumping path, in path order, and the path
-    jumps again after the sojourn drawn at its new site."""
+    jumps again after the sojourn drawn at its new site.  A step adds its mask
+    due == t to the sites, and its draw reads them only on several tails."""
     x = np.zeros(size, dtype=np.int64)
     bitgen = rng.bit_generator
     due, over = draw(bitgen.random_raw(size), slice(0, 1))
@@ -813,14 +814,14 @@ def _chain_chunk(cfg, rng, size, times, draw):
         full_y = np.zeros((size, cfg.horizon + 1), dtype=np.int64)
         full_y[:, 0] = due - 1
     x_at = None if times is None else np.zeros((size, times.size), dtype=np.int64)
+    jump = np.empty(size, dtype=bool)
     for t in range(1, cfg.horizon + 1):
-        jumping = np.flatnonzero(due == t)
+        jumping = np.flatnonzero(np.equal(due, t, out=jump))
         if jumping.size:
-            new_x = x[jumping] + 1
-            sojourns, over = draw(bitgen.random_raw(jumping.size), new_x)
-            due[jumping] = sojourns + t
+            x += jump
+            sojourns, over = draw(bitgen.random_raw(jumping.size), x, paths=jumping)
+            due[jumping] = np.add(sojourns, t, out=sojourns)
             truncated += over.size
-            x[jumping] = new_x
         if full_x is not None:
             full_x[:, t] = x
             full_y[:, t] = due - (t + 1)

@@ -7,7 +7,8 @@
   simulator runs; the branch lookup (``branch_batch``) is the one the
   simulator's guide tables reproduce with ranks clipped to 1.
 * Inverse-CDF sojourn draws (``sample_sojourn``) by plain ``searchsorted``,
-  the lookup the simulators' guide tables reproduce.
+  the lookup the simulators' guide tables reproduce, and ``Guide.rank`` the
+  same way on every key (``plain_rank``).
 * Site-by-site simulator loops (``chain_chunk_per_site``,
   ``step_batch_per_site``, ``level_states_per_site``), with the per-site
   branch lookup and images they use; the images give level 0 the general
@@ -132,6 +133,25 @@ def sample_sojourn(site, u):
     idx = np.searchsorted(cdf, u, side="right")
     n_bound = site.last_index + 1
     return SojournDraw(np.minimum(idx, n_bound).astype(np.int64), idx > n_bound)
+
+
+def plain_rank(self, keys, tails=0, out=None):
+    """Guide.rank by searchsorted on every key (a raw word as the double
+    Generator.random makes of it) in its table ``tails``, into ``out`` if
+    given, clipped to [lo, hi], with the flat indices of the clipped ranks."""
+    if keys.dtype == np.uint64:
+        keys = (keys >> 11) * 2.0**-53
+    of = np.broadcast_to(tails, keys.shape)
+    ranks = np.empty(keys.shape, dtype=np.intp)
+    for t, values in enumerate(self.values):
+        ranks[of == t] = np.searchsorted(values, keys[of == t], side="right")
+    hi = self.hi[of]
+    clipped = np.flatnonzero((ranks < self.lo) | (ranks > hi))
+    np.clip(ranks, self.lo, hi, out=ranks)
+    if out is None:
+        return ranks, clipped
+    out[...] = ranks
+    return out, clipped
 
 
 # ---------------------------------------------------------------------------

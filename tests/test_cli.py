@@ -9,6 +9,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from walklab import environment, load_env_file, position_distribution
 from walklab import cli
@@ -17,6 +19,24 @@ from walklab.cli import main
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+PAYLOADS = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=5), st.lists(inner, max_size=5).map(tuple),
+    st.dictionaries(st.text(), inner, max_size=5),
+    st.dictionaries(st.integers() | st.floats(allow_nan=False), inner, max_size=5),
+    st.dictionaries(st.booleans(), inner)), max_leaves=20)
+
+
+@settings(max_examples=100, deadline=None)
+@given(payload=PAYLOADS)
+@example(payload=[[], {}, [[]], {"a": {}}, [float("nan"), -float("inf")]])
+@example(payload={"b": [1, {"c": None}], "a": "\\\"\n\u00e9", "": True})
+def test_json_text_equals_indented_dumps(payload):
+    # NaN, infinities, None, bools, escaped strings, scalar keys, empty
+    # containers, at any depth: the bytes of json.dumps(indent=1)
+    assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=1)
 
 
 @pytest.fixture()

@@ -16,8 +16,8 @@ import pytest
 import walklab as wl
 from walklab import dynsys, streams, walk
 from walklab.streams import CHUNK
-from oracles import (chain_chunk_per_site, level_states_per_site, sojourn_chunk_per_path,
-                     step_batch_per_site)
+from oracles import (chain_chunk_per_site, level_states_per_site, plain_rank,
+                     sojourn_chunk_per_path, step_batch_per_site)
 
 
 # ---------------------------------------------------------------------------
@@ -164,23 +164,35 @@ def test_step_batch_freezes_flagged_points():
     assert np.count_nonzero(alive & ~grouped[1]) > 0  # some live points were flagged
 
 
-def plain_rank(self, keys, tails=0, out=None):
-    """Guide.rank by searchsorted on every key (a raw word as the double
-    Generator.random makes of it) in its table ``tails``, into ``out`` if
-    given, clipped to [lo, hi], with the flat indices of the clipped ranks."""
-    if keys.dtype == np.uint64:
-        keys = (keys >> 11) * 2.0**-53
-    of = np.broadcast_to(tails, keys.shape)
-    ranks = np.empty(keys.shape, dtype=np.intp)
-    for t, values in enumerate(self.values):
-        ranks[of == t] = np.searchsorted(values, keys[of == t], side="right")
-    hi = self.hi[of]
-    clipped = np.flatnonzero((ranks < self.lo) | (ranks > hi))
-    np.clip(ranks, self.lo, hi, out=ranks)
-    if out is None:
-        return ranks, clipped
-    out[...] = ranks
-    return out, clipped
+def edge_points(env, sites):
+    """Points of cells 0..sites-1 on their edges: the integers, the last
+    double below each next integer, every level's end x + ext[y] and the
+    doubles on either side of it."""
+    points = [np.arange(sites, dtype=np.float64), np.nextafter(np.arange(1.0, sites + 1), 0)]
+    for x in range(sites):
+        ends = x + env.site(x).extended()
+        points += [ends, np.nextafter(ends, 0), np.nextafter(ends, np.inf)]
+    u = np.concatenate(points)
+    return u[u < sites]
+
+
+@pytest.mark.parametrize("make_env", [geometric_env, alternating_lossy_env, two_point_env])
+def test_map_steps_at_cell_and_level_edges(make_env):
+    # the map's floor and fractional part on integers, just below them and on
+    # the ends of every level, some points already flagged, each ranked by
+    # the guide (a batch of at least _GUIDED_MIN_KEYS) and by searchsorted
+    sites = 8
+    env = make_env(sites)
+    run = dynsys._level_tables(env, sites - 1)
+    edges = edge_points(env, sites)
+    assert 0.0 in edges
+    reps = -(-streams._GUIDED_MIN_KEYS // edges.size)
+    for u in (np.tile(edges, reps), edges[: streams._GUIDED_MIN_KEYS - 1]):
+        alive = np.random.default_rng(3).random(u.size) < 0.8
+        grouped = dynsys._step_batch(run, u.copy(), alive.copy())
+        assert_identical(grouped, step_batch_per_site(env, u.copy(), alive.copy()))
+        assert_identical(dynsys._level_states(run, u), level_states_per_site(env, u))
+        assert np.count_nonzero(alive & ~grouped[1]) > 0  # f = 0 is below every tail here
 
 
 @pytest.mark.parametrize("make_env", [alternating_lossy_env, powerlaw_env])
@@ -311,7 +323,8 @@ def test_sojourn_row_sums_equal_cumsum(monkeypatch):
 
 
 # sha256 of the chain method's records, recorded when each step came to hand
-# its words to the jumping paths in path order
+# its words to the jumping paths in path order; the one-tail ones before a
+# step came to count its jumps by its mask
 CHAIN_DIGESTS = {
     (5, "endpoint"):
         "393675c051b00c29f639c55f24fe66aef2ac94396aceda816d2d5021c1cf887e",
@@ -321,21 +334,57 @@ CHAIN_DIGESTS = {
         "f82a9d304df3c75d88dae406adea9dcf64a31fd2b379313efff174aae0e06fe3",
     (13, "full-path"):
         "bfcc139c94db49a49adea41446fd391e892a16b390ebbc21da249d3b676b2e47",
+    (5, "one-tail-endpoint"):
+        "ecdcae530569f177116cf37c96f6b6a7a533f98eca264c1e7a968335d5b18c4d",
+    (5, "one-tail-full-path"):
+        "aa5c2907b5a0ce1e6f1a82b7ccf0ba7d9679a02c5b75b04734b84c07c5ebe17a",
+    (13, "one-tail-endpoint"):
+        "76bbde202a4a8098e5bb08d1b7b97b7080a3ac31d432babaf19c9632cbd4e869",
+    (13, "one-tail-full-path"):
+        "6e0b4d19fcfa3414580cd8d0dc5b78ef3de03be0012e7e2e0a4892dc1c2ad926",
 }
 
 
-@pytest.mark.parametrize("seed,record", list(CHAIN_DIGESTS))
-def test_chain_records_keep_their_bytes(seed, record):
+def chain_case(record, seed):
+    """The run behind a CHAIN_DIGESTS entry."""
     if record == "endpoint":  # checkpoints, endpoints and levels
         env = two_point_env(151)
         cfg = wl.McConfig(paths=3000, horizon=150, seed=seed)
         times = [10, 60, 150]
+    elif record == "one-tail-endpoint":  # and the coarse tail's truncated draws
+        env = geometric_env(151)
+        cfg = wl.McConfig(paths=3000, horizon=150, seed=seed)
+        times = [10, 60, 150]
+    elif record == "one-tail-full-path":
+        env = powerlaw_env(201)
+        cfg = wl.McConfig(paths=2000, horizon=200, seed=seed, record="full-path")
+        times = None
     else:  # every site and level, and the lossy tails' truncated draws
         env = alternating_lossy_env(201)
         cfg = wl.McConfig(paths=2000, horizon=200, seed=seed, record="full-path")
         times = None
-    sample = wl.simulate_paths(env, cfg, method="chain", times=times)
-    assert sample_digest(sample) == CHAIN_DIGESTS[seed, record]
+    return wl.simulate_paths(env, cfg, method="chain", times=times)
+
+
+@pytest.mark.parametrize("seed,record", list(CHAIN_DIGESTS))
+def test_chain_records_keep_their_bytes(seed, record):
+    assert sample_digest(chain_case(record, seed)) == CHAIN_DIGESTS[seed, record]
+
+
+@pytest.mark.parametrize("record", ["one-tail-endpoint", "one-tail-full-path"])
+def test_chain_draws_on_one_tail_read_no_site(monkeypatch, record):
+    # on one tail every draw ranks in table 0: with its sites taken away the
+    # run keeps its bytes, so no draw looks a site up or gathers one
+    draw, calls = walk._draw, []
+
+    def siteless(guide, tails, u, sites, *args, **kwargs):
+        assert tails is None
+        calls.append(1)
+        return draw(guide, tails, u, None, *args, **kwargs)
+
+    monkeypatch.setattr(walk, "_draw", siteless)
+    assert sample_digest(chain_case(record, 5)) == CHAIN_DIGESTS[5, record]
+    assert len(calls) > 100  # the entry draw and one a step with jumps
 
 
 def trajectory_digest(sample):

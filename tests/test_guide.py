@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import walklab as wl
 from walklab.streams import _GUIDED_MIN_KEYS, Guide
+from oracles import plain_rank
 
 # every bucket edge j/m of a table of at most 2^10 buckets is some j/2^10
 EDGES = np.arange(1025) / 1024.0
@@ -176,3 +177,30 @@ def test_tables_keep_their_own_guides_memory():
     flat = Guide(tables)
     assert flat._table.size == sum(Guide([t])._table.size for t in tables)
     assert flat._table.size == sum((1 << (t.size.bit_length() + 1)) + 1 for t in tables)
+
+
+def test_raw_words_at_the_extremes():
+    """Words 0 and 2^64 - 1, every bucket edge j << (64 - k) of each table
+    and the word below it, ranked on one table and on several, into a block
+    of an int64 buffer reshaped as the sojourn method passes it and into
+    a new array: the ranks and clipped keys of plain searchsorted."""
+    lossy = np.array([0.0, 0.4, 0.7])
+    powerlaw = 1.0 - wl.env_from_powerlaw(3.0, 0, tail_tol=1e-10).tails[0].extended()
+    words = {0, WORD_MAX}
+    for values in (lossy, powerlaw):
+        k = values.size.bit_length() + 1
+        words |= {w - d for w in (j << (64 - k) for j in range(1, 1 << k)) for d in (0, 1)}
+    words = np.random.default_rng(4).permutation(np.array(sorted(words), dtype=np.uint64))
+    buffer = np.empty(4 * words.size + 5, dtype=np.int64)
+    for tables in ([lossy], [powerlaw], [lossy, powerlaw]):
+        guide = Guide(tables, hi=[t.size - 1 for t in tables])
+        block = np.stack([words] * len(tables))  # row t ranked in table t
+        tails = np.arange(len(tables))[:, None] if len(tables) > 1 else 0
+        want, want_clipped = plain_rank(guide, block, tails)
+        for out in (None, buffer[: block.size].reshape(len(tables), -1)):
+            got, clipped = guide.rank(block, tails, out=out)
+            assert out is None or got is out
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(clipped, want_clipped)
+        assert want_clipped.size > 0
