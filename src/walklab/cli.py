@@ -125,9 +125,8 @@ def _build_random_model(args) -> random_env.RandomEnvModel:
     kind, _, family = args.random.partition("-")
     kind = {"iid": "iid", "mdep": "m-dependent", "markov": "markov"}.get(kind)
     if kind is None or family not in ("powerlaw", "geometric", "lsv"):
-        raise ValidationError(f"unknown random model {args.random!r}")
-    common = dict(kind=kind, family=family, seed=args.seed,
-                  window=args.window if kind == "m-dependent" else 0,
+        raise ValidationError(f"unknown --random model {args.random!r}")
+    common = dict(kind=kind, family=family, seed=args.seed, window=args.window,
                   lsv_c=args.c if args.c is not None else 0.5,
                   beta_diag=args.beta_diag)
     if kind == "markov":
@@ -309,11 +308,14 @@ def _cmd_dynsys(args) -> int:
 
 
 def _cmd_llt(args) -> int:
+    grid = _parse_list(args.n_grid, int)
+    if not grid:
+        raise ValidationError("--n-grid must name at least one time")
     env = load_env_file(args.env)
     params = _limit_params(env, args)
     diag = diagnostics(env, _beta_diag(env))
     reports = []
-    for n in _parse_list(args.n_grid, int):
+    for n in grid:
         rep = llt_report(env, params, diag, n, trunc_tol=args.trunc_tol)
         reports.append(llt_report_json(rep))
         print(f"llt: n={n} sup_err_scaled={rep.sup_err_scaled:.6g}")

@@ -438,6 +438,8 @@ def slln_report(
     recorded time; ``max_tail_deviation`` is the largest deviation of the mean
     ratio over the last half of the horizon.
     """
+    if not 0.0 < tol < math.inf:  # NaN included
+        raise ValidationError(f"tol must be finite and > 0, got {tol}")
     if sample.x_at_times is None or sample.times is None:
         raise ValidationError("sample must be recorded at checkpoint times")
     if np.any(sample.times <= 0):

@@ -19,9 +19,6 @@ import numpy as np
 from .errors import ValidationError
 
 CHUNK = 1 << 14
-# below this many keys searchsorted beats the guide's fixed numpy calls
-# (crossover 512-1024 keys on 49- to 2745-value CDFs, 2-vCPU Xeon, numpy 2.4)
-_GUIDED_MIN_KEYS = 1024
 
 
 def stream(seed: int, component: str, index: int = 0) -> np.random.Generator:
@@ -92,17 +89,14 @@ class Guide:
         to searchsorted are converted."""
         ranks = np.empty(keys.shape, dtype=np.intp) if out is None else out
         raw = keys.dtype == np.uint64
-        if keys.size < _GUIDED_MIN_KEYS:
-            asked = np.arange(keys.size)
-        else:
-            if raw:  # floor(u m) of u = (w >> 11) 2^-53, in [0, m): as intp, the same bits
-                np.right_shift(keys, self._shift[tails], out=ranks.view(np.uint64))
-            else:  # the cast to intp truncates u m as astype does, into [0, m]
-                np.multiply(keys, self._m[tails], out=ranks, casting="unsafe")
-            if len(self.values) > 1:
-                np.add(ranks, self._base[tails], out=ranks)
-            self._table.take(ranks, out=ranks, mode="clip")
-            asked = np.flatnonzero(ranks < 0)
+        if raw:  # floor(u m) of u = (w >> 11) 2^-53, in [0, m): as intp, the same bits
+            np.right_shift(keys, self._shift[tails], out=ranks.view(np.uint64))
+        else:  # the cast to intp truncates u m as astype does, into [0, m]
+            np.multiply(keys, self._m[tails], out=ranks, casting="unsafe")
+        if len(self.values) > 1:
+            np.add(ranks, self._base[tails], out=ranks)
+        self._table.take(ranks, out=ranks, mode="clip")
+        asked = np.flatnonzero(ranks < 0)
         if not asked.size:
             return ranks, asked
         u = keys.flat[asked]

@@ -733,7 +733,7 @@ def _check_run_size(paths: int, horizon: int, kept: int) -> None:
                               f"{_MAX_PATH_STEPS}; lower paths or horizon")
     if paths * kept > _MAX_RECORD_CELLS:
         raise ValidationError(f"{paths} paths x {kept} kept cells = {paths * kept} exceeds "
-                              f"{_MAX_RECORD_CELLS}; lower paths or the recorded times")
+                              f"{_MAX_RECORD_CELLS}; lower paths, horizon or the recorded times")
 
 
 def simulate_paths(
@@ -748,9 +748,9 @@ def simulate_paths(
     method draws i.i.d. sojourn times by inverse CDF and accumulates their
     partial sums.  Both produce the same laws and default sensibly: full-path
     records require the chain method, hitting-times records the sojourn
-    method, and everything else uses the faster sojourn route.  Both per-path
-    records are refused above ``_MAX_RECORD_CELLS`` cells, and so is any run
-    past ``_check_run_size``'s caps, before any site is built.
+    method, and everything else uses the faster sojourn route.  A run past
+    ``_check_run_size``'s caps, whose kept cells include a per-path record's
+    horizon + 1 a path, is refused before any site is built.
     """
     if method is None:
         method = "chain" if cfg.record == "full-path" else "sojourn"
@@ -760,10 +760,6 @@ def simulate_paths(
         raise ValidationError("hitting-times records require the sojourn method")
     if cfg.record == "full-path" and method != "chain":
         raise ValidationError("full-path records require the chain method")
-    cells = cfg.paths * (cfg.horizon + 1)
-    if cfg.record != "endpoint-only" and cells > _MAX_RECORD_CELLS:
-        raise ValidationError(f"{cfg.record} record of {cells} cells exceeds "
-                              f"{_MAX_RECORD_CELLS}; lower paths or horizon")
     if times is not None:
         times = _check_times(times, cfg.horizon)
     kept = cfg.horizon + 1 if cfg.record != "endpoint-only" else 0

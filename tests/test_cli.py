@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from walklab import environment, load_env_file, position_distribution
+from walklab import McConfig, environment, load_env_file, position_distribution, simulate_paths
 from walklab import cli
 from walklab.cli import main
 
@@ -226,6 +226,90 @@ def test_env_refuses_nan_parameters(tmp_path, capsys, argv, error):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag, argv, error", [
+    ("--seed", ["--random", "iid-powerlaw", "--choices", "2.5,3.5"],
+     "sampling commands require --seed"),
+    ("--random", ["--random", "walk-powerlaw", "--seed", "1"],
+     "unknown --random model 'walk-powerlaw'"),
+    ("--random", ["--random", "iid-pareto", "--choices", "2.5", "--seed", "1"],
+     "unknown --random model 'iid-pareto'"),
+    ("--choices", ["--random", "markov-powerlaw", "--choices", "3", "--seed", "1"],
+     "markov models need --choices with >= 2 states"),
+    ("--stay", ["--random", "markov-powerlaw", "--choices", "2.5,3.5", "--stay", "1",
+                "--seed", "1"], "--stay must lie in (0, 1)"),
+    ("--range", ["--random", "iid-powerlaw", "--range", "2.5", "--seed", "1"],
+     "--range needs exactly two values low,high, got '2.5'"),
+    ("--range", ["--random", "iid-powerlaw", "--seed", "1"],
+     "random models need --choices or --range"),
+    ("--r", ["--family", "geometric"], "geometric family requires --r"),
+    ("--beta", ["--family", "powerlaw"], "powerlaw family requires --beta"),
+    ("--alpha", ["--family", "lsv", "--c", "0.5"], "lsv family requires --alpha"),
+    ("--kappa", ["--family", "lsv", "--alpha", "0.3"], "lsv family requires --c or --kappa"),
+    ("--family", [], "env needs --family or --random"),
+], ids=["seed", "random-kind", "random-family", "markov-choices", "stay", "range-values",
+        "choices-or-range", "r", "beta", "alpha", "c-or-kappa", "family-or-random"])
+def test_env_refusals_name_their_flag(tmp_path, capsys, flag, argv, error):
+    assert flag in error
+    assert run("env", *argv, "--xmax", "5", "--out", tmp_path / "e.json") == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_env_window_reaches_the_model(tmp_path, capsys):
+    # a window on a kind without one is refused, not dropped
+    out = tmp_path / "e.json"
+    for kind, states in (("iid", "--range"), ("markov", "--choices")):
+        assert run("env", "--random", f"{kind}-geometric", states, "0.3,0.7", "--window", "2",
+                   "--seed", "1", "--xmax", "5", "--out", out) == 2
+        assert capsys.readouterr().err == \
+            "error: window is only meaningful for the m-dependent kind\n"
+        assert list(tmp_path.iterdir()) == []
+    assert run("env", "--random", "mdep-geometric", "--range", "0.3,0.7", "--window", "2",
+               "--seed", "1", "--xmax", "5", "--out", out) == 0
+    assert json.loads(out.read_text())["model"]["random"]["window"] == 2
+
+
+@pytest.mark.parametrize("grid", ["", ","])
+def test_llt_refuses_an_empty_grid(tmp_path, geo_env_file, monkeypatch, capsys, grid):
+    # as clt does, but before any diagnostics are computed
+    monkeypatch.setattr(cli, "diagnostics", lambda *args: pytest.fail("computed diagnostics"))
+    out = tmp_path / "llt.json"
+    assert run("llt", "--env", geo_env_file, "--n-grid", grid, "--out", out) == 2
+    assert "error: --n-grid must name at least one time" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_slln_refuses_tol_out_of_range(tmp_path, geo_env_file, capsys, tol):
+    out = tmp_path / "slln.csv"
+    assert run("slln", "--env", geo_env_file, "--paths", "10", "--horizon", "20", "--seed", "1",
+               "--mu", "2", "--sigma2", "2", "--tol", tol, "--out", out) == 2
+    assert f"error: tol must be finite and > 0, got {float(tol)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("record", ["full-path", "hitting-times"])
+def test_mc_per_path_record_is_the_sample(tmp_path, geo_env_file, record):
+    # the CSV rows, path by path, are the seed's full_x and full_y, or hitting
+    out = tmp_path / "mc.csv"
+    assert run("mc", "--env", geo_env_file, "--paths", "30", "--n", "12", "--seed", "4",
+               "--record", record, "--out", out) == 0
+    cfg = McConfig(paths=30, horizon=12, seed=4, record=record)
+    sample = simulate_paths(load_env_file(str(geo_env_file)), cfg)
+    if record == "full-path":
+        header, columns = "path,n,x,y", [sample.full_x, sample.full_y]
+    else:
+        header, columns = "path,x,T", [sample.hitting]
+    rows, cols = columns[0].shape
+    assert (rows, cols) == (30, 13)  # n + 1 times, or sites 0..n
+    want = np.column_stack([np.repeat(np.arange(rows), cols), np.tile(np.arange(cols), rows)]
+                           + [c.ravel() for c in columns])
+    lines = out.read_text().splitlines()
+    assert lines[0] == header
+    np.testing.assert_array_equal(np.array([line.split(",") for line in lines[1:]], dtype=np.int64),
+                                  want)
+
+
 @pytest.mark.parametrize("tol", ["2", "-1", "nan"])
 def test_exact_refuses_trunc_tol_out_of_range(tmp_path, geo_env_file, capsys, tol):
     out = tmp_path / "x.csv"
@@ -245,17 +329,22 @@ def test_mc_hitting_times_refuses_chain(tmp_path, geo_env_file, capsys):
 
 @pytest.mark.parametrize("record", ["full-path", "hitting-times"])
 def test_mc_refuses_oversized_per_path_record(tmp_path, geo_env_file, capsys, record):
-    # paths x (n + 1) int64 cells per record; n lies past the 101 sites of the
-    # file, so a request the cap let through would end in the site check
-    # before allocating anything either
+    # a record keeps n + 1 int64 cells a path, a full path also X and Y at n;
+    # n lies past the 101 sites of the file, so a request the caps let
+    # through would end in the site check before allocating anything either
     out = tmp_path / "mc.csv"
-    for paths, n in [(1_000_000, 100_000), (500, 100_000)]:
+    kept = 100_001 + (2 if record == "full-path" else 0)
+    for paths, message in [
+        (1_000_000, "1000000 paths x 100001 steps = 100001000000 exceeds 10000000000; "
+                    "lower paths or horizon"),
+        (500, f"500 paths x {kept} kept cells = {500 * kept} exceeds 50000000; "
+              "lower paths, horizon or the recorded times"),
+    ]:
         start = time.perf_counter()
-        assert run("mc", "--env", geo_env_file, "--paths", paths, "--n", n, "--seed", "1",
-                   "--record", record, "--out", out) == 2
+        assert run("mc", "--env", geo_env_file, "--paths", paths, "--n", 100_000, "--seed",
+                   "1", "--record", record, "--out", out) == 2
         assert time.perf_counter() - start < 5.0
-        err = capsys.readouterr().err
-        assert f"error: {record} record of {paths * (n + 1)} cells exceeds 50000000" in err
+        assert f"error: {message}\n" in capsys.readouterr().err
         assert not out.exists()
     # one path fewer is under the cap and reaches the site check
     assert run("mc", "--env", geo_env_file, "--paths", 499, "--n", 100_000, "--seed", "1",

@@ -154,6 +154,16 @@ def test_trajectory_config_validation():
         wl.TrajectoryConfig(paths=1, horizon=-1, seed=1)
 
 
+def test_kept_positions_must_be_recorded_times(monkeypatch):
+    # refused before any site is built or any start drawn
+    env = wl.Environment([wl.TailSequence([1.0, 0.5], deficit=0.0)])
+    monkeypatch.setattr(dynsys, "stream", lambda *args: pytest.fail("a refused run drew"))
+    cfg = wl.TrajectoryConfig(paths=10, horizon=9, seed=1)
+    for keep in ([3], [4, 9, 3]):
+        with pytest.raises(ValidationError, match="^keep_positions_at must be a subset of times$"):
+            wl.simulate_trajectories(env, cfg, times=[4, 9], keep_positions_at=keep)
+
+
 @pytest.mark.parametrize("levels,keep,kept", [
     (False, None, 0),
     (True, None, 3),  # a level key at each time

@@ -75,6 +75,12 @@ def powerlaw_env(sites):
     return wl.env_from_powerlaw(3.0, sites - 1, tail_tol=1e-10)
 
 
+def lsv_env(sites):
+    """iid alpha uniform on [0.2, 0.33], c = 0.5: a tail of its own at every site."""
+    model = wl.RandomEnvModel(kind="iid", family="lsv", seed=7, low=0.2, high=0.33, lsv_c=0.5)
+    return wl.sample_environment(model, sites - 1, tail_tol=1e-10).environment
+
+
 class WatchedEnvironment(wl.Environment):
     """Records the largest site index read or ensured."""
 
@@ -180,19 +186,21 @@ def edge_points(env, sites):
 def test_map_steps_at_cell_and_level_edges(make_env):
     # the map's floor and fractional part on integers, just below them and on
     # the ends of every level, some points already flagged, each ranked by
-    # the guide (a batch of at least _GUIDED_MIN_KEYS) and by searchsorted
+    # the guide and by searchsorted, in batches of at least 1024, of at most
+    # 1023 and of none
     sites = 8
     env = make_env(sites)
     run = dynsys._level_tables(env, sites - 1)
     edges = edge_points(env, sites)
     assert 0.0 in edges
-    reps = -(-streams._GUIDED_MIN_KEYS // edges.size)
-    for u in (np.tile(edges, reps), edges[: streams._GUIDED_MIN_KEYS - 1]):
+    reps = -(-1024 // edges.size)
+    for u in (np.tile(edges, reps), edges[:1023], edges[:0]):
         alive = np.random.default_rng(3).random(u.size) < 0.8
         grouped = dynsys._step_batch(run, u.copy(), alive.copy())
         assert_identical(grouped, step_batch_per_site(env, u.copy(), alive.copy()))
         assert_identical(dynsys._level_states(run, u), level_states_per_site(env, u))
-        assert np.count_nonzero(alive & ~grouped[1]) > 0  # f = 0 is below every tail here
+        # f = 0 is below every tail here
+        assert (np.count_nonzero(alive & ~grouped[1]) > 0) == (u.size > 0)
 
 
 @pytest.mark.parametrize("make_env", [alternating_lossy_env, powerlaw_env])
@@ -210,12 +218,7 @@ def test_guide_tables_match_searchsorted(monkeypatch, make_env, method, record, 
     horizon = 30
     env = make_env(horizon + 1)
     cfg = wl.McConfig(paths=CHUNK + 900, horizon=horizon, seed=37, record=record)
-    batches = []
-    rank = streams.Guide.rank
-    monkeypatch.setattr(streams.Guide, "rank", lambda self, keys, tails=0, out=None:
-                        batches.append(keys.size) or rank(self, keys, tails, out=out))
     guided = wl.simulate_paths(env, cfg, method=method, times=times)
-    assert max(batches) >= streams._GUIDED_MIN_KEYS  # the tables answered
     monkeypatch.setattr(streams.Guide, "rank", plain_rank)
     plain = wl.simulate_paths(env, cfg, method=method, times=times)
     assert_identical(guided, plain)
@@ -324,7 +327,8 @@ def test_sojourn_row_sums_equal_cumsum(monkeypatch):
 
 # sha256 of the chain method's records, recorded when each step came to hand
 # its words to the jumping paths in path order; the one-tail ones before a
-# step came to count its jumps by its mask
+# step came to count its jumps by its mask; the 1000-path ``small-`` ones
+# while batches of fewer than 1024 keys went to searchsorted, not the guide
 CHAIN_DIGESTS = {
     (5, "endpoint"):
         "393675c051b00c29f639c55f24fe66aef2ac94396aceda816d2d5021c1cf887e",
@@ -342,6 +346,22 @@ CHAIN_DIGESTS = {
         "76bbde202a4a8098e5bb08d1b7b97b7080a3ac31d432babaf19c9632cbd4e869",
     (13, "one-tail-full-path"):
         "6e0b4d19fcfa3414580cd8d0dc5b78ef3de03be0012e7e2e0a4892dc1c2ad926",
+    (5, "small-geometric_env"):
+        "7beb6f52260e046a96b0e4e4ca6ff8d6ea4795aa03dcb49147d8845714016fec",
+    (5, "small-powerlaw_env"):
+        "7fe31aa5d4e97fcf129f9204a5ccf40133bad7e4e5b636b3ecf0f8b4a10b85f7",
+    (5, "small-two_point_env"):
+        "adcbeb064855f46c66f74fc28c03ae0d1862b761068ff8efa14f15bb333ccf35",
+    (5, "small-lsv_env"):
+        "118dacddbc61257db3ed92d8cae3c1c7640f89028fff106bbe5046fc47568541",
+    (13, "small-geometric_env"):
+        "31676422f4e9bed40d065748b1f713bfd2a0c6708f83f5974cf302f717ca5639",
+    (13, "small-powerlaw_env"):
+        "354350c7324377b62919ccbed5301b8df9caa585401f1fea23661a2053380579",
+    (13, "small-two_point_env"):
+        "9eac180af88f49bca7e6778de0ba34adc94dc2cc1fd2f3e434351cbb4d295f50",
+    (13, "small-lsv_env"):
+        "5cf56d25381828b4b543753940608b5327581c58e3a739e108d4d51d33d65901",
 }
 
 
@@ -358,6 +378,10 @@ def chain_case(record, seed):
     elif record == "one-tail-full-path":
         env = powerlaw_env(201)
         cfg = wl.McConfig(paths=2000, horizon=200, seed=seed, record="full-path")
+        times = None
+    elif record.startswith("small-"):  # 1000 paths, on one tail or on several
+        env = globals()[record.removeprefix("small-")](151)
+        cfg = wl.McConfig(paths=1000, horizon=150, seed=seed, record="full-path")
         times = None
     else:  # every site and level, and the lossy tails' truncated draws
         env = alternating_lossy_env(201)
@@ -404,7 +428,8 @@ def trajectory_digest(sample):
 # geometric r = 0.5 ones were recorded when the top level had its own image
 # 1 + (f - omega_1) / (1 - omega_1), which rounds as the general formula does
 # where 1 / (1 - omega_1) is exact; the others when every level came to map
-# by ext[y] + slope[y] (f - ext[y+1]).
+# by ext[y] + slope[y] (f - ext[y+1]); the 1000-path ``small-`` ones while
+# batches of fewer than 1024 keys went to searchsorted, not the guide.
 TRAJECTORY_DIGESTS = {
     ("geometric_env", 5):
         "cd03b19685f03299c0df2db5076268add5f39811084c60aaf054167ad1a02a00",
@@ -418,17 +443,39 @@ TRAJECTORY_DIGESTS = {
         "cc08498931a407eb8bf91d8d2703194dcf3e6b397fd06d4221650d1665576beb",
     ("powerlaw_env", 13):
         "afb777ffbbbcf6c618acf904345b9cd7bf0035d7cbcbfef9316f41d78bac40e6",
+    ("small-geometric_env", 5):
+        "e50a4b60cd1f913250037355f14e3f07a4ecbcff2b4d89da40a1a504976091ac",
+    ("small-geometric_env", 13):
+        "9cf043073f7e3c3de2f2971473246086e90a2ea8689f90d23c5623fa85aad13b",
+    ("small-powerlaw_env", 5):
+        "65acfaaf60089fb7bbced115373565d67297ed7767eef5c984ea2c1136023987",
+    ("small-powerlaw_env", 13):
+        "71d834e13f6a9b1005d3c427578ff977c7c9ae40773e7f115fd1e456cbaa9607",
+    ("small-two_point_env", 5):
+        "681957466c7f45d8467b078c07b8ae632d9a97eab8eb8fa8deb1a1bd810ac26c",
+    ("small-two_point_env", 13):
+        "c9128a7c9a0cf196becfa810ade3a6266a9e5c6b0df2ae7ed3a36539c95a9b34",
+    ("small-lsv_env", 5):
+        "593e2933494e9a0c7ffe2762f6a10986d74b910ef9e6393251c5ff68d2d81e44",
+    ("small-lsv_env", 13):
+        "f9d96152712221a10122002d2db2da8984f4df73474b3914fd47900c39efd120",
 }
 
 
-@pytest.mark.parametrize("make_env,seed", list(TRAJECTORY_DIGESTS))
-def test_trajectory_records_keep_their_bytes(make_env, seed):
-    env = globals()[make_env](31)
-    cfg = wl.TrajectoryConfig(paths=3000, horizon=30, seed=seed)
-    sample = wl.simulate_trajectories(env, cfg, times=[5, 15, 30], levels=True,
-                                      keep_positions_at=[30])
-    assert trajectory_digest(sample) == TRAJECTORY_DIGESTS[make_env, seed]
-    assert (sample.flagged > 0) == (make_env == "geometric_env")
+def trajectory_case(case, seed):
+    """The run behind a TRAJECTORY_DIGESTS entry: 3000 paths, 1000 in a
+    ``small-`` case."""
+    make_env = case.removeprefix("small-")
+    cfg = wl.TrajectoryConfig(paths=3000 if make_env == case else 1000, horizon=30, seed=seed)
+    return wl.simulate_trajectories(globals()[make_env](31), cfg, times=[5, 15, 30],
+                                    levels=True, keep_positions_at=[30])
+
+
+@pytest.mark.parametrize("case,seed", list(TRAJECTORY_DIGESTS))
+def test_trajectory_records_keep_their_bytes(case, seed):
+    sample = trajectory_case(case, seed)
+    assert trajectory_digest(sample) == TRAJECTORY_DIGESTS[case, seed]
+    assert (sample.flagged > 0) == case.endswith("geometric_env")
 
 
 @pytest.mark.parametrize("method", ["chain", "sojourn", "dynsys"])

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walklab as wl
-from walklab.streams import _GUIDED_MIN_KEYS, Guide
+from walklab.streams import Guide
 from oracles import plain_rank
 
 # every bucket edge j/m of a table of at most 2^10 buckets is some j/2^10
@@ -29,7 +29,6 @@ def lookup_keys(values, extra=()):
     points = np.concatenate([values, EDGES.astype(dtype), np.asarray(extra, dtype=dtype)])
     keys = np.concatenate([points, np.nextafter(points, zero), np.nextafter(points, one),
                            [zero, one]])
-    assert keys.size >= _GUIDED_MIN_KEYS  # the table itself answers, not only searchsorted
     return np.random.default_rng(0).permutation(keys)
 
 
@@ -45,7 +44,6 @@ def lookup_words(values, extra=()):
         base += [(top + d) << 11 for d in (-1, 0, 1)]
     words = {w + d for w in base for d in (-1, 0, 1, 2**11 - 1)}
     words = np.array(sorted(w for w in words if 0 <= w <= WORD_MAX), dtype=np.uint64)
-    assert words.size >= _GUIDED_MIN_KEYS
     return np.random.default_rng(0).permutation(words)
 
 
@@ -60,13 +58,13 @@ def searchsorted_ranks(values, keys, lo, hi):
 
 
 def assert_ranks_match(values, keys, lo=0, hi=None):
-    """rank(keys) and rank(keys, out=...) on batches above and below
-    _GUIDED_MIN_KEYS: searchsorted's clipped ranks, in ``out`` itself, the
-    clipped keys' flat indices, keys unchanged."""
+    """rank(keys) and rank(keys, out=...) on the whole set, its 2-row shape
+    and its first 7, 1023, 1024 and 0 keys: searchsorted's clipped ranks, in
+    ``out`` itself, the clipped keys' flat indices, keys unchanged."""
     guide = Guide([values], lo=lo, hi=None if hi is None else [hi])
     hi = values.size if hi is None else hi
     for shaped in (keys, keys[: keys.size // 2 * 2].reshape(2, -1), keys[:7],
-                   keys[: _GUIDED_MIN_KEYS - 1], keys[:_GUIDED_MIN_KEYS]):
+                   keys[:1023], keys[:1024], keys[:0]):
         before = shaped.tobytes()
         want, want_clipped = searchsorted_ranks(values, shaped, lo, hi)
         got, clipped = guide.rank(shaped)
@@ -133,12 +131,12 @@ def test_rank_on_simulator_tails(dtype, env):
 def assert_tables_rank_each_key(tables, keys, lo, hi):
     """A guide over ``tables`` with key i in table tails[i] (a 1-D keys) or
     row i in table tails[i] (2-D): each key's own clipped searchsorted rank,
-    the clipped keys' flat indices ascending, on batches above and below
-    _GUIDED_MIN_KEYS, with or without ``out``."""
+    the clipped keys' flat indices ascending, on the whole set, its 4-row
+    shape and its first 7, 1023 and 0 keys, with or without ``out``."""
     guide = Guide(tables, lo=lo, hi=hi)
     tails = np.random.default_rng(1).integers(0, len(tables), keys.size)
-    for shaped, of in ((keys, tails), (keys[:7], tails[:7]),
-                       (keys[: _GUIDED_MIN_KEYS - 1], tails[: _GUIDED_MIN_KEYS - 1]),
+    for shaped, of in ((keys, tails), (keys[:7], tails[:7]), (keys[:1023], tails[:1023]),
+                       (keys[:0], tails[:0]),
                        (keys[: keys.size // 4 * 4].reshape(4, -1), tails[:4, None])):
         each = np.broadcast_to(of, shaped.shape)
         want = np.empty(shaped.shape, dtype=np.intp)

@@ -593,11 +593,8 @@ def test_simulate_paths_caps_kept_cells_and_steps(monkeypatch, record, times, ke
 
     monkeypatch.setattr(walk, "_MAX_RECORD_CELLS", 7 * kept)
     assert "beyond the materialized range" in refusal(7)
-    if record == "hitting-times":  # its kept cells are the record's own cap
-        assert refusal(8) == f"hitting-times record of 80 cells exceeds {7 * kept}; " \
-            "lower paths or horizon"
-    else:
-        assert refusal(8).startswith(f"8 paths x {kept} kept cells = {8 * kept} exceeds")
+    assert refusal(8) == f"8 paths x {kept} kept cells = {8 * kept} exceeds {7 * kept}; " \
+        "lower paths, horizon or the recorded times"
     monkeypatch.setattr(walk, "_MAX_RECORD_CELLS", 10**6)
     monkeypatch.setattr(walk, "_MAX_PATH_STEPS", 70)
     assert "beyond the materialized range" in refusal(7)
